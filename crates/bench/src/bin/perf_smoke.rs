@@ -35,16 +35,6 @@
 //! appends a `{tag}-faults` entry (topo key `…,faults=0.02`), so the
 //! degraded-routing path's cost is tracked on every run too.
 //!
-//! A **shards section** re-times the same pinned cells with the
-//! engine's intra-simulation threads at `N = max(2,
-//! available_parallelism)` and appends a `{tag}-shards` entry recording
-//! `available_parallelism` honestly: on a multi-core machine the entry
-//! shows the sharded engine's speedup, on a 1-core container it shows
-//! the measured barrier/outbox overhead of running two engine threads
-//! on one core — either way the sharded code path is exercised and the
-//! per-cell results are asserted identical to the `threads = 1` cells
-//! (engine output is thread-count independent by contract).
-//!
 //! A second section then times the **work-stealing scheduler** on the
 //! same pinned sweep — a heterogeneous job mix (low loads drain almost
 //! instantly, the 0.5 UGAL-G point dominates) — once with a single
@@ -195,39 +185,6 @@ fn sched_entry_json(tag: &str, topo: &str, workers: usize, wall1_ms: f64, walln_
          \"sched_wall_ms_workers1\": {},\n      \
          \"sched_wall_ms_workersN\": {},\n      \
          \"sched_speedup\": {},\n      \"configs\": []\n    }}",
-        json_s(tag),
-        json_s(topo),
-        json_f(wall1_ms),
-        json_f(walln_ms),
-        json_f(wall1_ms / walln_ms.max(1e-12)),
-    )
-}
-
-/// One sharded-engine timing entry: the pinned cells with
-/// `threads = 1` vs `threads = N` inside the simulator. Records the
-/// machine's available parallelism so a 1-core container's overhead
-/// numbers are never mistaken for a multi-core speedup.
-fn shards_entry_json(
-    tag: &str,
-    topo: &str,
-    threads: usize,
-    wall1_ms: f64,
-    walln_ms: f64,
-) -> String {
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    format!(
-        "    {{\n      \"tag\": {},\n      \"topo\": {},\n      \
-         \"unix_time\": {unix_time},\n      \"threads\": {threads},\n      \
-         \"available_parallelism\": {hw},\n      \
-         \"shard_wall_ms_threads1\": {},\n      \
-         \"shard_wall_ms_threadsN\": {},\n      \
-         \"shard_speedup\": {},\n      \"configs\": []\n    }}",
         json_s(tag),
         json_s(topo),
         json_f(wall1_ms),
@@ -448,39 +405,6 @@ fn main() {
             "faults={fault_frac} total wall: {fault_total:.1} ms \
              ({:.2}x the intact cells)",
             fault_total / total_ms.max(1e-12)
-        ));
-
-        // Sharded-engine section: the same pinned cells with the
-        // engine's own threads at N = max(2, available_parallelism) —
-        // the sharded path is exercised even on a 1-core container,
-        // where the "speedup" is a measured overhead and is recorded
-        // as such (the entry carries available_parallelism). The
-        // simulated results must match the threads=1 cells exactly:
-        // engine output is thread-count independent by contract.
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let engine_threads = hw.max(2);
-        let mut scfg = cfg;
-        scfg.threads = engine_threads;
-        print_raw_line(&format!(
-            "threads={engine_threads} (sharded engine, {hw} core(s) available):"
-        ));
-        let shard_cells = time_cells(&net, &tables, &pattern, scfg)?;
-        let shard_total: f64 = shard_cells.iter().map(|c| c.wall_ms).sum();
-        for (a, b) in cells.iter().zip(&shard_cells) {
-            if (a.cycles, a.packets) != (b.cycles, b.packets) {
-                return Err(SfError::Experiment(format!(
-                    "sharded engine diverged from threads=1 at {} load {}: \
-                     {} cycles / {} packets vs {} / {}",
-                    a.routing, a.load, b.cycles, b.packets, a.cycles, a.packets
-                )));
-            }
-        }
-        print_raw_line(&format!(
-            "threads={engine_threads} total wall: {shard_total:.1} ms \
-             ({:.2}x vs threads=1, results identical)",
-            total_ms / shard_total.max(1e-12)
         ));
 
         // Flow-backend section: the same routings × loads through the
@@ -724,19 +648,6 @@ fn main() {
         );
         append_entry(&out, &entry)?;
         print_raw_line(&format!("appended entry '{tag}-faults' to {out}"));
-        // Sharded-engine entry: threads=1 vs threads=N on the same
-        // cells, with available_parallelism recorded so the ratio is
-        // read in context (1-core containers measure overhead, not
-        // speedup).
-        let entry = shards_entry_json(
-            &format!("{tag}-shards"),
-            &format!("{topo},threads={engine_threads}"),
-            engine_threads,
-            total_ms,
-            shard_total,
-        );
-        append_entry(&out, &entry)?;
-        print_raw_line(&format!("appended entry '{tag}-shards' to {out}"));
         let entry = flow_entry_json(
             &format!("{tag}-flow"),
             &format!("{topo},backend=flow"),

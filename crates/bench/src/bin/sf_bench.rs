@@ -2,7 +2,7 @@
 //! data, not binaries.
 //!
 //! Usage:
-//!   `sf-bench run <file.toml|file.json> [--workers N] [--threads N]
+//!   `sf-bench run <file.toml|file.json> [--workers N]
 //!                 [--out PATH] [--format csv|jsonl] [--report PATH]
 //!                 [--cache DIR | --no-cache]
 //!                 [--check-builder] [--quiet]`
@@ -15,12 +15,7 @@
 //! job set and executes it on the work-stealing scheduler, streaming
 //! records as jobs finish: CSV to stdout (unless `--quiet`), plus
 //! `--out` (CSV, or JSON lines with `--format jsonl`) and a markdown
-//! report per `--report` (the EXPERIMENTS.md generator). `--threads N`
-//! overrides the engine thread count of every job (the `[sweep.sim]
-//! threads` plan knob); because engine output is thread-count
-//! independent, the record stream is byte-identical for any value — CI
-//! exercises exactly that by diffing a `--threads 2` run against
-//! `--threads 1`. A run summary
+//! report per `--report` (the EXPERIMENTS.md generator). A run summary
 //! goes to stderr, keeping stdout pure CSV. `--check-builder` re-runs
 //! the whole plan sequentially through the single-worker path and
 //! fails unless both record streams are byte-identical — the
@@ -32,7 +27,7 @@
 //! `--no-cache` disables caching even when the variable is set. Each
 //! job is keyed by a stable hash of everything its records depend on —
 //! the canonical plan rendering (topology + fault plan, routing,
-//! traffic, backend, loads, warm-start, sim config minus `threads`)
+//! traffic, backend, loads, warm-start, sim config)
 //! plus the seed and the engine epoch — so hits replay stored records
 //! byte-identically to a cold run, while misses simulate and write
 //! through. Re-submitting a figure with one new load point simulates
@@ -103,7 +98,6 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         .ok_or_else(|| SfError::Cli("run: missing experiment file".into()))?
         .to_string();
     let workers: usize = args.value("workers", 0)?;
-    let threads: usize = args.value("threads", 0)?;
     let quiet = args.flag("quiet");
     let out: Option<String> = args.get("out").map(str::to_string);
     let format: String = args.value("format", "csv".to_string())?;
@@ -121,7 +115,6 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
 
     let plan = ExperimentPlan::from_path(Path::new(&file))?;
     let mut set = plan.expand()?;
-    set.override_threads(threads);
 
     // Static verification gate: certify every cycle-backend combo
     // deadlock-free and total before burning cycles on it.

@@ -2,9 +2,9 @@
 //!
 //! Records are a **pure function of (plan, seed)**: the determinism
 //! lint (`sf-lint`) bans unordered iteration and wall-clock reads in
-//! every simulation crate, and the sharded engine's output is
-//! thread-count independent by contract ([`sf_sim::ENGINE_EPOCH`]'s
-//! module). That guarantee makes results *cacheable*: a [`Job`]'s
+//! every simulation crate, and the cycle engine draws every random
+//! number from seeded streams laid out by the topology alone
+//! ([`sf_sim::ENGINE_EPOCH`]'s module). That guarantee makes results *cacheable*: a [`Job`]'s
 //! records can be keyed by a stable hash over everything the output
 //! provably depends on, stored once, and replayed on any later run of
 //! the same job — byte-identical to a cold simulation.
@@ -18,10 +18,9 @@
 //!   intact — expansion already folds no-op plans to `None`),
 //! - the routing spec, traffic spec, and backend,
 //! - the warm-start flag and the load list (bit-exact `f64`),
-//! - every [`SimConfig`](sf_sim::SimConfig) field **except
-//!   `threads`** — engine output is thread-count independent, so two
-//!   runs differing only in `threads` (or in scheduler `--workers`,
-//!   which never enters the key material at all) share one entry,
+//! - every [`SimConfig`](sf_sim::SimConfig) field (scheduler
+//!   `--workers` never enters the key material, so runs at any worker
+//!   count share one entry),
 //! - the [`ENGINE_EPOCH`](sf_sim::ENGINE_EPOCH) salt: pinned-curve
 //!   re-pins bump the epoch and thereby orphan every stale entry
 //!   without touching cache directories.
@@ -175,10 +174,8 @@ pub fn job_key_at_epoch(
         let _ = write!(m, " {:016x}", l.to_bits());
     }
     m.push('\n');
-    // Every SimConfig field except `threads`: engine output is
-    // thread-count independent by contract, so `threads` (like
-    // scheduler workers, which never reach this function) must not
-    // split the address space.
+    // Every SimConfig field (scheduler workers never reach this
+    // function, so they cannot split the address space).
     let s = &job.sim;
     let _ = writeln!(
         m,
@@ -719,13 +716,8 @@ mod tests {
     "#;
 
     #[test]
-    fn keys_ignore_engine_threads_and_job_position() {
+    fn keys_ignore_job_position() {
         let (set, _) = expand_toml(KEY_PLAN);
-        let (mut t2, _) = expand_toml(KEY_PLAN);
-        t2.override_threads(8);
-        for (a, b) in set.jobs().iter().zip(t2.jobs()) {
-            assert_eq!(set.job_key(a), t2.job_key(b), "threads must not re-key");
-        }
         // Position independence: the same (topo, routing, load) cell
         // keys identically when the plan gains an unrelated sweep
         // before it (ids and sweep indices shift, keys must not).
@@ -757,6 +749,36 @@ mod tests {
             .map(|j| moved.job_key(j))
             .collect();
         assert_eq!(orig_keys, moved_keys, "job id/sweep index must not re-key");
+    }
+
+    /// The content address of every `figures/smoke.toml` job, pinned
+    /// as hex. A change here orphans every cached entry of the figure:
+    /// it must coincide with a deliberate key-schema or epoch bump,
+    /// never with a refactor of the sim configuration.
+    #[test]
+    fn smoke_figure_keys_are_pinned() {
+        let (set, _) = expand_toml(include_str!("../../../figures/smoke.toml"));
+        let keys: Vec<String> = set
+            .jobs()
+            .iter()
+            .map(|j| set.job_key(j).to_string())
+            .collect();
+        let pinned = [
+            "8bbb29e3e2959c4241e28468a52acad4",
+            "531fe653d5025832ca18634c28d4bb64",
+            "ea41e6083c80d9536ce5983cf87e45a0",
+            "489c5bd1a90c9acd924d099127866374",
+            "5e6adb4f5a1edb61bbb59af9b327f110",
+            "f11a03e1cc319458fda77c1664c7e630",
+            "4f7df77e29fa613c5b838fdc18cd72b8",
+            "1d69adc71891a01c6afc5305831a7ee0",
+            "aef9c76f0163579514bda38716a2ac02",
+            "9fbb59f94a3f8b7acf1b60604ced4790",
+            "9ca716e9df62c04e6d215863e0d46cf0",
+            "b49ea30f8a00a0d02b24e0e21d373230",
+            "8f7ec006c745183c43586121767e1bf8",
+        ];
+        assert_eq!(keys, pinned);
     }
 
     #[test]

@@ -370,17 +370,6 @@ impl Experiment {
         self
     }
 
-    /// Intra-simulation engine threads for the cycle backend
-    /// ([`SimConfig::threads`]): the sharded engine distributes its
-    /// shards over this many worker threads inside each `step()`.
-    /// Results are independent of the value — the engine clamps it to
-    /// its shard count, and the scheduler counts it against
-    /// `available_parallelism` when sizing its default worker pool.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.sim.threads = threads;
-        self
-    }
-
     /// Chains the loads of each routing through one warm simulator
     /// (instead of cold per-load runs): consecutive loads reuse the
     /// warmed queue state, skipping the cold ramp. Off by default

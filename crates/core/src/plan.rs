@@ -50,7 +50,6 @@
 //! [sweep.sim]                       # per-sweep SimConfig overrides
 //! num_vcs = 6
 //! packet_size = 4                   # flits per packet (wormhole)
-//! threads = 2                       # intra-simulation engine threads
 //! ```
 //!
 //! **Matrix sugar**: `backends = [...]`, `fault_fractions = [...]`,
@@ -1004,11 +1003,6 @@ fn apply_sim(cfg: &mut SimConfig, v: &Value) -> Result<(), SfError> {
             "warmup" => cfg.warmup = as_u32()?,
             "measure" => cfg.measure = as_u32()?,
             "drain" => cfg.drain = as_u32()?,
-            // Intra-simulation engine threads (the cycle engine's
-            // sharded driver). Results are independent of this value;
-            // the engine clamps it to its shard count, the scheduler
-            // clamps workers × threads to the machine.
-            "threads" => cfg.threads = as_usize()?,
             "seed" => {
                 // Seeds are u64; values above i64::MAX don't fit a TOML
                 // integer and travel as strings (see `sim_to_value`).
@@ -1052,7 +1046,6 @@ fn sim_to_value(cfg: &SimConfig) -> Value {
         "output_queue_cap".into(),
         Value::Integer(cfg.output_queue_cap as i64),
     );
-    t.insert("threads".into(), Value::Integer(cfg.threads as i64));
     t.insert("warmup".into(), Value::Integer(cfg.warmup as i64));
     t.insert("measure".into(), Value::Integer(cfg.measure as i64));
     t.insert("drain".into(), Value::Integer(cfg.drain as i64));
@@ -1199,27 +1192,13 @@ impl JobSet {
     /// The content-address of `job`'s records in a [`ResultCache`]
     /// (see [`crate::cache::job_key`]): a stable hash over the job's
     /// topology instance (spec + fault plan), routing, traffic,
-    /// backend, loads, warm-start flag, and every `sim` field except
-    /// `threads` — plus the engine epoch. Identical across worker and
-    /// thread counts, and across plans that merely reposition the job.
+    /// backend, loads, warm-start flag, and every `sim` field — plus
+    /// the engine epoch. Identical across worker counts, and across
+    /// plans that merely reposition the job.
     ///
     /// [`ResultCache`]: crate::cache::ResultCache
     pub fn job_key(&self, job: &Job) -> crate::cache::CacheKey {
         crate::cache::job_key(&self.topos[job.topo], &self.faults[job.topo], job)
-    }
-
-    /// Overrides the engine thread count of every job — the `--threads`
-    /// CLI escape hatch, applied after expansion so it wins over plan
-    /// values. `0` (the CLI default) leaves the plan untouched. The
-    /// record stream is unaffected either way: engine output is
-    /// thread-count independent by contract (see `sf_sim::engine`).
-    pub fn override_threads(&mut self, threads: usize) {
-        if threads == 0 {
-            return;
-        }
-        for job in &mut self.jobs {
-            job.sim.threads = threads;
-        }
     }
 
     /// Whether [`JobSet::prepare`] has run.
@@ -1636,6 +1615,16 @@ mod tests {
             (
                 "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\nwat = 1",
                 "wat",
+            ),
+            // Every simulation runs on one thread: the retired engine
+            // thread count is an unknown key, not a silent no-op.
+            (
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\nthreads = 2",
+                "unknown sim key \"threads\"",
+            ),
+            (
+                "[figure]\nname = \"x\"\n[defaults.sim]\nthreads = 2\n[[sweep]]\ntopo = \"sf:q=5\"",
+                "unknown sim key \"threads\"",
             ),
         ];
         for (doc, needle) in cases {

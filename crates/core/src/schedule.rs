@@ -19,18 +19,11 @@
 //! `workers = 16` produce the same file — while each record is still
 //! written as soon as its turn arrives (no whole-sweep buffering).
 //!
-//! # Oversubscription policy
+//! # Thread budget
 //!
-//! Cycle-engine jobs may themselves be multi-threaded (`[sweep.sim]
-//! threads`, see `sf_sim::engine`), so two thread pools compete for
-//! the same cores. The default (machine-derived) worker count is
-//! therefore clamped per run to `available_parallelism /
-//! max(engine threads over the jobs)` — workers × engine threads
-//! never exceeds the core count unless the operator explicitly asks:
-//! a nonzero `Scheduler::new` argument (`--workers`) or an
-//! `SF_WORKERS`/`RAYON_NUM_THREADS` override is honored verbatim.
-//! The clamp only moves wall-clock time, never output: both layers
-//! are deterministic for any thread/worker count.
+//! The scheduler is the only parallel layer: every simulation runs on
+//! the one worker thread that claimed its job, so `workers` is the
+//! whole thread budget of a run.
 //!
 //! ```no_run
 //! use slimfly::prelude::*;
@@ -61,13 +54,6 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct Scheduler {
     workers: usize,
-    /// Whether `workers` was requested explicitly (constructor arg or
-    /// `SF_WORKERS`/`RAYON_NUM_THREADS`). Explicit counts are honored
-    /// verbatim; the machine-derived default additionally clamps
-    /// against the jobs' engine thread counts in [`Scheduler::run`] so
-    /// scheduler workers × engine threads never oversubscribe
-    /// `available_parallelism` unless the operator asked for it.
-    explicit: bool,
     /// Optional persistent result cache, consulted per job before any
     /// worker claims it; see [`Scheduler::with_cache`].
     cache: Option<ResultCache>,
@@ -81,29 +67,14 @@ impl Default for Scheduler {
 
 impl Scheduler {
     /// A scheduler with the given worker count; `0` selects
-    /// [`Scheduler::default_workers`] (and enables the oversubscription
-    /// clamp described there — an explicit nonzero count is honored
-    /// verbatim).
+    /// [`Scheduler::default_workers`].
     pub fn new(workers: usize) -> Self {
-        if workers > 0 {
-            return Scheduler {
-                workers,
-                explicit: true,
-                cache: None,
-            };
-        }
-        if let Some(n) = Self::env_workers() {
-            return Scheduler {
-                workers: n,
-                explicit: true,
-                cache: None,
-            };
-        }
         Scheduler {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            explicit: false,
+            workers: if workers > 0 {
+                workers
+            } else {
+                Self::default_workers()
+            },
             cache: None,
         }
     }
@@ -117,9 +88,8 @@ impl Scheduler {
     /// one — and only the misses are dealt to the worker deques.
     /// Completed misses write through on the emitter thread; a store
     /// failure is counted ([`ScheduleReport::cache_store_errors`]),
-    /// never fatal. The cache key excludes engine `threads` and is
-    /// independent of the worker count, so any thread/worker
-    /// combination shares one entry per job.
+    /// never fatal. The cache key is independent of the worker count,
+    /// so runs at any worker count share one entry per job.
     pub fn with_cache(mut self, cache: Option<ResultCache>) -> Self {
         self.cache = cache;
         self
@@ -148,12 +118,7 @@ impl Scheduler {
 
     /// The environment-driven default worker count: `SF_WORKERS` if
     /// set, else `RAYON_NUM_THREADS`, else the machine's available
-    /// parallelism. When neither variable is set the count is treated
-    /// as machine-derived, and [`Scheduler::run`] additionally divides
-    /// it by the largest engine thread count among the jobs, so a sweep
-    /// of `threads = 4` simulations on an 8-core box runs 2 workers ×
-    /// 4 engine threads instead of 8 × 4 = 32 runnable threads (the
-    /// `dev-sched` 0.86× oversubscription regression).
+    /// parallelism.
     pub fn default_workers() -> usize {
         Self::env_workers().unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -162,25 +127,9 @@ impl Scheduler {
         })
     }
 
-    /// The configured worker count (before the per-run clamps).
+    /// The configured worker count (before the per-run job-count cap).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The worker count a run over `jobs` jobs with at most
-    /// `engine_threads` engine threads per job actually uses on a
-    /// `cores`-way machine: capped at the job count, and — for
-    /// machine-derived defaults only — at `cores / engine_threads`, so
-    /// the product of scheduler workers and intra-simulation engine
-    /// threads never exceeds available parallelism by default.
-    /// Explicitly requested counts (`--workers`, `SF_WORKERS`) skip the
-    /// oversubscription clamp: the operator's word wins.
-    fn effective_workers(&self, jobs: usize, engine_threads: usize, cores: usize) -> usize {
-        let mut w = self.workers.min(jobs).max(1);
-        if !self.explicit {
-            w = w.min((cores / engine_threads.max(1)).max(1));
-        }
-        w
     }
 
     /// Runs every job of `set`, streaming records to `sink` in job-id
@@ -198,10 +147,6 @@ impl Scheduler {
         // sf-lint: allow(wall-clock): operator-facing elapsed-time meter; never feeds records
         let t0 = Instant::now();
         let jobs = set.jobs();
-        let engine_threads = jobs.iter().map(|j| j.sim.threads.max(1)).max().unwrap_or(1);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         // Cache prepass: resolve every job's content address before
         // any worker claims anything. Hits park in the reorder
         // frontier up front (they stream in job-id order exactly like
@@ -231,7 +176,7 @@ impl Scheduler {
             .map(|j| j.id)
             .filter(|id| !hits.contains_key(id))
             .collect();
-        let workers = self.effective_workers(miss_ids.len(), engine_threads, cores);
+        let workers = self.workers.min(miss_ids.len()).max(1);
         sink.begin()?;
         let mut emitted = 0usize;
         let mut steals = 0usize;
@@ -444,9 +389,7 @@ pub struct ScheduleReport {
     pub jobs: usize,
     /// Records streamed to the sink.
     pub records: usize,
-    /// Worker threads actually used (capped at the job count and, for
-    /// machine-derived defaults, by the oversubscription clamp — see
-    /// the [module docs](self)).
+    /// Worker threads actually used (capped at the job count).
     pub workers: usize,
     /// Successful steals between worker deques (0 on sequential runs).
     pub steals: usize,
@@ -584,64 +527,5 @@ mod tests {
     fn default_workers_is_positive() {
         assert!(Scheduler::default_workers() >= 1);
         assert!(Scheduler::default().workers() >= 1);
-    }
-
-    #[test]
-    fn oversubscription_clamp_divides_default_workers_by_engine_threads() {
-        let implicit = Scheduler {
-            workers: 8,
-            explicit: false,
-            cache: None,
-        };
-        // 8 cores / 4 engine threads → 2 workers; jobs are plentiful.
-        assert_eq!(implicit.effective_workers(100, 4, 8), 2);
-        // Sequential engines keep the full default.
-        assert_eq!(implicit.effective_workers(100, 1, 8), 8);
-        // The clamp never starves the run below one worker.
-        assert_eq!(implicit.effective_workers(100, 16, 1), 1);
-        // Job-count cap still applies first.
-        assert_eq!(implicit.effective_workers(3, 1, 8), 3);
-
-        // Explicit counts (--workers / SF_WORKERS) skip the clamp.
-        let explicit = Scheduler {
-            workers: 8,
-            explicit: true,
-            cache: None,
-        };
-        assert_eq!(explicit.effective_workers(100, 4, 8), 8);
-        assert_eq!(explicit.effective_workers(3, 4, 8), 3);
-    }
-
-    #[test]
-    fn engine_threaded_jobs_clamp_a_default_run_to_the_core_budget() {
-        // Every job asks for more engine threads than the machine has
-        // cores, so a machine-derived default must fall to one worker
-        // (the engine's own threads fill the budget).
-        let plan = ExperimentPlan::from_toml_str(
-            r#"
-            [figure]
-            name = "clamp"
-            [[sweep]]
-            topo = "sf:q=5"
-            routing = ["min", "val"]
-            loads = [0.1, 0.2]
-            [sweep.sim]
-            warmup = 120
-            measure = 240
-            drain = 800
-            threads = 64
-            "#,
-        )
-        .unwrap();
-        let mut set = plan.expand().unwrap();
-        let mut sink = MemorySink::new();
-        let sched = Scheduler {
-            workers: Scheduler::default_workers(),
-            explicit: false,
-            cache: None,
-        };
-        let report = sched.run(&mut set, &mut sink).unwrap();
-        assert_eq!(report.workers, 1);
-        assert_eq!(report.records, 4);
     }
 }

@@ -44,6 +44,18 @@ impl RouteAlgo {
     }
 }
 
+/// `rng.gen_range(0..n)` without the 64-bit modulo when `n == 1`: the
+/// draw is still consumed, so the RNG advances identically.
+#[inline]
+fn draw<R: Rng>(rng: &mut R, n: usize) -> usize {
+    if n == 1 {
+        rng.next_u64();
+        0
+    } else {
+        rng.gen_range(0..n)
+    }
+}
+
 /// Path generator bound to a topology's routing tables.
 pub struct PathGen<'a> {
     graph: &'a Graph,
@@ -80,10 +92,11 @@ impl<'a> PathGen<'a> {
     }
 
     /// Appends the hops *after* `s` of a uniformly random minimal path
-    /// `s → d`. Each next hop is drawn with the same
-    /// `gen_range(0..count)` a materialized next-hop list would use —
-    /// count first, then select the k-th qualifying neighbor — so the
-    /// draw sequence matches the collecting implementation exactly.
+    /// `s → d`. Each hop advances `rng` exactly as the reference walk
+    /// does — collect the minimal next hops in adjacency order, then
+    /// `gen_range(0..count)` — so the draw sequence (one `next_u64`
+    /// per hop) matches it bit for bit (pinned by the
+    /// `proptest_ecmp_draw` suite).
     fn extend_min_hops<R: Rng>(&self, s: u32, d: u32, rng: &mut R, out: &mut Vec<u32>) {
         // Symmetric distance matrix: all per-neighbor lookups read row
         // `d`, which stays cache-resident for the whole path walk. The
@@ -95,27 +108,37 @@ impl<'a> PathGen<'a> {
         let mut cur = s;
         while cur != d {
             let need = row[cur as usize];
+            if need == 1 {
+                // `d` is the only neighbor at distance 0: no scan, and
+                // a one-member draw is `next_u64() % 1`.
+                rng.next_u64();
+                out.push(d);
+                return;
+            }
+            // `need` is ≥ 2 here, or UNREACHABLE (whose neighbors are
+            // unreachable too, so nothing qualifies and the draw panics
+            // on the empty range, as the reference walk does).
+            let target = need.wrapping_sub(1);
             let nbrs = self.graph.neighbors(cur);
             let mut n = 0usize;
             if nbrs.len() <= cand.len() {
+                // Branch-free: always store, advance on a match. At
+                // every store n ≤ the neighbor's index < 128, so the
+                // mask is the identity; it only drops the bounds check.
                 for &v in nbrs {
-                    if need != crate::tables::UNREACHABLE && row[v as usize] + 1 == need {
-                        cand[n] = v;
-                        n += 1;
-                    }
+                    cand[n & 127] = v;
+                    n += (row[v as usize] == target) as usize;
                 }
                 debug_assert!(n > 0, "no minimal next hop {cur}->{d}");
-                cur = cand[rng.gen_range(0..n)];
+                cur = cand[draw(rng, n)];
             } else {
                 for &v in nbrs {
-                    if need != crate::tables::UNREACHABLE && row[v as usize] + 1 == need {
-                        n += 1;
-                    }
+                    n += (row[v as usize] == target) as usize;
                 }
                 debug_assert!(n > 0, "no minimal next hop {cur}->{d}");
-                let mut k = rng.gen_range(0..n);
+                let mut k = draw(rng, n);
                 for &v in nbrs {
-                    if need != crate::tables::UNREACHABLE && row[v as usize] + 1 == need {
+                    if row[v as usize] == target {
                         if k == 0 {
                             cur = v;
                             break;

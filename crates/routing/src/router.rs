@@ -57,17 +57,19 @@ use sf_graph::Graph;
 /// knowledge (UGAL-L) must only query `r == ctx.src`; the engine does
 /// not enforce this, the trait impl is the policy.
 ///
-/// **Allocation-phase restriction (sharded engine).** Injection-time
-/// decisions ([`Router::route`]) may probe any router's links —
-/// the engine takes an occupancy snapshot consistent across the whole
-/// cycle. Per-hop decisions ([`Router::next_hop`]), however, run
-/// inside the VC-allocation phase, which the engine may execute
-/// shard-parallel over disjoint router ranges: a `next_hop`
-/// implementation may only query the occupancy of the *deciding*
-/// router's own output links (`r == cur`), never a foreign
-/// router's. The sharded engine enforces this with an assertion on
-/// its allocation-phase view; see the "Sharding" notes in
-/// `sf_sim::engine`.
+/// **Allocation-phase restriction.** Injection-time decisions
+/// ([`Router::route`]) may probe any router's links — no occupancy
+/// changes during the injection phase, so every probe sees the state
+/// the previous cycle left. Per-hop decisions ([`Router::next_hop`]),
+/// however, run inside the VC-allocation phase, where routers grant in
+/// ascending id order and every grant moves its own output link's
+/// counter: earlier grants in the same phase are visible, so a foreign
+/// link reads differently depending on whether its router has already
+/// allocated this cycle. Only the decider's own links are stable while
+/// it decides. A `next_hop` implementation may therefore only query
+/// the occupancy of the *deciding* router's own output links
+/// (`r == cur`), never a foreign router's; the engine enforces this
+/// with an assertion on its allocation-phase view.
 pub trait QueueView {
     /// Queue occupancy of the link `r → to` (flits; 0 = idle link).
     fn occupancy(&self, r: u32, to: u32) -> u32;

@@ -292,23 +292,19 @@ proptest! {
     }
 
     #[test]
-    fn sharded_run_is_bit_identical_to_sequential(
+    fn step_batches_and_mid_run_kill_conserve_credits(
         load in 0.05f64..0.4,
         seed in 0u64..200,
         kill_seed in 0u64..50,
-        threads_idx in 0usize..3,
         algo_idx in 0usize..6,
         size_idx in 0usize..2,
         batches in proptest::collection::vec(1usize..40, 1..5),
     ) {
-        // Thread-count independence, exercised the hard way: a
-        // sequential engine (threads = 1, the untouched fast path) and
-        // a sharded one advance through identical random step batches,
-        // a mid-run link kill, a rearm, and a full measurement phase —
-        // and must agree exactly at every comparison point. The sharded
-        // engine also passes the conservation verifiers at each batch
-        // boundary, so the occupancy counters and the credit round trip
-        // hold under barrier/outbox delivery, not just sequentially.
+        // Random step batches, then a mid-run link kill, a rearm and a
+        // full measurement phase: the occupancy counters and the credit
+        // round trip must hold at every batch boundary and after the
+        // phase, for every routing scheme (including the per-hop
+        // adaptive one) and for wormhole packets.
         use sf_graph::fault::{kill_set, FaultMode};
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
@@ -319,9 +315,8 @@ proptest! {
                 .parse()
                 .unwrap();
         let packet_size = [1usize, 4][size_idx];
-        let threads = [2usize, 3, sf_sim::ENGINE_SHARDS][threads_idx];
         let router = spec.build(&net.graph, &tables).unwrap();
-        let mut seq = Simulator::new(
+        let mut sim = Simulator::new(
             &net,
             &tables,
             router.as_ref(),
@@ -329,29 +324,17 @@ proptest! {
             load,
             packet_cfg(seed, 4, packet_size),
         );
-        let mut par = Simulator::new(
-            &net,
-            &tables,
-            router.as_ref(),
-            &pattern,
-            load,
-            SimConfig { threads, ..packet_cfg(seed, 4, packet_size) },
-        );
         for steps in batches {
-            seq.step_n(steps as u32);
-            par.step_n(steps as u32);
-            prop_assert_eq!(seq.now(), par.now());
-            if let Err(e) = par.verify_occupancy_counters() {
-                prop_assert!(false, "{} threads {threads} after {} cycles: {e}",
-                    router.label(), par.now());
+            for _ in 0..steps {
+                sim.step();
             }
-            if let Err(e) = par.verify_credit_round_trip() {
-                prop_assert!(false, "{} threads {threads} after {} cycles: {e}",
-                    router.label(), par.now());
+            if let Err(e) = sim.verify_occupancy_counters() {
+                prop_assert!(false, "{} after {} cycles: {e}", router.label(), sim.now());
+            }
+            if let Err(e) = sim.verify_credit_round_trip() {
+                prop_assert!(false, "{} after {} cycles: {e}", router.label(), sim.now());
             }
         }
-        // The same mid-run kill lands on both engines, then a rearm
-        // and a full phase; SimResult must match field-for-field.
         let kill = kill_set(&net.graph, 0.03, 0.0, kill_seed, FaultMode::Random);
         prop_assert!(!kill.links.is_empty());
         let dg = net.graph.without_edges(&kill.links);
@@ -359,19 +342,14 @@ proptest! {
         let drouter = spec
             .build(&dg, &dt)
             .unwrap_or(Box::new(sf_routing::MinRouter));
-        seq.apply_fault(&kill.links, &dg, &dt, drouter.as_ref());
-        par.apply_fault(&kill.links, &dg, &dt, drouter.as_ref());
-        seq.rearm(load, seed ^ 0x5EED);
-        par.rearm(load, seed ^ 0x5EED);
-        let a = seq.run_phase();
-        let b = par.run_phase();
-        prop_assert_eq!(
-            format!("{a:?}"), format!("{b:?}"),
-            "{} threads {threads} size {packet_size}: sharded phase diverged",
-            drouter.label()
-        );
-        if let Err(e) = par.verify_credit_round_trip() {
-            prop_assert!(false, "{} threads {threads} after phase: {e}", drouter.label());
+        sim.apply_fault(&kill.links, &dg, &dt, drouter.as_ref());
+        sim.rearm(load, seed ^ 0x5EED);
+        sim.run_phase();
+        if let Err(e) = sim.verify_credit_round_trip() {
+            prop_assert!(false, "{} after phase: {e}", drouter.label());
+        }
+        if let Err(e) = sim.verify_occupancy_counters() {
+            prop_assert!(false, "{} after phase: {e}", drouter.label());
         }
     }
 

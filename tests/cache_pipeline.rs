@@ -2,8 +2,8 @@
 //! (`slimfly::cache`) through the scheduler: warm (all-hit) runs of
 //! the checked-in figure files must reproduce the cold run's CSV and
 //! rendered report **byte for byte**, corrupted entries must degrade
-//! to re-simulation (never wrong output), worker/thread counts must
-//! share one entry per job, and an incremental resubmission must
+//! to re-simulation (never wrong output), worker counts must share
+//! one entry per job, and an incremental resubmission must
 //! simulate exactly the delta.
 
 use slimfly::cache::ResultCache;
@@ -25,15 +25,13 @@ fn fresh_cache(tag: &str) -> ResultCache {
 }
 
 /// Runs `plan` through the scheduler, returning the report and the
-/// record stream; `cache`/`workers`/`threads` parameterize the run.
+/// record stream; `cache`/`workers` parameterize the run.
 fn run_plan(
     plan: &ExperimentPlan,
     cache: Option<&ResultCache>,
     workers: usize,
-    threads: usize,
 ) -> (ScheduleReport, Vec<Record>) {
     let mut set = plan.expand().unwrap();
-    set.override_threads(threads);
     let mut sink = MemorySink::new();
     let report = Scheduler::new(workers)
         .with_cache(cache.cloned())
@@ -59,12 +57,12 @@ fn warm_runs_of_checked_in_figures_are_all_hit_and_byte_identical() {
     ] {
         let plan = ExperimentPlan::from_path(&repo_file(file)).unwrap();
         let cache = fresh_cache(tag);
-        let (cold_rep, cold) = run_plan(&plan, Some(&cache), 1, 0);
+        let (cold_rep, cold) = run_plan(&plan, Some(&cache), 1);
         assert_eq!(cold_rep.cache_hits, 0, "{file}: fresh cache cannot hit");
         assert_eq!(cold_rep.cache_misses, cold_rep.jobs);
         assert_eq!(cold_rep.cache_store_errors, 0);
 
-        let (warm_rep, warm) = run_plan(&plan, Some(&cache), 1, 0);
+        let (warm_rep, warm) = run_plan(&plan, Some(&cache), 1);
         assert_eq!(
             warm_rep.cache_hits, warm_rep.jobs,
             "{file}: warm run must all-hit"
@@ -83,26 +81,21 @@ fn warm_runs_of_checked_in_figures_are_all_hit_and_byte_identical() {
 }
 
 #[test]
-fn worker_and_thread_counts_share_one_entry_per_job() {
-    // PR 9's invariant made load-bearing: results are independent of
-    // engine threads and scheduler workers, so the cache key excludes
-    // both — a sweep run at threads=1/workers=1 must serve (all-hit)
-    // the same sweep at threads ∈ {2, 8} and workers ∈ {1, 4}.
+fn worker_counts_share_one_entry_per_job() {
+    // Results are independent of scheduler workers, so the cache key
+    // excludes them — a sweep run at workers=1 must serve (all-hit)
+    // the same sweep at workers ∈ {2, 4}.
     let plan = ExperimentPlan::from_path(&repo_file("figures/smoke.toml")).unwrap();
     let cache = fresh_cache("tw");
-    let (_, baseline) = run_plan(&plan, Some(&cache), 1, 1);
-    for (workers, threads) in [(1, 2), (4, 8), (4, 1)] {
-        let (rep, records) = run_plan(&plan, Some(&cache), workers, threads);
+    let (_, baseline) = run_plan(&plan, Some(&cache), 1);
+    for workers in [2, 4] {
+        let (rep, records) = run_plan(&plan, Some(&cache), workers);
         assert_eq!(
             (rep.cache_hits, rep.cache_misses),
             (rep.jobs, 0),
-            "workers={workers} threads={threads} must be all-hit"
+            "workers={workers} must be all-hit"
         );
-        assert_eq!(
-            csv_of(&baseline),
-            csv_of(&records),
-            "workers={workers} threads={threads}"
-        );
+        assert_eq!(csv_of(&baseline), csv_of(&records), "workers={workers}");
     }
     let _ = std::fs::remove_dir_all(cache.root());
 }
@@ -111,7 +104,7 @@ fn worker_and_thread_counts_share_one_entry_per_job() {
 fn corrupted_entry_is_detected_and_resimulated() {
     let plan = ExperimentPlan::from_path(&repo_file("figures/smoke.toml")).unwrap();
     let cache = fresh_cache("corrupt");
-    let (cold_rep, cold) = run_plan(&plan, Some(&cache), 1, 0);
+    let (cold_rep, cold) = run_plan(&plan, Some(&cache), 1);
     assert_eq!(cold_rep.cache_misses, cold_rep.jobs);
 
     // Bit-flip one stored entry and truncate another: both must fail
@@ -130,7 +123,7 @@ fn corrupted_entry_is_detected_and_resimulated() {
     let truncated = std::fs::read(&entries[1]).unwrap();
     std::fs::write(&entries[1], &truncated[..truncated.len() / 3]).unwrap();
 
-    let (rerun_rep, rerun) = run_plan(&plan, Some(&cache), 1, 0);
+    let (rerun_rep, rerun) = run_plan(&plan, Some(&cache), 1);
     assert_eq!(
         (rerun_rep.cache_hits, rerun_rep.cache_misses),
         (rerun_rep.jobs - 2, 2),
@@ -144,7 +137,7 @@ fn corrupted_entry_is_detected_and_resimulated() {
 
     // The write-through overwrote the damaged entries: third run is
     // clean.
-    let (healed_rep, _) = run_plan(&plan, Some(&cache), 1, 0);
+    let (healed_rep, _) = run_plan(&plan, Some(&cache), 1);
     assert_eq!(healed_rep.cache_misses, 0);
     let _ = std::fs::remove_dir_all(cache.root());
 }
@@ -153,7 +146,7 @@ fn corrupted_entry_is_detected_and_resimulated() {
 fn delta_resubmission_simulates_only_the_new_jobs() {
     let base = ExperimentPlan::from_path(&repo_file("figures/smoke.toml")).unwrap();
     let cache = fresh_cache("delta");
-    let (base_rep, _) = run_plan(&base, Some(&cache), 1, 0);
+    let (base_rep, _) = run_plan(&base, Some(&cache), 1);
     assert_eq!(base_rep.cache_misses, base_rep.jobs);
 
     // The iteration loop the cache exists for: one new load point on
@@ -163,7 +156,7 @@ fn delta_resubmission_simulates_only_the_new_jobs() {
     let mut extended = base.clone();
     extended.sweeps[0].loads.push(0.45);
     let new_jobs = extended.sweeps[0].routings.len() * extended.sweeps[0].topos.len();
-    let (delta_rep, merged) = run_plan(&extended, Some(&cache), 1, 0);
+    let (delta_rep, merged) = run_plan(&extended, Some(&cache), 1);
     assert_eq!(delta_rep.jobs, base_rep.jobs + new_jobs);
     assert_eq!(
         (delta_rep.cache_hits, delta_rep.cache_misses),
@@ -173,7 +166,7 @@ fn delta_resubmission_simulates_only_the_new_jobs() {
 
     // And the merged (hit + fresh) stream equals a cache-free cold run
     // of the extended plan, byte for byte.
-    let (_, cold) = run_plan(&extended, None, 1, 0);
+    let (_, cold) = run_plan(&extended, None, 1);
     assert_eq!(csv_of(&cold), csv_of(&merged));
     let _ = std::fs::remove_dir_all(cache.root());
 }
