@@ -34,7 +34,9 @@ pub fn growth_curve(sf: &SlimFly, p_max: u32) -> Vec<GrowthStep> {
     let mut base = f64::NAN;
     for p in p0..=p_max.max(p0) {
         let net = sf.network_with_concentration(p);
-        let sat = uniform_channel_loads(&net).saturation_bound();
+        let sat = uniform_channel_loads(&net)
+            .expect("an intact Slim Fly is connected")
+            .saturation_bound();
         if p == p0 {
             base = sat;
         }

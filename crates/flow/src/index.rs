@@ -76,13 +76,20 @@ impl EdgeIndex {
     /// `v → u`. Precomputing this map once lets hot loops that walk a
     /// router's neighbor list address *incoming* channels without a
     /// per-hop binary search.
+    ///
+    /// One O(channels) pass: tails are walked in ascending order, so by
+    /// the time `u` visits `v`, exactly the neighbors of `v` below `u`
+    /// have visited it, and `u`'s slot in `v`'s sorted list is `v`'s
+    /// next cursor.
     pub fn reverse_map(&self) -> Vec<u32> {
+        let nr = self.base.len() - 1;
+        let mut cursor = self.base[..nr].to_vec();
         let mut rev = vec![0u32; self.to.len()];
-        for u in 0..self.base.len() - 1 {
-            let lo = self.base[u] as usize;
-            let hi = self.base[u + 1] as usize;
-            for (j, &v) in self.to[lo..hi].iter().enumerate() {
-                rev[lo + j] = self.id(v, u as u32);
+        for u in 0..nr {
+            let (lo, hi) = (self.base[u] as usize, self.base[u + 1] as usize);
+            for (slot, &v) in rev[lo..hi].iter_mut().zip(&self.to[lo..hi]) {
+                *slot = cursor[v as usize];
+                cursor[v as usize] += 1;
             }
         }
         rev
@@ -120,6 +127,33 @@ mod tests {
                 let c = idx.id(u, v);
                 assert_eq!(idx.tail(c), u);
                 assert_eq!(idx.head(c), v);
+            }
+        }
+    }
+
+    #[test]
+    fn reverse_map_matches_point_queries() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for _ in 0..64 {
+            let n = rng.gen_range(2u32..48);
+            let density = rng.gen_range(1u32..10);
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.gen_range(0u32..10) < density {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let g = Graph::from_edges(n as usize, &edges);
+            let idx = EdgeIndex::new(&g);
+            let rev = idx.reverse_map();
+            assert_eq!(rev.len(), idx.num_channels());
+            for u in 0..n {
+                for &v in g.neighbors(u) {
+                    assert_eq!(rev[idx.id(u, v) as usize], idx.id(v, u), "{u}→{v}");
+                }
             }
         }
     }

@@ -115,81 +115,37 @@ impl ChannelLoads {
 
 /// Computes minimal-ECMP channel loads for a demand function over
 /// router pairs. Flow from `s` to `d` splits equally over all minimal
-/// next hops at every router (the standard ECMP fluid model).
-pub fn channel_loads<F>(net: &Network, demand: F) -> ChannelLoads
+/// next hops at every router (the standard ECMP fluid model). Runs on
+/// the same kernel as [`min_loads`] ([`min_loads_dense`]), so demand
+/// between routers that cannot reach each other is an
+/// [`FlowError::UnroutableDemand`], never silently dropped.
+pub fn channel_loads<F>(net: &Network, demand: F) -> Result<ChannelLoads, FlowError>
 where
     F: Fn(u32, u32) -> f64 + Sync,
 {
     let g = &net.graph;
-    let nr = g.num_vertices();
-    let edges = g.edge_list();
-    // Prebuilt CSR directed-edge index: the hot loop below addresses
-    // the channel u→v as base(u) + j (j = v's position in u's sorted
-    // neighbor list) with no per-hop search at all.
     let idx = EdgeIndex::new(g);
-    let nc = idx.num_channels();
-
-    // Process per destination: propagate flow backward from far to near.
-    let partial: Vec<Vec<f64>> = (0..nr as u32)
-        .into_par_iter()
-        .map(|d| {
-            let mut load = vec![0.0f64; nc];
-            let dist = metrics::bfs_distances(g, d);
-            // inflow[u]: traffic at router u destined to d (own demand +
-            // transit), processed in decreasing distance order.
-            let mut order: Vec<u32> = (0..nr as u32).collect();
-            order.sort_unstable_by_key(|&u| std::cmp::Reverse(dist[u as usize]));
-            let mut inflow = vec![0.0f64; nr];
-            for &u in &order {
-                if u == d || dist[u as usize] == metrics::UNREACHABLE {
-                    continue;
-                }
-                inflow[u as usize] += demand(u, d);
-                let f = inflow[u as usize];
-                if f <= 0.0 {
-                    continue;
-                }
-                let du = dist[u as usize];
-                let nbrs = g.neighbors(u);
-                let mut n_min = 0usize;
-                for &v in nbrs {
-                    if dist[v as usize] + 1 == du {
-                        n_min += 1;
-                    }
-                }
-                let share = f / n_min as f64;
-                let ubase = idx.base(u);
-                for (j, &v) in nbrs.iter().enumerate() {
-                    if dist[v as usize] + 1 == du {
-                        load[(ubase + j as u32) as usize] += share;
-                        inflow[v as usize] += share;
-                    }
-                }
-            }
-            load
-        })
-        .collect();
-
-    let mut csr = vec![0.0f64; nc];
-    for part in partial {
-        for (a, b) in csr.iter_mut().zip(part) {
-            *a += b;
+    let csr = min_loads_dense(g, &idx, |d, buf| {
+        let mut total = 0.0;
+        for (s, slot) in buf.iter_mut().enumerate() {
+            let s = s as u32;
+            *slot = if s == d { 0.0 } else { demand(s, d) };
+            total += *slot;
         }
+        total
+    })?;
+    // Permute CSR ids into the canonical 2e + dir layout.
+    let edges = g.edge_list();
+    let mut load = vec![0.0f64; csr.len()];
+    for (&x, &slot) in csr.iter().zip(&idx.canonical_slots(&edges)) {
+        load[slot as usize] = x;
     }
-    // Pure permutation copy from CSR ids into the canonical 2e + dir
-    // layout: every slot receives exactly the value the old per-hop
-    // binary-search accumulation produced, bit for bit.
-    let slots = idx.canonical_slots(&edges);
-    let mut load = vec![0.0f64; nc];
-    for (c, &slot) in slots.iter().enumerate() {
-        load[slot as usize] = csr[c];
-    }
-    ChannelLoads { edges, load }
+    Ok(ChannelLoads { edges, load })
 }
 
 /// Uniform-traffic channel loads at per-endpoint injection rate 1: every
 /// endpoint sends 1 flit/cycle spread evenly over all other endpoints.
-pub fn uniform_channel_loads(net: &Network) -> ChannelLoads {
+pub fn uniform_channel_loads(net: &Network) -> Result<ChannelLoads, FlowError> {
     let n = net.num_endpoints() as f64;
     let conc: Vec<f64> = net.concentration.iter().map(|&c| c as f64).collect();
     channel_loads(net, move |s, d| {
@@ -248,7 +204,7 @@ mod tests {
     fn uniform_loads_symmetric_on_vertex_transitive() {
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
-        let loads = uniform_channel_loads(&net);
+        let loads = uniform_channel_loads(&net).unwrap();
         // Hoffman–Singleton SF: all channels within a tight band.
         let max = loads.max();
         let mean = loads.mean();
@@ -266,7 +222,7 @@ mod tests {
         // saturation bound should be close to 1 flit/endpoint/cycle.
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
-        let loads = uniform_channel_loads(&net);
+        let loads = uniform_channel_loads(&net).unwrap();
         let sat = loads.saturation_bound();
         assert!(
             sat > 0.7,
@@ -279,8 +235,8 @@ mod tests {
         let sf = SlimFly::new(5).unwrap();
         let balanced = sf.network();
         let over = sf.network_with_concentration(sf.balanced_concentration() + 2);
-        let sat_b = uniform_channel_loads(&balanced).saturation_bound();
-        let sat_o = uniform_channel_loads(&over).saturation_bound();
+        let sat_b = uniform_channel_loads(&balanced).unwrap().saturation_bound();
+        let sat_o = uniform_channel_loads(&over).unwrap().saturation_bound();
         assert!(sat_o < sat_b, "oversubscribed {sat_o} < balanced {sat_b}");
     }
 
@@ -290,7 +246,7 @@ mod tests {
         // model: rate-normalized they must agree closely on SF(q=5).
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
-        let loads = uniform_channel_loads(&net);
+        let loads = uniform_channel_loads(&net).unwrap();
         let routes = slimfly_channel_load(
             net.num_routers() as f64,
             sf.network_radix() as f64,
@@ -349,9 +305,25 @@ mod tests {
             } else {
                 0.0
             }
-        });
+        })
+        .unwrap();
         // Unique middle (girth 5) ⇒ the middle link carries all p flows.
         assert!((loads.max() - p).abs() < 1e-9);
         assert!((loads.saturation_bound() - 1.0 / p).abs() < 1e-9);
+    }
+
+    #[test]
+    fn unreachable_demand_is_a_typed_error() {
+        let g = sf_graph::Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        let net = Network::with_uniform_concentration(
+            g,
+            1,
+            "two islands".into(),
+            sf_topo::TopologyKind::Other,
+        );
+        assert_eq!(
+            uniform_channel_loads(&net).err(),
+            Some(FlowError::UnroutableDemand { src: 2, dst: 0 })
+        );
     }
 }

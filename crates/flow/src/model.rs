@@ -16,6 +16,16 @@
 //! * [`fatpaths_loads`] — FatPaths layers: minimal ECMP within each
 //!   layer subgraph, averaged over layers.
 //!
+//! All of them, and the legacy [`channel_loads`](crate::channel_loads),
+//! run on one minimal-ECMP kernel, [`min_loads_dense`]. Each destination
+//! takes one of three paths: a dense common-neighbour count when all its
+//! demand lies within two hops, a sparse source-driven count over a
+//! sparse [`Demand`]'s source list under the same condition, or a general
+//! BFS that records every router's minimal next hops and propagates
+//! demand from far to near over them. The kernel's rustdoc states the
+//! summation-order contract under which a sparse and a dense column of
+//! the same demand give the same loads, bit for bit.
+//!
 //! Loads use the CSR channel ids of [`EdgeIndex`]. On networks small
 //! enough for the exact tier (≤ [`EXACT_MAX_ROUTERS`](crate::EXACT_MAX_ROUTERS)
 //! routers) the lowerings also materialize a per-flow [`FlowSet`] for
@@ -389,7 +399,7 @@ pub fn min_loads(
     demand: &Demand,
 ) -> Result<RoutingLoads, FlowError> {
     let g = &net.graph;
-    let load = min_loads_dense(g, idx, |d, buf| demand.fill_dest(d, buf))?;
+    let load = demand_loads(g, idx, demand)?;
     let mut rl = RoutingLoads::finalize(load, demand);
     if exact_tier(g.num_vertices(), demand) {
         rl.flows = Some(solve::min_flowset(g, idx, demand));
@@ -533,7 +543,7 @@ pub fn fatpaths_loads(
     for l in 0..nl {
         let lg = fp.layer_graph(l);
         let lidx = EdgeIndex::new(lg);
-        let ll = min_loads_dense(lg, &lidx, |d, buf| demand.fill_dest(d, buf))?;
+        let ll = demand_loads(lg, &lidx, demand)?;
         // Translate layer channel ids to full-graph ids.
         for u in 0..nr as u32 {
             let lb = lidx.base(u);
@@ -563,18 +573,77 @@ pub fn fatpaths_loads(
 }
 
 /// The minimal-ECMP load kernel: for every destination `d`, splits the
-/// demand column `fill(d, buf)` equally over minimal next hops at every
-/// router and accumulates per-channel loads (CSR ids of `idx`).
+/// demand column `fill(d, buf)` (which writes the column toward `d` and
+/// returns its sum) equally over minimal next hops at every router and
+/// accumulates per-channel loads (CSR ids of `idx`).
 ///
-/// Diameter-≤2 destinations — the Slim Fly common case — take a fast
-/// path that counts two-hop paths through common neighbors in
-/// O(deg²) per destination instead of running a BFS propagation over
-/// the whole graph; any destination with demand beyond distance 2
-/// falls back to the general reverse-BFS propagation. Work is split
-/// over a fixed number of destination chunks and partial sums are
-/// combined in chunk order, so results are independent of worker count
-/// and scheduling.
+/// Each destination takes one of three paths:
+///
+/// * **dense common-neighbour** — when every router with demand toward
+///   `d` lies within distance 2 (the Slim Fly common case), two-hop
+///   paths are counted through `d`'s neighbours in O(nr + deg²), with
+///   no BFS;
+/// * **sparse source-driven** — [`min_loads`] and [`fatpaths_loads`]
+///   hand the kernel a sparse [`Demand`]'s source lists instead of
+///   dense columns. A diameter-2 destination then costs
+///   O(sources × deg): mark `N(d)`; a source's marked-neighbour count
+///   is its ECMP split; add `rate / count` on each `s → m` and
+///   accumulate it per middle `m`; flush each middle's sum onto
+///   `m → d`;
+/// * **general recorded-next-hop** — a destination with demand beyond
+///   distance 2 runs a BFS from `d` that records each router's minimal
+///   next hops as (channel, head) pairs when it dequeues the router
+///   (every router one level closer is discovered by then), with
+///   branch-free discovery and record loops; demand then propagates
+///   from far to near over those lists in reverse BFS order.
+///
+/// Summation-order contract, which keeps the three paths bit-identical
+/// to the single dense kernel they grew from:
+///
+/// * in both diameter-2 paths each channel receives at most one
+///   addition per destination, and the sum for `m → d` adds `m`'s own
+///   demand first, then sources in ascending id — adjacency lists and
+///   [`Demand`]'s source lists are both sorted;
+/// * the sparse path screens sources with the dense path's `rate > 0`
+///   test, so no destination switches between a two-hop path and the
+///   general path, whose summation order (and so rounding) differs;
+/// * the general path keeps BFS order, adjacency order and the
+///   next-hop count `n_min` of a full adjacency scan;
+/// * destinations are split into 16 fixed chunks whose partial sums are
+///   combined in chunk order, so results are independent of worker
+///   count and scheduling.
+///
+/// The first destination (in chunk order) with demand from a router it
+/// cannot reach fails with [`FlowError::UnroutableDemand`].
 pub fn min_loads_dense<F>(g: &Graph, idx: &EdgeIndex, fill: F) -> Result<Vec<f64>, FlowError>
+where
+    F: Fn(u32, &mut [f64]) -> f64 + Sync,
+{
+    min_loads_kernel(g, idx, fill, None)
+}
+
+/// [`min_loads_dense`] over a [`Demand`]: a sparse demand hands the
+/// kernel its source lists and column sums.
+fn demand_loads(g: &Graph, idx: &EdgeIndex, demand: &Demand) -> Result<Vec<f64>, FlowError> {
+    let sparse = match &demand.kind {
+        DemandKind::Sparse {
+            by_dest, col_sum, ..
+        } => Some((by_dest.as_slice(), col_sum.as_slice())),
+        DemandKind::Uniform { .. } => None,
+    };
+    min_loads_kernel(g, idx, |d, buf| demand.fill_dest(d, buf), sparse)
+}
+
+/// A sparse demand's destination-major `(src, rate)` lists, sorted by
+/// source, and their column sums.
+type SparseColumns<'a> = (&'a [Vec<(u32, f64)>], &'a [f64]);
+
+fn min_loads_kernel<F>(
+    g: &Graph,
+    idx: &EdgeIndex,
+    fill: F,
+    sparse: Option<SparseColumns<'_>>,
+) -> Result<Vec<f64>, FlowError>
 where
     F: Fn(u32, &mut [f64]) -> f64 + Sync,
 {
@@ -590,34 +659,11 @@ where
         .collect::<Vec<_>>()
         .into_par_iter()
         .map(|ci| {
-            let mut load = vec![0.0f64; nc];
-            let mut dem = vec![0.0f64; nr];
-            let mut mark = vec![false; nr];
-            let mut aux = vec![0.0f64; nr];
-            let mut touched: Vec<u32> = Vec::new();
-            let mut dist = vec![u32::MAX; nr];
-            let mut order: Vec<u32> = Vec::with_capacity(nr);
+            let mut k = Kernel::new(g, idx, &rev);
             for d in (ci * per) as u32..((ci + 1) * per).min(nr) as u32 {
-                let total = fill(d, &mut dem);
-                dem[d as usize] = 0.0;
-                if total <= 0.0 {
-                    continue;
-                }
-                dest_loads(
-                    g,
-                    idx,
-                    &rev,
-                    d,
-                    &dem,
-                    &mut mark,
-                    &mut aux,
-                    &mut touched,
-                    &mut dist,
-                    &mut order,
-                    &mut load,
-                )?;
+                k.dest(d, &fill, sparse)?;
             }
-            Ok(load)
+            Ok(k.load)
         })
         .collect();
     let mut load = vec![0.0f64; nc];
@@ -629,135 +675,288 @@ where
     Ok(load)
 }
 
-/// One destination of the kernel: fast path when all demand is within
-/// distance 2, reverse-BFS propagation otherwise.
-#[allow(clippy::too_many_arguments)]
-fn dest_loads(
-    g: &Graph,
-    idx: &EdgeIndex,
-    rev: &[u32],
-    d: u32,
-    dem: &[f64],
-    mark: &mut [bool],
-    aux: &mut [f64],
-    touched: &mut Vec<u32>,
-    dist: &mut [u32],
-    order: &mut Vec<u32>,
-    load: &mut [f64],
-) -> Result<(), FlowError> {
-    let nr = g.num_vertices();
-    for &v in g.neighbors(d) {
-        mark[v as usize] = true;
+/// One destination chunk's loads and scratch. Between destinations
+/// `mark` is all `false`, `aux` all `0.0` and `dist` all `u32::MAX`.
+struct Kernel<'a> {
+    g: &'a Graph,
+    idx: &'a EdgeIndex,
+    /// Opposite-channel map of `idx`.
+    rev: &'a [u32],
+    load: Vec<f64>,
+    /// Dense demand column of the current destination.
+    dem: Vec<f64>,
+    /// Marks the destination's neighbours.
+    mark: Vec<bool>,
+    /// Two-hop path counts (dense path), per-middle sums (sparse path)
+    /// or transit inflow (general path).
+    aux: Vec<f64>,
+    /// Routers whose `aux` the dense path set.
+    touched: Vec<u32>,
+    /// ECMP split of each source in a sparse column.
+    split: Vec<f64>,
+    /// BFS distance from the destination.
+    dist: Vec<u32>,
+    /// BFS order; one spare slot for the unconditional store.
+    order: Vec<u32>,
+    /// `hops[start[i]..start[i + 1]]` are the minimal next hops of
+    /// `order[i]`.
+    start: Vec<u32>,
+    /// Recorded (channel, head) next hops; sized on first use, with one
+    /// spare slot for the unconditional store.
+    hops: Vec<(u32, u32)>,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(g: &'a Graph, idx: &'a EdgeIndex, rev: &'a [u32]) -> Self {
+        let nr = g.num_vertices();
+        Kernel {
+            g,
+            idx,
+            rev,
+            load: vec![0.0; idx.num_channels()],
+            dem: vec![0.0; nr],
+            mark: vec![false; nr],
+            aux: vec![0.0; nr],
+            touched: Vec::new(),
+            split: Vec::new(),
+            dist: vec![u32::MAX; nr],
+            order: vec![0; nr + 1],
+            start: vec![0; nr + 1],
+            hops: Vec::new(),
+        }
     }
-    // Count two-hop minimal paths s → m → d through common neighbors.
-    for &m in g.neighbors(d) {
-        for &s in g.neighbors(m) {
-            if s != d && !mark[s as usize] {
-                if aux[s as usize] == 0.0 {
-                    touched.push(s);
-                }
-                aux[s as usize] += 1.0;
+
+    /// Adds destination `d`'s loads.
+    fn dest<F>(
+        &mut self,
+        d: u32,
+        fill: &F,
+        sparse: Option<SparseColumns<'_>>,
+    ) -> Result<(), FlowError>
+    where
+        F: Fn(u32, &mut [f64]) -> f64,
+    {
+        if let Some((by_dest, col_sum)) = sparse {
+            if col_sum[d as usize] <= 0.0 || self.sparse_two_hop(d, &by_dest[d as usize]) {
+                return Ok(());
+            }
+            fill(d, &mut self.dem);
+            self.dem[d as usize] = 0.0;
+        } else {
+            let total = fill(d, &mut self.dem);
+            self.dem[d as usize] = 0.0;
+            if total <= 0.0 || self.dense_two_hop(d) {
+                return Ok(());
             }
         }
+        self.general(d)
     }
-    // The fast path is valid iff every demand source is d itself, a
-    // neighbor, or a two-hop source.
-    let mut fast = true;
-    for (s, &ds) in dem.iter().enumerate() {
-        if ds > 0.0 && s != d as usize && !mark[s] && aux[s] == 0.0 {
-            fast = false;
-            break;
+
+    /// The dense common-neighbour path over `dem`. Returns `false`,
+    /// adding nothing, when some source lies beyond distance 2.
+    fn dense_two_hop(&mut self, d: u32) -> bool {
+        let (g, idx, rev) = (self.g, self.idx, self.rev);
+        let Kernel {
+            load,
+            dem,
+            mark,
+            aux,
+            touched,
+            ..
+        } = self;
+        for &v in g.neighbors(d) {
+            mark[v as usize] = true;
         }
-    }
-    if fast {
-        let dbase = idx.base(d);
-        for (jm, &m) in g.neighbors(d).iter().enumerate() {
-            // Traffic relayed through (or originated at) m all exits on
-            // the m → d channel.
-            let mut acc = dem[m as usize];
-            let mbase = idx.base(m);
-            for (j, &s) in g.neighbors(m).iter().enumerate() {
+        // Count two-hop minimal paths s → m → d through common neighbors.
+        for &m in g.neighbors(d) {
+            for &s in g.neighbors(m) {
                 if s != d && !mark[s as usize] {
-                    let ds = dem[s as usize];
-                    if ds > 0.0 {
-                        let c = ds / aux[s as usize];
-                        load[rev[(mbase + j as u32) as usize] as usize] += c;
-                        acc += c;
+                    if aux[s as usize] == 0.0 {
+                        touched.push(s);
+                    }
+                    aux[s as usize] += 1.0;
+                }
+            }
+        }
+        // The fast path is valid iff every demand source is d itself, a
+        // neighbor, or a two-hop source.
+        let mut fast = true;
+        for (s, &ds) in dem.iter().enumerate() {
+            if ds > 0.0 && s != d as usize && !mark[s] && aux[s] == 0.0 {
+                fast = false;
+                break;
+            }
+        }
+        if fast {
+            let dbase = idx.base(d);
+            for (jm, &m) in g.neighbors(d).iter().enumerate() {
+                // Traffic relayed through (or originated at) m all exits on
+                // the m → d channel.
+                let mut acc = dem[m as usize];
+                let mbase = idx.base(m);
+                for (j, &s) in g.neighbors(m).iter().enumerate() {
+                    if s != d && !mark[s as usize] {
+                        let ds = dem[s as usize];
+                        if ds > 0.0 {
+                            let c = ds / aux[s as usize];
+                            load[rev[(mbase + j as u32) as usize] as usize] += c;
+                            acc += c;
+                        }
+                    }
+                }
+                if acc > 0.0 {
+                    load[rev[(dbase + jm as u32) as usize] as usize] += acc;
+                }
+            }
+        }
+        for &v in g.neighbors(d) {
+            mark[v as usize] = false;
+        }
+        for &s in touched.iter() {
+            aux[s as usize] = 0.0;
+        }
+        touched.clear();
+        fast
+    }
+
+    /// The sparse source-driven path over `col`, the source-sorted
+    /// column toward `d`. Returns `false`, adding nothing, when some
+    /// source lies beyond distance 2.
+    fn sparse_two_hop(&mut self, d: u32, col: &[(u32, f64)]) -> bool {
+        let (g, idx, rev) = (self.g, self.idx, self.rev);
+        let Kernel {
+            load,
+            mark,
+            aux,
+            split,
+            ..
+        } = self;
+        let nd = g.neighbors(d);
+        for &m in nd {
+            mark[m as usize] = true;
+        }
+        // A source beyond d's neighbours splits over its neighbours that
+        // are d's neighbours; none means it is farther than 2 hops. The
+        // `r > 0` screen mirrors the dense path's exactly.
+        split.clear();
+        let mut fast = true;
+        for &(s, r) in col {
+            let mut n = 0u32;
+            if s != d && !mark[s as usize] {
+                for &m in g.neighbors(s) {
+                    n += mark[m as usize] as u32;
+                }
+                if r > 0.0 && n == 0 {
+                    fast = false;
+                    break;
+                }
+            }
+            split.push(n as f64);
+        }
+        if fast {
+            // Each middle's sum starts at its own demand; sources then
+            // add in ascending id, the order the dense path adds them.
+            for &(s, r) in col {
+                if mark[s as usize] {
+                    aux[s as usize] = r;
+                }
+            }
+            for (&(s, r), &n) in col.iter().zip(split.iter()) {
+                if s != d && !mark[s as usize] && r > 0.0 {
+                    let c = r / n;
+                    let sbase = idx.base(s);
+                    for (j, &m) in g.neighbors(s).iter().enumerate() {
+                        if mark[m as usize] {
+                            load[(sbase + j as u32) as usize] += c;
+                            aux[m as usize] += c;
+                        }
                     }
                 }
             }
-            if acc > 0.0 {
-                load[rev[(dbase + jm as u32) as usize] as usize] += acc;
+            let dbase = idx.base(d);
+            for (jm, &m) in nd.iter().enumerate() {
+                let acc = aux[m as usize];
+                if acc > 0.0 {
+                    load[rev[(dbase + jm as u32) as usize] as usize] += acc;
+                }
+                aux[m as usize] = 0.0;
             }
         }
-    }
-    for &v in g.neighbors(d) {
-        mark[v as usize] = false;
-    }
-    for &s in touched.iter() {
-        aux[s as usize] = 0.0;
-    }
-    touched.clear();
-    if fast {
-        return Ok(());
+        for &m in nd {
+            mark[m as usize] = false;
+        }
+        fast
     }
 
-    // General case: BFS from d, then propagate demand from far to near,
-    // splitting equally over minimal next hops.
-    dist[d as usize] = 0;
-    order.push(d);
-    let mut head = 0;
-    while head < order.len() {
-        let u = order[head];
-        head += 1;
-        let du = dist[u as usize];
-        for &v in g.neighbors(u) {
-            if dist[v as usize] == u32::MAX {
-                dist[v as usize] = du + 1;
-                order.push(v);
+    /// The general recorded-next-hop path over `dem`.
+    fn general(&mut self, d: u32) -> Result<(), FlowError> {
+        let (g, idx) = (self.g, self.idx);
+        let nc = idx.num_channels();
+        if self.hops.len() <= nc {
+            self.hops.resize(nc + 1, (0, 0));
+        }
+        let Kernel {
+            load,
+            dem,
+            aux,
+            dist,
+            order,
+            start,
+            hops,
+            ..
+        } = self;
+        // BFS from d. When u is dequeued every router one level closer
+        // is already discovered, so its minimal next hops are exactly
+        // the neighbours with a smaller distance. Both loops store
+        // unconditionally and advance their cursor by the predicate.
+        dist[d as usize] = 0;
+        order[0] = d;
+        let (mut head, mut tail, mut k) = (0usize, 1usize, 0usize);
+        while head < tail {
+            let u = order[head];
+            start[head] = k as u32;
+            head += 1;
+            let du = dist[u as usize];
+            let ubase = idx.base(u);
+            for (j, &v) in g.neighbors(u).iter().enumerate() {
+                let dv = dist[v as usize];
+                hops[k] = (ubase + j as u32, v);
+                k += (dv < du) as usize;
+                let new = dv == u32::MAX;
+                dist[v as usize] = if new { du + 1 } else { dv };
+                order[tail] = v;
+                tail += new as usize;
             }
         }
-    }
-    for (s, &ds) in dem.iter().enumerate() {
-        if ds > 0.0 && dist[s] == u32::MAX {
-            return Err(FlowError::UnroutableDemand {
-                src: s as u32,
-                dst: d,
-            });
-        }
-    }
-    debug_assert!(order.len() <= nr);
-    for &u in order.iter().rev() {
-        if u == d {
-            continue;
-        }
-        let f = aux[u as usize] + dem[u as usize];
-        if f <= 0.0 {
-            continue;
-        }
-        let du = dist[u as usize];
-        let nbrs = g.neighbors(u);
-        let mut n_min = 0u32;
-        for &v in nbrs {
-            if dist[v as usize] == du - 1 {
-                n_min += 1;
+        start[tail] = k as u32;
+        for (s, &ds) in dem.iter().enumerate() {
+            if ds > 0.0 && dist[s] == u32::MAX {
+                return Err(FlowError::UnroutableDemand {
+                    src: s as u32,
+                    dst: d,
+                });
             }
         }
-        let share = f / n_min as f64;
-        let ubase = idx.base(u);
-        for (j, &v) in nbrs.iter().enumerate() {
-            if dist[v as usize] == du - 1 {
-                load[(ubase + j as u32) as usize] += share;
+        // Propagate from far to near; order[0] is d itself.
+        for i in (1..tail).rev() {
+            let u = order[i] as usize;
+            let f = aux[u] + dem[u];
+            if f <= 0.0 {
+                continue;
+            }
+            let next = &hops[start[i] as usize..start[i + 1] as usize];
+            let share = f / next.len() as f64;
+            for &(c, v) in next {
+                load[c as usize] += share;
                 aux[v as usize] += share;
             }
         }
+        for &u in &order[..tail] {
+            dist[u as usize] = u32::MAX;
+            aux[u as usize] = 0.0;
+        }
+        Ok(())
     }
-    for &u in order.iter() {
-        dist[u as usize] = u32::MAX;
-        aux[u as usize] = 0.0;
-    }
-    order.clear();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -787,25 +986,54 @@ mod tests {
     }
 
     #[test]
-    fn min_loads_match_legacy_channel_loads() {
+    fn min_loads_avg_hops_match_endpoint_average() {
         let net = sf5();
         let dem = Demand::uniform(&net);
         let idx = EdgeIndex::new(&net.graph);
         let rl = min_loads(&net, &idx, &dem).unwrap();
-        let legacy = crate::uniform_channel_loads(&net);
-        assert!((rl.max_load - legacy.max()).abs() < 1e-9);
-        assert!((rl.mean_load() - legacy.mean()).abs() < 1e-9);
-        // Channel-by-channel through the canonical remap.
-        let slots = idx.canonical_slots(&legacy.edges);
-        for (c, &slot) in slots.iter().enumerate() {
-            assert!(
-                (rl.load[c] - legacy.load[slot as usize]).abs() < 1e-9,
-                "channel {c}"
-            );
-        }
         // Demand-weighted hops equals the endpoint-pair average.
         let h = crate::average_hops_uniform(&net);
         assert!((rl.avg_hops - h).abs() < 1e-9, "{} vs {h}", rl.avg_hops);
+    }
+
+    #[test]
+    fn sparse_screen_ignores_zero_rates_like_the_dense_path() {
+        // d = 0 ← m = 1 ← {s1 = 2, s2 = 3}, and router 4 two hops past
+        // s1 with a zero rate. Both kernels must stay on a two-hop path
+        // for d: there m's sum is (1 + t) + t = 1, while the general
+        // path's transit-first order gives (t + t) + 1 > 1.
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (1, 3), (2, 4)]);
+        let net = Network::with_uniform_concentration(
+            g,
+            1,
+            "zero-rate".into(),
+            sf_topo::TopologyKind::Other,
+        );
+        let t = f64::EPSILON / 2.0;
+        let col = vec![(1, 1.0), (2, t), (3, t), (4, 0.0)];
+        let col_sum = col.iter().map(|&(_, r)| r).sum::<f64>();
+        let mut row_sum = vec![0.0; 5];
+        for &(s, r) in &col {
+            row_sum[s as usize] = r;
+        }
+        let dem = Demand {
+            kind: DemandKind::Sparse {
+                by_dest: vec![col, vec![], vec![], vec![], vec![]],
+                row_sum,
+                col_sum: vec![col_sum, 0.0, 0.0, 0.0, 0.0],
+            },
+            nr: 5,
+            active: 4.0,
+            net_mass: col_sum,
+            local_mass: 0.0,
+        };
+        let idx = EdgeIndex::new(&net.graph);
+        let sparse = min_loads(&net, &idx, &dem).unwrap().load;
+        let dense = min_loads_dense(&net.graph, &idx, |d, buf| dem.fill_dest(d, buf)).unwrap();
+        assert_eq!(sparse[idx.id(1, 0) as usize], 1.0);
+        for (c, (a, b)) in sparse.iter().zip(&dense).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "channel {c}: {a:e} vs {b:e}");
+        }
     }
 
     #[test]
