@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks: construction speed, routing-table builds,
 //! partitioner quality/throughput, and simulator cycle rate.
 //!
-//! These back the ablation notes in DESIGN.md §4 (partitioner multi-start
-//! cost, simulator throughput scaling).
+//! These measure the partitioner's multi-start cost and how simulator
+//! throughput scales.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sf_routing::RoutingTables;

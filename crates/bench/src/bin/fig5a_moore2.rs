@@ -1,6 +1,6 @@
 //! Figure 5a: router counts vs the Moore bound for diameter-2
 //! topologies — Slim Fly MMS, 2-level flattened butterfly, 2-stage fat
-//! tree (Long Hop's diameter-2 family is approximated per DESIGN.md).
+//! tree (Long Hop's diameter-2 family is approximated).
 //!
 //! Usage: `fig5a_moore2 [--qmax 64]`
 //! Output: CSV `kprime,moore2,sf_nr,sf_frac,fbf2_nr,ft2_nr`.

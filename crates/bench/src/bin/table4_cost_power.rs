@@ -10,8 +10,8 @@
 //!
 //! Paper checkpoints: SF $1,033 & 8.02 W/node; DF(k=43) $1,365 & 10.9;
 //! FBF-3 ~$1,5xx; FT-3 most expensive of the high-radix group; tori/HC
-//! 2–6× SF. Cable *counts* differ from the paper's (see DESIGN.md §6 —
-//! we count from an explicit layout and include endpoint cables).
+//! 2–6× SF. Cable *counts* differ from the paper's: we count from an
+//! explicit layout and include endpoint cables.
 
 use sf_bench::{print_csv_row, run_cli};
 use slimfly::prelude::*;

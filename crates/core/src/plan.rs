@@ -504,6 +504,9 @@ impl ExperimentPlan {
                     sweep.sim.packet_size
                 )));
             }
+            // Parse already bounds the queue sizes; re-check here so
+            // hand-built plans and the builder get the same typed error.
+            check_queue_bounds(&sweep.sim)?;
             // Matrix sugar multiplies [[sweep]] blocks at parse time,
             // so this index may not match a file ordinal — say so.
             if sweep.topos.is_empty() {
@@ -1015,6 +1018,26 @@ fn apply_sim(cfg: &mut SimConfig, v: &Value) -> Result<(), SfError> {
             other => return Err(plan_err(&format!("unknown sim key {other:?}"))),
         }
     }
+    check_queue_bounds(cfg)
+}
+
+/// The cycle engine allocates its input-buffer and staging rings up
+/// front, so their sizes are bounded before any job is prepared.
+fn check_queue_bounds(cfg: &SimConfig) -> Result<(), SfError> {
+    for (key, value, max) in [
+        ("buf_per_port", cfg.buf_per_port, sf_sim::MAX_BUF_PER_PORT),
+        (
+            "output_queue_cap",
+            cfg.output_queue_cap,
+            sf_sim::MAX_OUTPUT_QUEUE_CAP,
+        ),
+    ] {
+        if value > max {
+            return Err(plan_err(&format!(
+                "sim.{key} = {value} exceeds the cycle engine's bound of {max} flits"
+            )));
+        }
+    }
     Ok(())
 }
 
@@ -1274,15 +1297,8 @@ impl JobSet {
             }
             seen.push(key);
             let ctx = &self.ctxs[job.topo];
-            // Certificates name the topology *instance*: the spec plus
-            // its fault suffix when degraded, so a degraded CDG proof
-            // is never mistaken for the intact one.
-            let label = match &self.faults[job.topo] {
-                None => self.topos[job.topo].to_string(),
-                Some(f) => format!("{}{}", self.topos[job.topo], f.suffix()),
-            };
             let cert = sf_verify::verify_combo(
-                &label,
+                &self.instance_label(job.topo),
                 &ctx.net.graph,
                 ctx.tables(),
                 &job.routing,
@@ -1292,6 +1308,16 @@ impl JobSet {
             certs.push(cert);
         }
         Ok(certs)
+    }
+
+    /// The name certificates and verification errors give topology
+    /// instance `topo`: the spec plus its fault suffix when degraded,
+    /// so a degraded CDG proof is never mistaken for the intact one.
+    fn instance_label(&self, topo: usize) -> String {
+        match &self.faults[topo] {
+            None => self.topos[topo].to_string(),
+            Some(f) => format!("{}{}", self.topos[topo], f.suffix()),
+        }
     }
 
     /// Executes one job, returning its records in load order. The set
@@ -1312,6 +1338,13 @@ impl JobSet {
 
     fn run_cycle_job(&self, job: &Job) -> Result<Vec<Record>, SfError> {
         let ctx = self.ctx(job);
+        // Running a plan does not verify it, so the one verification
+        // the engine cannot survive failing is repeated here.
+        sf_verify::check_path_capacity(
+            &self.instance_label(job.topo),
+            &job.routing,
+            ctx.tables().max_distance() as usize,
+        )?;
         let spec_str = self.topos[job.topo].to_string();
         let router_slot = &self.routers[self.router_of[job.id]];
         let router: &dyn Router = match router_slot.get() {
@@ -1626,6 +1659,17 @@ mod tests {
                 "[figure]\nname = \"x\"\n[defaults.sim]\nthreads = 2\n[[sweep]]\ntopo = \"sf:q=5\"",
                 "unknown sim key \"threads\"",
             ),
+            // Queue rings are allocated up front, so their sizes are
+            // bounded before anything is built.
+            (
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\nbuf_per_port = 4097",
+                "sim.buf_per_port = 4097 exceeds",
+            ),
+            (
+                "[figure]\nname = \"x\"\n[defaults.sim]\noutput_queue_cap = 1000000000\n\
+                 [[sweep]]\ntopo = \"sf:q=5\"",
+                "sim.output_queue_cap = 1000000000 exceeds",
+            ),
         ];
         for (doc, needle) in cases {
             let err = ExperimentPlan::from_toml_str(doc).unwrap_err();
@@ -1650,6 +1694,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SfError::Traffic(_)), "{err}");
+        // Hand-built plans skip the parser; expansion applies the same
+        // queue bounds with the same typed error, and the bounds
+        // themselves still expand.
+        let mut plan = ExperimentPlan::from_toml_str(
+            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]",
+        )
+        .unwrap();
+        plan.sweeps[0].sim.buf_per_port = sf_sim::MAX_BUF_PER_PORT;
+        plan.sweeps[0].sim.output_queue_cap = sf_sim::MAX_OUTPUT_QUEUE_CAP;
+        plan.expand().unwrap();
+        for over in [
+            |c: &mut SimConfig| c.buf_per_port = sf_sim::MAX_BUF_PER_PORT + 1,
+            |c: &mut SimConfig| c.output_queue_cap = usize::MAX,
+        ] {
+            let mut bad = plan.clone();
+            over(&mut bad.sweeps[0].sim);
+            let err = bad.expand().unwrap_err();
+            assert!(matches!(err, SfError::Plan(_)), "{err}");
+            assert!(err.to_string().contains("exceeds"), "{err}");
+        }
     }
 
     #[test]

@@ -73,8 +73,8 @@ impl CostModel {
     }
 
     /// Mellanox IB QDR56 56 Gb/s QSFP cables (Fig 13 variant).
-    /// Approximation documented in DESIGN.md: same $-per-cable-meter as
-    /// FDR10, expressed per Gb/s at the higher rate.
+    /// Approximation: same $-per-cable-meter as FDR10, expressed per
+    /// Gb/s at the higher rate.
     pub fn qdr56() -> Self {
         let scale = 40.0 / 56.0;
         CostModel {
@@ -98,7 +98,7 @@ impl CostModel {
     }
 
     /// Elpeus Ethernet 10 Gb/s SFP+ cables (Fig 12 variant). Cheaper
-    /// cables, lower rate: higher $/Gb/s (approximation, DESIGN.md).
+    /// cables, lower rate: higher $/Gb/s (approximation).
     pub fn sfp10() -> Self {
         CostModel {
             electric: Linear {
@@ -167,9 +167,9 @@ pub struct CostBreakdown {
 impl CostBreakdown {
     /// Computes the full roll-up for a network under a cost model.
     ///
-    /// Endpoint cables are counted as 1 m electric cables (see DESIGN.md
-    /// — the paper's Table IV is inconsistent about them; we include
-    /// them uniformly for every topology).
+    /// Endpoint cables are counted as 1 m electric cables (the paper's
+    /// Table IV is inconsistent about them; we include them uniformly
+    /// for every topology).
     pub fn compute(net: &Network, model: &CostModel) -> Self {
         let layout = Layout::new(net);
         let inv = CableInventory::new(net, &layout);

@@ -10,7 +10,32 @@
 //! # Engine internals: state layout and the hot path
 //!
 //! The engine is built for >10K-endpoint cycle-accurate sweeps, so the
-//! per-cycle loop is flat, allocation-free and skips idle state:
+//! per-cycle loop is flat and skips idle state, and no flit ever
+//! allocates. The one per-packet heap allocation left is the
+//! `RouteDecision::Path` vector a source-routing policy returns at
+//! injection, which is copied into the packet's descriptor and dropped.
+//!
+//! * **Packet slab and 8-byte flit handles** — a packet's descriptor
+//!   (endpoints, generation time, source route, VC base, size) is
+//!   written once into a slab at head injection and freed when its
+//!   tail ejects or is dropped; freed ids are reused. A flit is an
+//!   8-byte handle `{packet id, seq, hop, vc}`, so buffering, staging
+//!   and the wire move 8 bytes instead of a copy of the descriptor.
+//!   [`Simulator::verify_credit_round_trip`] checks that every live
+//!   descriptor is referenced by a flit and that every flit names a
+//!   live descriptor.
+//!
+//! * **Fixed-capacity rings** — the (port, VC) input buffers and the
+//!   per-link output staging queues are FIFO rings in one flat array
+//!   each, of capacity `vc_cap` and `output_queue_cap`. Credits bound
+//!   every input buffer and the allocator bounds every staging queue,
+//!   so no ring ever grows; plan expansion bounds both sizes
+//!   ([`MAX_BUF_PER_PORT`], [`MAX_OUTPUT_QUEUE_CAP`]) before anything
+//!   is allocated. Measured against one growable queue of 60-byte
+//!   flits per buffer on the benchmark's `q19_uniform` workload
+//!   (`sf:q=19`, 2-vCPU host), slab and rings cut median peak RSS from
+//!   84 to 51 MB and median engine time per flit from 3.7 to 3.2 µs
+//!   (`sim.ns_per_flit`, six traced pairs, five won).
 //!
 //! * **CSR link layout** — every directed link `r → to` has a flat
 //!   *link id* assigned in CSR order (`LinkIndex`): the links of
@@ -33,11 +58,11 @@
 //!   left staging) and a credit arrival (−1: a downstream slot freed).
 //!   [`QueueView::occupancy`] is then a single array read — this turns
 //!   UGAL-G injection from O(path × VCs) credit sums into O(path)
-//!   reads. The invariant `occ[l] == staging[l].len() + Σ_vc (vc_cap −
+//!   reads. The invariant `occ[l] == staged flits of l + Σ_vc (vc_cap −
 //!   credits[l][vc])` is checked by
 //!   [`Simulator::verify_occupancy_counters`] (property-tested).
 //!
-//! * **Allocation-free stepping** — all per-cycle scratch (switch
+//! * **Persistent scratch** — all per-cycle scratch (switch
 //!   allocator grant counters, the candidate-slot list, the per-cycle
 //!   ejected-endpoint set) is persistent storage owned by the
 //!   `Simulator`, reset in O(work) per cycle; the ejected-endpoint set
@@ -61,9 +86,9 @@
 //!
 //! A **packet** is [`SimConfig::packet_size`] ≥ 1 flits; the engine
 //! moves *flits*, and a packet exists as state stretched across the
-//! network (wormhole switching). Every flit carries its packet's
-//! descriptor plus a sequence number: flit 0 is the **head**, flit
-//! `size − 1` the **tail** (a single-flit packet is both at once).
+//! network (wormhole switching). Every flit names its packet's
+//! descriptor and carries a sequence number: flit 0 is the **head**,
+//! flit `size − 1` the **tail** (a single-flit packet is both at once).
 //! The flit lifecycle:
 //!
 //! * **Generation** — a Bernoulli draw per endpoint per cycle with
@@ -226,14 +251,14 @@ const DROP_ROUTE: u32 = u32::MAX - 1;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     /// Virtual channels per port. The paper quotes 3; its §IV-D scheme
-    /// needs 4 for 4-hop adaptive paths, so we default to 4 (see
-    /// DESIGN.md). Paths longer than `num_vcs` hops clamp to the last
-    /// VC, weakening the deadlock guarantee — raise this (e.g. to 6 for
-    /// Valiant on diameter-3 topologies) when routing non-minimally on
-    /// deeper networks.
+    /// needs 4 for 4-hop adaptive paths, so we default to 4. Paths
+    /// longer than `num_vcs` hops clamp to the last VC, weakening the
+    /// deadlock guarantee — raise this (e.g. to 6 for Valiant on
+    /// diameter-3 topologies) when routing non-minimally on deeper
+    /// networks.
     pub num_vcs: usize,
     /// Total flit buffering per port, split evenly across VCs (paper: 64;
-    /// swept in Fig 8a).
+    /// swept in Fig 8a). At most [`MAX_BUF_PER_PORT`].
     pub buf_per_port: usize,
     /// Channel traversal latency in cycles (paper: 1).
     pub channel_latency: u32,
@@ -245,7 +270,9 @@ pub struct SimConfig {
     /// Internal speedup: flits a single output may accept from the
     /// crossbar per cycle (paper: 2).
     pub output_speedup: usize,
-    /// Output staging queue depth (absorbs the speedup burst).
+    /// Output staging queue depth (absorbs the speedup burst). At most
+    /// [`MAX_OUTPUT_QUEUE_CAP`]; `0` stages nothing, so no flit is ever
+    /// granted.
     pub output_queue_cap: usize,
     /// Warm-up cycles before measurement.
     pub warmup: u32,
@@ -274,6 +301,28 @@ pub const MAX_PACKET_SIZE: usize = 4096;
 /// ladder. `sf-verify` mirrors this constant when it reconstructs the
 /// engine's VC assignment statically.
 pub const ADAPTIVE_HOP_BUDGET: u8 = 4;
+
+/// Longest source route the engine carries: a packet descriptor stores
+/// at most `MAX_PATH_HOPS + 1` routers. Per-hop (adaptive) packets
+/// store only their destination and are not bounded by it. `sf-verify`
+/// checks every source-routed scheme's hop bound against this constant
+/// (`sf_verify::check_path_capacity`), so a plan whose routes cannot
+/// fit gets a typed error instead of reaching the engine.
+pub const MAX_PATH_HOPS: usize = 9;
+
+/// Upper bound on [`SimConfig::buf_per_port`]. Every input buffer is a
+/// ring allocated up front (`buf_per_port` flit handles per port, 8
+/// bytes each), so plans are bounded before anything is allocated:
+/// 4096 flits is 64× the paper's 64-flit buffers and 16× the largest
+/// size Fig 8a sweeps.
+pub const MAX_BUF_PER_PORT: usize = 4096;
+
+/// Upper bound on [`SimConfig::output_queue_cap`]: every staging
+/// queue is a ring of this capacity allocated up front, as for
+/// [`MAX_BUF_PER_PORT`]. The bound costs nothing in practice: a staging
+/// queue never holds more flits than its link has downstream credits
+/// (`num_vcs` × the per-VC buffer).
+pub const MAX_OUTPUT_QUEUE_CAP: usize = 4096;
 
 /// Upper bound on the number of engine shards (RNG-stream ranges, see
 /// the module docs). The actual shard count of a simulation is
@@ -611,48 +660,31 @@ fn flow_id(src_ep: u32, dst_ep: u32) -> u64 {
     ((src_ep as u64) << 32) | dst_ep as u64
 }
 
-/// One flit on the move. Every flit carries its packet's descriptor
-/// (routing state is only *used* by the head; body/tail flits inherit
-/// the engine's per-VC reservations, but carrying the descriptor keeps
-/// termination checks and statistics local to the flit).
+/// A packet's descriptor, kept once in the [`Slab`] from head injection
+/// until its tail ejects or is dropped. Routing state is only *used*
+/// by the head; body/tail flits inherit the engine's per-VC
+/// reservations and read the descriptor for termination checks and
+/// statistics.
 #[derive(Clone, Copy)]
-struct Flit {
+struct Packet {
     src_ep: u32,
     dst_ep: u32,
     gen_time: u32,
-    /// Router path for source-routed algorithms; for per-hop adaptive
-    /// routing `path_len == 0` and `path[0]` holds the destination
-    /// router.
-    path: [u32; 10],
     path_len: u8,
-    /// Index of the router the flit currently occupies (or is flying
-    /// toward) within `path`; doubles as the hop counter for adaptive.
-    hop: u8,
     /// Base virtual channel: hop `i` travels on VC `vc_base + i`.
     /// Strictly increasing VCs along a path keep the channel dependency
     /// graph acyclic (the generalized Gopal scheme of §IV-D); bases are
     /// spread at injection to avoid VC-level head-of-line blocking.
     vc_base: u8,
-    /// Flit index within the packet: 0 is the head, `size − 1` the
-    /// tail.
-    seq: u16,
     /// Total flits of the packet (`SimConfig::packet_size`).
     size: u16,
+    /// Router path for source-routed algorithms; for per-hop adaptive
+    /// routing `path_len == 0` and `path[0]` holds the destination
+    /// router.
+    path: [u32; MAX_PATH_HOPS + 1],
 }
 
-impl Flit {
-    /// Head flits route and allocate; everyone else inherits.
-    #[inline]
-    fn is_head(&self) -> bool {
-        self.seq == 0
-    }
-
-    /// Tail flits release the per-VC wormhole reservations.
-    #[inline]
-    fn is_tail(&self) -> bool {
-        self.seq + 1 == self.size
-    }
-
+impl Packet {
     /// Destination router of the packet.
     #[inline]
     fn dst_router(&self) -> u32 {
@@ -661,6 +693,155 @@ impl Flit {
         } else {
             self.path[self.path_len as usize - 1]
         }
+    }
+
+    /// Whether `f` is this packet's tail, the flit that releases the
+    /// per-VC wormhole reservations and the descriptor.
+    #[inline]
+    fn is_tail(&self, f: Flit) -> bool {
+        f.seq + 1 == self.size
+    }
+}
+
+/// One flit on the move: an 8-byte handle naming its packet's
+/// descriptor in the [`Slab`] plus the state that differs from flit to
+/// flit of one packet.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Flit {
+    /// Slab id of the packet descriptor.
+    pkt: u32,
+    /// Flit index within the packet: 0 is the head (it routes and
+    /// allocates; everyone else inherits), `size − 1` the tail.
+    seq: u16,
+    /// Index of the router the flit currently occupies (or is flying
+    /// toward) within the packet's path; doubles as the hop counter for
+    /// adaptive packets.
+    hop: u8,
+    /// The VC the flit travels on once granted (staging and wire); in
+    /// an input buffer the slot names the VC.
+    vc: u8,
+}
+
+/// Packet descriptors indexed by the id flits carry. Freed ids are
+/// reused last-in first-out; no scan order or RNG draw depends on an
+/// id, so the reuse order is not observable.
+#[derive(Default)]
+struct Slab {
+    pkts: Vec<Packet>,
+    /// Ids of free descriptors.
+    free: Vec<u32>,
+}
+
+impl Slab {
+    /// Stores `p` and returns its id.
+    #[inline]
+    fn alloc(&mut self, p: Packet) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.pkts[id as usize] = p;
+                id
+            }
+            None => {
+                self.pkts.push(p);
+                (self.pkts.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Frees descriptor `id` (its tail ejected or was dropped).
+    #[inline]
+    fn release(&mut self, id: u32) {
+        self.free.push(id);
+    }
+
+    #[inline]
+    fn get(&self, id: u32) -> &Packet {
+        &self.pkts[id as usize]
+    }
+}
+
+/// Fixed-capacity FIFO rings of flits, one flat array for all of them:
+/// ring `q` owns `data[q × cap .. (q + 1) × cap]`. The engine's credit
+/// loop bounds every input buffer by `vc_cap` and the allocator bounds
+/// every staging queue by `output_queue_cap`, so a ring never needs to
+/// grow; [`Rings::push`] asserts it, because an overflow would write
+/// into the neighbouring ring.
+struct Rings {
+    cap: usize,
+    data: Vec<Flit>,
+    /// Per ring: physical index of the front flit and the flit count,
+    /// side by side so one cache line serves both.
+    cursor: Vec<Cursor>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct Cursor {
+    head: u32,
+    len: u32,
+}
+
+impl Rings {
+    fn new(rings: usize, cap: usize) -> Self {
+        Rings {
+            cap,
+            data: vec![Flit::default(); rings * cap],
+            cursor: vec![Cursor::default(); rings],
+        }
+    }
+
+    /// Number of rings.
+    fn count(&self) -> usize {
+        self.cursor.len()
+    }
+
+    #[inline]
+    fn len(&self, q: usize) -> usize {
+        self.cursor[q].len as usize
+    }
+
+    #[inline]
+    fn is_empty(&self, q: usize) -> bool {
+        self.cursor[q].len == 0
+    }
+
+    /// Physical index of the `k`-th flit of ring `q` (`k < cap`).
+    #[inline]
+    fn at(&self, q: usize, k: usize) -> usize {
+        let i = self.cursor[q].head as usize + k;
+        q * self.cap + if i >= self.cap { i - self.cap } else { i }
+    }
+
+    #[inline]
+    fn front(&self, q: usize) -> Option<Flit> {
+        let c = self.cursor[q];
+        (c.len != 0).then(|| self.data[q * self.cap + c.head as usize])
+    }
+
+    #[inline]
+    fn push(&mut self, q: usize, f: Flit) {
+        let len = self.len(q);
+        assert!(len < self.cap, "ring {q} is full ({} flits)", self.cap);
+        let i = self.at(q, len);
+        self.data[i] = f;
+        self.cursor[q].len += 1;
+    }
+
+    #[inline]
+    fn pop(&mut self, q: usize) -> Option<Flit> {
+        let f = self.front(q)?;
+        let c = &mut self.cursor[q];
+        c.head = if c.head as usize + 1 == self.cap {
+            0
+        } else {
+            c.head + 1
+        };
+        c.len -= 1;
+        Some(f)
+    }
+
+    /// The flits of ring `q`, front to back.
+    fn iter(&self, q: usize) -> impl Iterator<Item = Flit> + '_ {
+        (0..self.len(q)).map(move |k| self.data[self.at(q, k)])
     }
 }
 
@@ -811,8 +992,8 @@ struct Scratch {
 /// increments.
 struct Wires {
     /// Flits on the wire: bucket `(send + flit_eff) % (flit_eff + 1)`
-    /// holds (link, packet, VC) triples due that cycle.
-    flit: Vec<Vec<(u32, Flit, u8)>>,
+    /// holds (link, flit) pairs due that cycle.
+    flit: Vec<Vec<(u32, Flit)>>,
     /// Credits returning upstream: (link, VC) pairs per due cycle.
     credit: Vec<Vec<(u32, u8)>>,
 }
@@ -868,8 +1049,9 @@ pub struct Simulator<'a> {
     // ---- per-link state, indexed by flat link id (× VC where noted) ----
     /// Credits per (link, VC): available downstream buffer slots.
     credits: Vec<u32>,
-    /// Output staging queue per link (absorbs crossbar speedup).
-    staging: Vec<VecDeque<(Flit, u8)>>,
+    /// Output staging ring per link (absorbs crossbar speedup), of
+    /// capacity `output_queue_cap`.
+    staging: Rings,
     /// Bitmask over links: bit set ⇔ staging queue non-empty, so
     /// transmission visits exactly the staged links in link-id order.
     staged_mask: Vec<u64>,
@@ -897,8 +1079,9 @@ pub struct Simulator<'a> {
     /// First flat input-port index per router; network ports first,
     /// then injection ports.
     port_base: Vec<u32>,
-    /// Input buffers, indexed `flat_port * num_vcs + vc`.
-    in_buf: Vec<VecDeque<Flit>>,
+    /// Input buffer rings of capacity `vc_cap`, indexed
+    /// `flat_port * num_vcs + vc`.
+    in_buf: Rings,
     /// Bitmask over `in_buf` slots: bit set ⇔ queue non-empty. Lets
     /// ejection/allocation visit only occupied queues, in scan order.
     buf_mask: Vec<u64>,
@@ -929,6 +1112,8 @@ pub struct Simulator<'a> {
     ep_router: Vec<u32>,
     /// Flat `in_buf` slot (VC 0) of each endpoint's injection port.
     ep_inj_slot: Vec<u32>,
+    /// Descriptors of the packets in the network.
+    slab: Slab,
 
     // ---- active-set counters ----
     /// Packets buffered in the router's input queues (ejection and
@@ -976,6 +1161,16 @@ impl<'a> Simulator<'a> {
             (1..=MAX_PACKET_SIZE).contains(&cfg.packet_size),
             "packet_size must be in 1..={MAX_PACKET_SIZE}, got {}",
             cfg.packet_size
+        );
+        assert!(
+            cfg.buf_per_port <= MAX_BUF_PER_PORT,
+            "buf_per_port must be at most {MAX_BUF_PER_PORT}, got {}",
+            cfg.buf_per_port
+        );
+        assert!(
+            cfg.output_queue_cap <= MAX_OUTPUT_QUEUE_CAP,
+            "output_queue_cap must be at most {MAX_OUTPUT_QUEUE_CAP}, got {}",
+            cfg.output_queue_cap
         );
         let nr = net.num_routers();
         let nvc = cfg.num_vcs;
@@ -1027,7 +1222,7 @@ impl<'a> Simulator<'a> {
             vc_cap,
             links,
             credits: vec![vc_cap as u32; nlinks * nvc],
-            staging: (0..nlinks).map(|_| VecDeque::new()).collect(),
+            staging: Rings::new(nlinks, cfg.output_queue_cap),
             staged_mask: vec![0; nlinks.div_ceil(64)],
             occ: vec![0; nlinks],
             link_flits: vec![0; nlinks],
@@ -1039,7 +1234,7 @@ impl<'a> Simulator<'a> {
                 credit: (0..=credit_eff).map(|_| Vec::new()).collect(),
             },
             port_base,
-            in_buf: (0..nslots).map(|_| VecDeque::new()).collect(),
+            in_buf: Rings::new(nslots, vc_cap),
             buf_mask: vec![0; nslots.div_ceil(64)],
             in_route: vec![u32::MAX; nslots],
             out_owner: vec![u32::MAX; nlinks * nvc],
@@ -1048,6 +1243,7 @@ impl<'a> Simulator<'a> {
             inj_progress: vec![None; net.num_endpoints()],
             ep_router,
             ep_inj_slot,
+            slab: Slab::default(),
             r_buffered: vec![0; nr],
             scratch: Scratch {
                 out_grants: vec![0; max_deg],
@@ -1125,7 +1321,7 @@ impl Simulator<'_> {
         dst_r: u32,
         flow: u64,
         now: u32,
-    ) -> ([u32; 10], u8) {
+    ) -> ([u32; MAX_PATH_HOPS + 1], u8) {
         let queues = EngineQueues {
             links: &self.links,
             occ: &self.occ,
@@ -1141,14 +1337,19 @@ impl Simulator<'_> {
         };
         match self.router.route(&ctx, &mut self.rngs[s]) {
             RouteDecision::Path(v) => {
-                assert!(v.len() <= 10, "path longer than the Flit array: {v:?}");
-                let mut a = [0u32; 10];
+                // Plan runs reject schemes whose routes could be longer
+                // first (`sf_verify::check_path_capacity`).
+                assert!(
+                    v.len() <= MAX_PATH_HOPS + 1,
+                    "path longer than MAX_PATH_HOPS = {MAX_PATH_HOPS} hops: {v:?}"
+                );
+                let mut a = [0u32; MAX_PATH_HOPS + 1];
                 a[..v.len()].copy_from_slice(&v);
                 (a, v.len() as u8)
             }
             RouteDecision::PerHop => {
                 // Per-hop routing: packet only carries the destination.
-                let mut a = [0u32; 10];
+                let mut a = [0u32; MAX_PATH_HOPS + 1];
                 a[0] = dst_r;
                 (a, 0)
             }
@@ -1160,9 +1361,10 @@ impl Simulator<'_> {
     /// packets. The per-hop hook sees queues through [`AllocQueues`],
     /// which enforces the allocation-phase QueueView contract (own
     /// links only).
-    fn next_hop(&mut self, s: usize, p: &Flit, r: u32, now: u32) -> u32 {
+    fn next_hop(&mut self, s: usize, f: Flit, r: u32, now: u32) -> u32 {
+        let p = self.slab.get(f.pkt);
         if p.path_len > 0 {
-            p.path[p.hop as usize + 1]
+            p.path[f.hop as usize + 1]
         } else {
             let queues = AllocQueues {
                 links: &self.links,
@@ -1182,11 +1384,11 @@ impl Simulator<'_> {
         }
     }
 
-    /// Pushes a packet into input-buffer slot `slot` of router `r`,
+    /// Pushes a flit into input-buffer slot `slot` of router `r`,
     /// maintaining the non-empty bitmask and the active-set counter.
     #[inline]
-    fn buf_push(&mut self, r: u32, slot: usize, p: Flit) {
-        self.in_buf[slot].push_back(p);
+    fn buf_push(&mut self, r: u32, slot: usize, f: Flit) {
+        self.in_buf.push(slot, f);
         mask_set(&mut self.buf_mask, slot);
         self.r_buffered[r as usize] += 1;
     }
@@ -1194,15 +1396,15 @@ impl Simulator<'_> {
     /// Pops the head of input-buffer slot `slot` of router `r`.
     #[inline]
     fn buf_pop(&mut self, r: u32, slot: usize) -> Flit {
-        let q = &mut self.in_buf[slot];
-        let p = q
-            .pop_front()
+        let f = self
+            .in_buf
+            .pop(slot)
             .expect("buf_pop is only called on slots the mask marks occupied");
-        if q.is_empty() {
+        if self.in_buf.is_empty(slot) {
             mask_clear(&mut self.buf_mask, slot);
         }
         self.r_buffered[r as usize] -= 1;
-        p
+        f
     }
 
     /// Returns the credit of a flit leaving input slot `slot` (port
@@ -1223,17 +1425,22 @@ impl Simulator<'_> {
     /// router `r` (see the module docs): frees the buffer, returns the
     /// upstream credit exactly like a grant, and maintains the drop
     /// accounting and the [`DROP_ROUTE`] sentinel — a multi-flit head
-    /// plants it for the trailing flits, the tail clears it and closes
-    /// the packet's sample accounting.
+    /// plants it for the trailing flits, the tail clears it, closes the
+    /// packet's sample accounting and frees its descriptor.
     fn drop_front(&mut self, r: u32, slot: usize, credit_due: usize) {
-        let pkt = self.buf_pop(r, slot);
+        let f = self.buf_pop(r, slot);
         self.credit_upstream(r, slot, self.slot_port(slot), credit_due);
         self.m.dropped_flits += 1;
-        if pkt.size > 1 {
-            self.in_route[slot] = if pkt.is_tail() { u32::MAX } else { DROP_ROUTE };
+        let p = self.slab.get(f.pkt);
+        let (tail, size, gen_time) = (p.is_tail(f), p.size, p.gen_time);
+        if size > 1 {
+            self.in_route[slot] = if tail { u32::MAX } else { DROP_ROUTE };
         }
-        if pkt.is_tail() && self.in_window(pkt.gen_time) {
-            self.m.sample_dropped += 1;
+        if tail {
+            if self.in_window(gen_time) {
+                self.m.sample_dropped += 1;
+            }
+            self.slab.release(f.pkt);
         }
     }
 
@@ -1245,10 +1452,10 @@ impl Simulator<'_> {
         let nvc = self.cfg.num_vcs;
         let fb = (now % (self.flit_eff + 1)) as usize;
         let mut bucket = std::mem::take(&mut self.wires.flit[fb]);
-        for &(l, pkt, vc) in &bucket {
+        for &(l, f) in &bucket {
             let to = self.links.to[l as usize];
             let fp = self.port_base[to as usize] + self.links.to_port[l as usize];
-            self.buf_push(to, fp as usize * nvc + vc as usize, pkt);
+            self.buf_push(to, fp as usize * nvc + f.vc as usize, f);
         }
         bucket.clear();
         self.wires.flit[fb] = bucket;
@@ -1338,14 +1545,14 @@ impl Simulator<'_> {
     fn inject(&mut self, s: usize, e: u32, now: u32) {
         let el = e as usize;
         let slot = self.ep_inj_slot[el] as usize;
-        if self.in_buf[slot].len() >= self.vc_cap {
+        if self.in_buf.len(slot) >= self.vc_cap {
             return;
         }
         let r = self.ep_router[el];
         if let Some(f) = self.inj_progress[el] {
             // Body/tail flit of the packet in progress: no routing, no
             // RNG — serialization only.
-            self.inj_progress[el] = if f.is_tail() {
+            self.inj_progress[el] = if self.slab.get(f.pkt).is_tail(f) {
                 None
             } else {
                 Some(Flit {
@@ -1397,18 +1604,20 @@ impl Simulator<'_> {
         } else {
             self.rngs[s].gen_range(0..=slack.min(nvc - 1)) as u8
         };
+        let size = self.cfg.packet_size as u16;
         let head = Flit {
-            src_ep: e,
-            dst_ep,
-            gen_time,
-            path,
-            path_len,
-            hop: 0,
-            vc_base,
-            seq: 0,
-            size: self.cfg.packet_size as u16,
+            pkt: self.slab.alloc(Packet {
+                src_ep: e,
+                dst_ep,
+                gen_time,
+                path_len,
+                vc_base,
+                size,
+                path,
+            }),
+            ..Flit::default()
         };
-        if !head.is_tail() {
+        if size > 1 {
             self.inj_progress[el] = Some(Flit { seq: 1, ..head });
         }
         self.buf_push(r, slot, head);
@@ -1431,38 +1640,41 @@ impl Simulator<'_> {
             gather_segment(&self.buf_mask, lo, hi, &mut scratch);
             for &slot in &scratch {
                 let slot = slot as usize;
-                let eject = matches!(
-                    self.in_buf[slot].front(),
-                    Some(p) if p.dst_router() == r
-                        && self.ejected_seen[p.dst_ep as usize] != eject_stamp
-                );
-                if !eject {
+                let Some(f) = self.in_buf.front(slot) else {
+                    continue;
+                };
+                let p = self.slab.get(f.pkt);
+                if p.dst_router() != r || self.ejected_seen[p.dst_ep as usize] == eject_stamp {
                     continue;
                 }
-                let p = self.buf_pop(r, slot);
-                self.ejected_seen[p.dst_ep as usize] = eject_stamp;
+                let (dst_ep, gen_time, tail) = (p.dst_ep, p.gen_time, p.is_tail(f));
+                self.buf_pop(r, slot);
+                self.ejected_seen[dst_ep as usize] = eject_stamp;
                 self.credit_upstream(r, slot, self.slot_port(slot), credit_due);
+                if tail {
+                    self.slab.release(f.pkt);
+                }
                 // Throughput ticks per flit; packet completion (and
                 // latency, measured to the *tail* — serialization
                 // included) ticks at the tail flit.
-                let sample = self.in_window(p.gen_time);
+                let sample = self.in_window(gen_time);
                 let m = &mut self.m;
                 m.total_ejected_flits += 1;
                 if window {
                     m.window_ejected += 1;
                 }
-                if p.is_tail() {
+                if tail {
                     m.total_ejected += 1;
                 }
                 if sample {
-                    if p.is_head() {
-                        m.head_lat_sum += now.saturating_sub(p.gen_time) as u64;
+                    if f.seq == 0 {
+                        m.head_lat_sum += now.saturating_sub(gen_time) as u64;
                         m.head_ejected += 1;
                     }
-                    if p.is_tail() {
+                    if tail {
                         m.sample_ejected += 1;
-                        m.stats.record(now.saturating_sub(p.gen_time));
-                        m.hops_sum += p.hop as u64;
+                        m.stats.record(now.saturating_sub(gen_time));
+                        m.hops_sum += f.hop as u64;
                     }
                 }
             }
@@ -1528,11 +1740,13 @@ impl Simulator<'_> {
                 if self.scratch.in_grants[port] > iter {
                     continue;
                 }
-                let head = match self.in_buf[slot].front() {
-                    Some(p) => *p,
-                    None => continue,
+                let Some(head) = self.in_buf.front(slot) else {
+                    continue;
                 };
-                if head.dst_router() == r {
+                let p = self.slab.get(head.pkt);
+                let (dst_r, vc_base, size, tail) =
+                    (p.dst_router(), p.vc_base, p.size, p.is_tail(head));
+                if dst_r == r {
                     continue; // handled by ejection
                 }
                 let alloc = self.in_route[slot];
@@ -1540,7 +1754,7 @@ impl Simulator<'_> {
                     // Trailing flit of an administratively dropped
                     // packet: discard it (the tail clears the sentinel
                     // — see the module docs).
-                    debug_assert!(!head.is_head());
+                    debug_assert!(head.seq != 0);
                     self.drop_front(r, slot, credit_due);
                     self.scratch.in_grants[port] = iter + 1;
                     continue;
@@ -1549,11 +1763,11 @@ impl Simulator<'_> {
                     // Body/tail flit: inherit the head's reserved
                     // (link, VC) — the routing policy is never
                     // consulted past the head flit.
-                    debug_assert!(!head.is_head());
+                    debug_assert!(head.seq != 0);
                     ((alloc as usize) / nvc, (alloc as usize) % nvc)
                 } else {
-                    debug_assert!(head.is_head());
-                    if !self.link_dead.is_empty() && unroutable(self.tables, r, head.dst_router()) {
+                    debug_assert!(head.seq == 0);
+                    if !self.link_dead.is_empty() && unroutable(self.tables, r, dst_r) {
                         // The fault disconnected this in-flight
                         // packet's destination: drop before asking the
                         // (degraded) routing policy, which has no
@@ -1562,7 +1776,7 @@ impl Simulator<'_> {
                         self.scratch.in_grants[port] = iter + 1;
                         continue;
                     }
-                    let nxt = self.next_hop(s, &head, r, now);
+                    let nxt = self.next_hop(s, head, r, now);
                     let l = self.links.link(r, nxt) as usize;
                     if !self.link_dead.is_empty() && self.link_dead[l] {
                         // A stale source route (chosen before the kill)
@@ -1572,41 +1786,38 @@ impl Simulator<'_> {
                         self.scratch.in_grants[port] = iter + 1;
                         continue;
                     }
-                    (l, hop_vc(nvc, head.vc_base, head.hop as usize))
+                    (l, hop_vc(nvc, vc_base, head.hop as usize))
                 };
                 let j = l - link_base;
                 if self.scratch.out_grants[j] >= speedup as u32 {
                     continue;
                 }
                 let lv = l * nvc + next_vc;
-                if self.staging[l].len() >= self.cfg.output_queue_cap || self.credits[lv] == 0 {
+                if self.staging.len(l) >= self.cfg.output_queue_cap || self.credits[lv] == 0 {
                     continue;
                 }
-                if alloc == u32::MAX && head.size > 1 && self.out_owner[lv] != u32::MAX {
+                if alloc == u32::MAX && size > 1 && self.out_owner[lv] != u32::MAX {
                     // Wormhole VC allocation: another packet owns the
                     // output VC until its tail passes.
                     continue;
                 }
-                // Grant.
-                let mut pkt = self.buf_pop(r, slot);
-                pkt.hop = if pkt.path_len == 0 {
-                    // Adaptive: record chosen hop implicitly by counter.
-                    pkt.hop.saturating_add(1)
-                } else {
-                    pkt.hop + 1
-                };
-                if pkt.size > 1 {
-                    if pkt.is_head() {
+                // Grant. Source routes are at most MAX_PATH_HOPS long;
+                // adaptive packets count hops and saturate.
+                let mut f = self.buf_pop(r, slot);
+                f.hop = f.hop.saturating_add(1);
+                f.vc = next_vc as u8;
+                if size > 1 {
+                    if f.seq == 0 {
                         self.in_route[slot] = lv as u32;
                         self.out_owner[lv] = slot as u32;
                     }
-                    if pkt.is_tail() {
+                    if tail {
                         self.in_route[slot] = u32::MAX;
                         self.out_owner[lv] = u32::MAX;
                     }
                 }
                 self.credits[lv] -= 1;
-                self.staging[l].push_back((pkt, next_vc as u8));
+                self.staging.push(l, f);
                 mask_set(&mut self.staged_mask, l);
                 // One staged flit + one downstream slot consumed.
                 self.occ[l] += 2;
@@ -1632,13 +1843,14 @@ impl Simulator<'_> {
         gather_segment(&self.staged_mask, 0, self.occ.len(), &mut scratch);
         for &l in &scratch {
             let l = l as usize;
-            let (pkt, vc) = self.staging[l]
-                .pop_front()
+            let f = self
+                .staging
+                .pop(l)
                 .expect("staged_mask marks this staging queue non-empty");
-            if self.staging[l].is_empty() {
+            if self.staging.is_empty(l) {
                 mask_clear(&mut self.staged_mask, l);
             }
-            self.wires.flit[flit_due].push((l as u32, pkt, vc));
+            self.wires.flit[flit_due].push((l as u32, f));
             self.occ[l] -= 1;
             if window {
                 self.link_flits[l] += 1;
@@ -1700,20 +1912,20 @@ impl<'a> Simulator<'a> {
             let used: u32 = (0..nvc)
                 .map(|vc| self.vc_cap as u32 - self.credits[l * nvc + vc])
                 .sum();
-            let expect = self.staging[l].len() as u32 + used;
+            let expect = self.staging.len(l) as u32 + used;
             if self.occ[l] != expect {
                 return Err(format!(
                     "link {l}: occ counter {} != recomputed {expect} \
                      (staging {}, credits in use {used})",
                     self.occ[l],
-                    self.staging[l].len()
+                    self.staging.len(l)
                 ));
             }
         }
         for r in 0..self.net.num_routers() {
             let lo = self.port_base[r] as usize * nvc;
             let hi = self.port_base[r + 1] as usize * nvc;
-            let buffered: u32 = (lo..hi).map(|s| self.in_buf[s].len() as u32).sum();
+            let buffered: u32 = (lo..hi).map(|s| self.in_buf.len(s) as u32).sum();
             if self.r_buffered[r] != buffered {
                 return Err(format!(
                     "router {r}: r_buffered {} != recomputed {buffered}",
@@ -1722,20 +1934,20 @@ impl<'a> Simulator<'a> {
             }
             for slot in lo..hi {
                 let bit = mask_get(&self.buf_mask, slot);
-                if bit == self.in_buf[slot].is_empty() {
+                if bit == self.in_buf.is_empty(slot) {
                     return Err(format!(
                         "slot {slot}: mask bit {bit} but queue len {}",
-                        self.in_buf[slot].len()
+                        self.in_buf.len(slot)
                     ));
                 }
             }
         }
         for l in 0..nlinks {
             let bit = mask_get(&self.staged_mask, l);
-            if bit == self.staging[l].is_empty() {
+            if bit == self.staging.is_empty(l) {
                 return Err(format!(
                     "link {l}: staged-mask bit {bit} but staging len {}",
-                    self.staging[l].len()
+                    self.staging.len(l)
                 ));
             }
         }
@@ -1765,7 +1977,11 @@ impl<'a> Simulator<'a> {
     /// * **allocation bijection** — `in_route[slot] = (l, v)` iff
     ///   `out_owner[(l, v)] = slot`, every reservation names an output
     ///   link of the slot's own router, and with `packet_size = 1`
-    ///   both tables are empty (tails released everything).
+    ///   both tables are empty (tails released everything);
+    /// * **packet slab** — every live descriptor is referenced by at
+    ///   least one flit (buffered, staged, on the wire, or waiting in an
+    ///   endpoint's in-progress injection), and every flit references a
+    ///   live descriptor: tails free exactly what heads allocated.
     ///
     /// Returns the first violation as an error. O(state); intended for
     /// tests (property-tested after random step batches across routings
@@ -1777,8 +1993,8 @@ impl<'a> Simulator<'a> {
         // across the delay buckets.
         let mut wire = vec![0u32; nlinks * nvc];
         let mut credit_flight = vec![0u32; nlinks * nvc];
-        for &(l, _, vc) in self.wires.flit.iter().flatten() {
-            wire[l as usize * nvc + vc as usize] += 1;
+        for &(l, f) in self.wires.flit.iter().flatten() {
+            wire[l as usize * nvc + f.vc as usize] += 1;
         }
         for &(l, vc) in self.wires.credit.iter().flatten() {
             credit_flight[l as usize * nvc + vc as usize] += 1;
@@ -1788,11 +2004,8 @@ impl<'a> Simulator<'a> {
             let fp = (self.port_base[to] + self.links.to_port[l]) as usize;
             for vc in 0..nvc {
                 let lv = l * nvc + vc;
-                let staged = self.staging[l]
-                    .iter()
-                    .filter(|&&(_, v)| v as usize == vc)
-                    .count() as u32;
-                let downstream = self.in_buf[fp * nvc + vc].len() as u32;
+                let staged = self.staging.iter(l).filter(|f| f.vc as usize == vc).count() as u32;
+                let downstream = self.in_buf.len(fp * nvc + vc) as u32;
                 let accounted =
                     self.credits[lv] + staged + wire[lv] + downstream + credit_flight[lv];
                 if accounted != self.vc_cap as u32 {
@@ -1845,21 +2058,54 @@ impl<'a> Simulator<'a> {
                 ));
             }
         }
-        Ok(())
+        self.verify_slab()
+    }
+
+    /// The packet-slab clause of [`Simulator::verify_credit_round_trip`].
+    fn verify_slab(&self) -> Result<(), String> {
+        let n = self.slab.pkts.len();
+        let mut free = vec![false; n];
+        for &id in &self.slab.free {
+            match free.get_mut(id as usize) {
+                None => return Err(format!("free id {id} beyond the {n}-descriptor slab")),
+                Some(true) => return Err(format!("packet {id} freed twice")),
+                Some(slot) => *slot = true,
+            }
+        }
+        let mut referenced = vec![false; n];
+        let flits = (0..self.in_buf.count())
+            .flat_map(|q| self.in_buf.iter(q))
+            .chain((0..self.staging.count()).flat_map(|l| self.staging.iter(l)))
+            .chain(self.wires.flit.iter().flatten().map(|&(_, f)| f))
+            .chain(self.inj_progress.iter().flatten().copied());
+        for f in flits {
+            match free.get(f.pkt as usize) {
+                None => return Err(format!("{f:?} names no descriptor ({n} in the slab)")),
+                Some(true) => return Err(format!("{f:?} names a freed descriptor")),
+                Some(false) => referenced[f.pkt as usize] = true,
+            }
+        }
+        match (0..n).find(|&id| !free[id] && !referenced[id]) {
+            Some(id) => Err(format!(
+                "packet {id} is live but no flit references it (leaked descriptor)"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Asserts the network is fully drained: no flits buffered, staged
     /// or on the wire, every credit home, every wormhole reservation
-    /// released, and no packet mid-injection. The strongest form of the
-    /// credit-round-trip contract — after the sources go quiet, the
-    /// state must return to exactly the reset state.
+    /// released, no packet mid-injection and every packet descriptor
+    /// free. The strongest form of the credit-round-trip contract —
+    /// after the sources go quiet, the state must return to exactly the
+    /// reset state.
     pub fn verify_quiescent(&self) -> Result<(), String> {
         self.verify_credit_round_trip()?;
         self.verify_occupancy_counters()?;
-        if let Some(slot) = (0..self.in_buf.len()).find(|&s| !self.in_buf[s].is_empty()) {
+        if let Some(slot) = (0..self.in_buf.count()).find(|&s| !self.in_buf.is_empty(s)) {
             return Err(format!("input slot {slot} still buffers flits"));
         }
-        if let Some(l) = (0..self.staging.len()).find(|&l| !self.staging[l].is_empty()) {
+        if let Some(l) = (0..self.staging.count()).find(|&l| !self.staging.is_empty(l)) {
             return Err(format!("link {l} still stages flits"));
         }
         if self.wires.flit.iter().any(|b| !b.is_empty()) {
@@ -1880,6 +2126,10 @@ impl<'a> Simulator<'a> {
         }
         if let Some(e) = (0..self.inj_progress.len()).find(|&e| self.inj_progress[e].is_some()) {
             return Err(format!("endpoint {e} still mid-injection"));
+        }
+        let live = self.slab.pkts.len() - self.slab.free.len();
+        if live != 0 {
+            return Err(format!("{live} packet descriptor(s) still live"));
         }
         Ok(())
     }
@@ -2672,6 +2922,134 @@ mod tests {
         assert!(r.ejected > 0);
         assert_eq!(r.dropped_flits, 0);
         assert_eq!(r.unreachable_pairs, 0);
+    }
+
+    #[test]
+    fn one_flit_vcs_and_zero_staging_match_the_growable_queues() {
+        // Ring capacities come from the plan. One-flit VCs
+        // (buf_per_port below num_vcs) and zero-depth staging must run
+        // exactly as the growable queues did; the pinned values were
+        // captured from the engine before input buffers and staging
+        // became rings.
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let tiny = SimConfig {
+            buf_per_port: 3,
+            packet_size: 2,
+            ..quick_cfg(51)
+        };
+        let r = Simulator::new(&net, &tables, &MinRouter, &pat, 0.3, tiny).run();
+        assert_eq!(
+            (
+                r.ejected,
+                r.ejected_flits,
+                r.cycles,
+                r.avg_latency.to_bits()
+            ),
+            (36_000, 72_092, 2_267, 0x4081_74df_c2c6_eae6)
+        );
+        assert!(!r.saturated);
+        // Nothing stages, so no flit ever crosses a link: only packets
+        // between endpoints of one router, at the front of their
+        // injection queue, eject.
+        let nostage = SimConfig {
+            output_queue_cap: 0,
+            ..quick_cfg(52)
+        };
+        let mut sim = Simulator::new(&net, &tables, &MinRouter, &pat, 0.2, nostage);
+        let r = sim.run_phase();
+        assert_eq!((r.ejected, r.ejected_flits, r.cycles), (3, 3, 2_900));
+        assert!(r.saturated && r.avg_latency.is_nan());
+        assert_eq!(r.max_link_util, 0.0);
+        sim.verify_credit_round_trip().unwrap();
+    }
+
+    fn flit(n: u32) -> Flit {
+        Flit {
+            pkt: n,
+            seq: n as u16,
+            hop: (n % 7) as u8,
+            vc: (n % 3) as u8,
+        }
+    }
+
+    /// Asserts every ring of `rings` holds exactly what its `VecDeque`
+    /// reference holds, front to back.
+    fn assert_rings_match(rings: &Rings, reference: &[VecDeque<Flit>]) {
+        for (q, want) in reference.iter().enumerate() {
+            assert_eq!(rings.len(q), want.len(), "ring {q}");
+            assert_eq!(rings.is_empty(q), want.is_empty(), "ring {q}");
+            assert_eq!(rings.front(q), want.front().copied(), "ring {q}");
+            assert!(rings.iter(q).eq(want.iter().copied()), "ring {q}");
+        }
+    }
+
+    #[test]
+    fn rings_match_a_vecdeque_reference() {
+        // Wrap-around and a full ring, step by step: three pushes and
+        // two pops move the front of ring 1 to index 2, four more pushes
+        // wrap past the end and fill it, and draining empties it in
+        // order. Its neighbours stay untouched throughout.
+        let mut rings = Rings::new(3, 4);
+        let mut reference = vec![VecDeque::new(); 3];
+        rings.push(0, flit(100));
+        reference[0].push_back(flit(100));
+        for n in 0..3 {
+            rings.push(1, flit(n));
+            reference[1].push_back(flit(n));
+        }
+        for _ in 0..2 {
+            assert_eq!(rings.pop(1), reference[1].pop_front());
+        }
+        for n in 3..6 {
+            rings.push(1, flit(n));
+            reference[1].push_back(flit(n));
+            assert_rings_match(&rings, &reference);
+        }
+        assert_eq!(rings.len(1), 4, "ring 1 is full");
+        assert_rings_match(&rings, &reference);
+        while let Some(f) = reference[1].pop_front() {
+            assert_eq!(rings.pop(1), Some(f));
+            assert_rings_match(&rings, &reference);
+        }
+        assert_eq!(rings.pop(1), None);
+        assert_eq!(rings.pop(2), None);
+
+        // A long pseudo-random mix of pushes and pops over every ring,
+        // each push only where the reference is below capacity.
+        let mut x = 0x5EED_u64;
+        for n in 0..5_000u32 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let q = (x >> 33) as usize % 3;
+            if (x >> 20) & 3 != 0 && reference[q].len() < 4 {
+                rings.push(q, flit(n));
+                reference[q].push_back(flit(n));
+            } else {
+                assert_eq!(rings.pop(q), reference[q].pop_front());
+            }
+            assert_rings_match(&rings, &reference);
+        }
+
+        // Zero capacity (`output_queue_cap = 0`): always empty.
+        let empty = Rings::new(2, 0);
+        assert_eq!((empty.count(), empty.len(1), empty.front(1)), (2, 0, None));
+    }
+
+    #[test]
+    #[should_panic(expected = "ring 1 is full")]
+    fn ring_overflow_asserts() {
+        let mut rings = Rings::new(2, 2);
+        for n in 0..3 {
+            rings.push(1, flit(n));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is full")]
+    fn zero_capacity_ring_rejects_a_push() {
+        Rings::new(1, 0).push(0, flit(0));
     }
 
     #[test]

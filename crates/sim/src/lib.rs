@@ -23,16 +23,17 @@
 //! directly or from [`sf_routing::RoutingSpec`] strings
 //! (`"ugal-l:c=4"`, `"fatpaths:layers=3"`).
 //!
-//! Deviation noted in DESIGN.md: the paper states 3 VCs for every
-//! simulation while its own §IV-D scheme needs 4 VCs for ≤4-hop adaptive
-//! paths; we default to 4 (configurable) and assign VC = min(hop, VCs−1),
-//! which keeps the escape order monotone.
+//! Deviation from the paper: it states 3 VCs for every simulation while
+//! its own §IV-D scheme needs 4 VCs for ≤4-hop adaptive paths; we
+//! default to 4 (configurable) and assign VC = min(hop, VCs−1), which
+//! keeps the escape order monotone.
 
 pub mod engine;
 pub mod stats;
 
 pub use engine::{
     hop_vc, vc_base_slack, LoadSweep, SimConfig, SimResult, Simulator, ADAPTIVE_HOP_BUDGET,
-    ENGINE_EPOCH, ENGINE_SHARDS, MAX_PACKET_SIZE,
+    ENGINE_EPOCH, ENGINE_SHARDS, MAX_BUF_PER_PORT, MAX_OUTPUT_QUEUE_CAP, MAX_PACKET_SIZE,
+    MAX_PATH_HOPS,
 };
 pub use stats::LatencyStats;

@@ -2,10 +2,10 @@
 //! "long hop" links to raise bisection bandwidth (to ~3N/2) at the cost
 //! of extra router ports.
 //!
-//! **Substitution note (see DESIGN.md):** Tomic derives the augmenting
-//! links from optimal error-correcting codes; the published generator
-//! tables are not available offline. We substitute a deterministic family
-//! of XOR-mask links that preserves the construction's *shape*: each
+//! **Substitution note:** Tomic derives the augmenting links from
+//! optimal error-correcting codes; the published generator tables are
+//! not available offline. We substitute a deterministic family of
+//! XOR-mask links that preserves the construction's *shape*: each
 //! router `v` gains `L` extra links `v ~ v ⊕ mask_i` where the masks are
 //! chosen with large pairwise Hamming distance (complement mask,
 //! alternating masks, and block-rotated half-weight masks). This keeps

@@ -5,6 +5,7 @@
 use crate::cdg::render_witness;
 use crate::wormhole::{scheme_hop_bound, wormhole_cdg};
 use sf_graph::Graph;
+use sf_routing::router::FATPATHS_MAX_LAYER_HOPS;
 use sf_routing::tables::UNREACHABLE;
 use sf_routing::{RoutingSpec, RoutingTables};
 use std::fmt;
@@ -63,6 +64,16 @@ pub enum VerifyError {
         /// The underlying routing error.
         reason: String,
     },
+    /// The scheme's source routes can be longer than the engine's
+    /// packet descriptor holds ([`sf_sim::MAX_PATH_HOPS`]).
+    PathTooLong {
+        /// Network name.
+        topo: String,
+        /// Routing label.
+        routing: String,
+        /// The scheme's hop bound on this network.
+        hops: usize,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -100,6 +111,17 @@ impl fmt::Display for VerifyError {
             VerifyError::Scheme { routing, reason } => {
                 write!(f, "cannot instantiate {routing} for verification: {reason}")
             }
+            VerifyError::PathTooLong {
+                topo,
+                routing,
+                hops,
+            } => write!(
+                f,
+                "{topo} × {routing} source-routes paths of up to {hops} hops, but the \
+                 cycle engine carries at most {} (use a per-hop scheme such as ecmp, \
+                 or a lower-diameter topology)",
+                sf_sim::MAX_PATH_HOPS
+            ),
         }
     }
 }
@@ -197,9 +219,37 @@ impl fmt::Display for ComboCertificate {
     }
 }
 
+/// Checks that every source route `spec` can produce on a network of
+/// the given diameter fits the cycle engine's packet descriptor
+/// ([`sf_sim::MAX_PATH_HOPS`]). Per-hop ECMP carries no route and
+/// always fits; FatPaths layers are capped at
+/// [`FATPATHS_MAX_LAYER_HOPS`] when built, which fits by the assertion
+/// below. Plan verification runs this, and so does every cycle job
+/// before its first simulation, since running a plan does not verify
+/// it.
+pub fn check_path_capacity(
+    topo: &str,
+    spec: &RoutingSpec,
+    diameter: usize,
+) -> Result<(), VerifyError> {
+    match scheme_hop_bound(spec, diameter) {
+        Some(hops) if hops > sf_sim::MAX_PATH_HOPS && *spec != RoutingSpec::Ecmp => {
+            Err(VerifyError::PathTooLong {
+                topo: topo.into(),
+                routing: spec.label(),
+                hops,
+            })
+        }
+        _ => Ok(()),
+    }
+}
+
+const _: () = assert!(FATPATHS_MAX_LAYER_HOPS <= sf_sim::MAX_PATH_HOPS);
+
 /// Statically checks one combination: totality over every ordered
-/// router pair, then deadlock freedom via the monotone hop-bound
-/// argument or the explicit wormhole-aware CDG. Errors only on
+/// router pair, that the scheme's routes fit the engine
+/// ([`check_path_capacity`]), then deadlock freedom via the monotone
+/// hop-bound argument or the explicit wormhole-aware CDG. Errors only on
 /// *proven* problems; combinations too large to check exhaustively
 /// come back [`DeadlockStatus::Unchecked`].
 pub fn verify_combo(
@@ -240,6 +290,7 @@ pub fn verify_combo(
         }
     }
     let diameter = tables.max_distance() as usize;
+    check_path_capacity(topo, spec, diameter)?;
     let bound = scheme_hop_bound(spec, diameter);
 
     // Fast path for large networks: if the scheme hop bound fits the

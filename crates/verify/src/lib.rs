@@ -40,7 +40,8 @@ pub use assign::{
 };
 pub use cdg::{render_witness, ChannelDependencyGraph};
 pub use certify::{
-    spec_screen, verify_combo, ComboCertificate, DeadlockStatus, VerifyError, CDG_MAX_ROUTERS,
+    check_path_capacity, spec_screen, verify_combo, ComboCertificate, DeadlockStatus, VerifyError,
+    CDG_MAX_ROUTERS,
 };
 pub use report::{render_vc_markdown, vc_requirements, VcRequirements, VcRow};
 pub use wormhole::{scheme_hop_bound, wormhole_cdg, WormholeCdg};

@@ -118,3 +118,63 @@ fn verified_plans_still_run() {
     slimfly::Scheduler::new(1).run(&mut set, &mut sink).unwrap();
     assert_eq!(sink.records().len(), 1);
 }
+
+/// Plans whose source routes can be longer than the cycle engine
+/// carries (`sf_sim::MAX_PATH_HOPS`): MIN on a diameter-12 torus and
+/// Valiant on a diameter-9 torus (detours of up to 18 hops). Twenty
+/// VCs pass every deadlock check, so only the path capacity fails.
+const LONG_ROUTE_PLANS: [(&str, &str, usize); 2] =
+    [("torus3:k=8", "min", 12), ("torus3:k=6", "val", 18)];
+
+fn long_route_plan(topo: &str, routing: &str) -> ExperimentPlan {
+    ExperimentPlan::from_toml_str(&format!(
+        "[figure]\nname = \"verify-long\"\n\
+         [[sweep]]\ntopo = \"{topo}\"\nrouting = [\"{routing}\"]\nloads = [0.1]\n\
+         [sweep.sim]\nnum_vcs = 20\nwarmup = 20\nmeasure = 20\ndrain = 20\n"
+    ))
+    .unwrap()
+}
+
+fn assert_path_too_long(err: SfError, topo: &str, hops: usize) {
+    match &err {
+        SfError::Verify(VerifyError::PathTooLong {
+            topo: t, hops: h, ..
+        }) => {
+            assert_eq!(t, topo);
+            assert_eq!(*h, hops);
+            assert!(err.to_string().contains("at most 9"), "{err}");
+        }
+        other => panic!("expected SfError::Verify(PathTooLong) for {topo}, got {other}"),
+    }
+}
+
+#[test]
+fn routes_longer_than_the_engine_carries_are_typed_errors() {
+    for (topo, routing, hops) in LONG_ROUTE_PLANS {
+        // `sf-bench verify`.
+        let mut set = long_route_plan(topo, routing).expand().unwrap();
+        assert_path_too_long(set.verify().unwrap_err(), topo, hops);
+        // `sf-bench run` schedules without verifying.
+        let mut set = long_route_plan(topo, routing).expand().unwrap();
+        let mut sink = slimfly::sink::MemorySink::new();
+        let err = slimfly::Scheduler::new(1)
+            .run(&mut set, &mut sink)
+            .unwrap_err();
+        assert_path_too_long(err, topo, hops);
+        assert!(sink.records().is_empty());
+        // The builder lowers to a plan and schedules it.
+        let err = slimfly::Experiment::on(topo)
+            .routing_str(routing)
+            .num_vcs(20)
+            .loads(&[0.1])
+            .run()
+            .unwrap_err();
+        assert_path_too_long(err, topo, hops);
+    }
+    // A per-hop scheme carries no route: ECMP on the same torus fits.
+    let ecmp: slimfly::RoutingSpec = "ecmp".parse().unwrap();
+    assert_eq!(
+        slimfly::verify::check_path_capacity("torus3:k=8", &ecmp, 12),
+        Ok(())
+    );
+}
