@@ -1,9 +1,123 @@
 //! Property-based tests for the graph substrate: structural invariants
 //! over random graphs — BFS distance properties, partition balance,
-//! failure-injection consistency.
+//! failure-injection consistency — and parity of the all-pairs distance
+//! metrics with a fold over single-source BFS.
 
 use proptest::prelude::*;
-use sf_graph::{failure, metrics, partition, Graph};
+use sf_graph::{failure, fault, metrics, partition, Graph};
+
+/// Strategy: a random simple graph with n in [0, 200] — wide enough that
+/// all-pairs sweeps cross several 64-source batches and end in a partial
+/// one. Sparse draws leave isolated vertices and several components.
+fn wide_graph() -> impl Strategy<Value = Graph> {
+    (0usize..=200).prop_flat_map(|n| {
+        let ids = n.max(1) as u32;
+        prop::collection::vec((0..ids, 0..ids), 0..(n * 3 + 1)).prop_map(move |pairs| {
+            let edges: Vec<(u32, u32)> = pairs.into_iter().filter(|&(u, v)| u != v).collect();
+            Graph::from_edges(n, &edges)
+        })
+    })
+}
+
+/// Strategy: a random connected graph (2 to 39 vertices) with 1 to 59
+/// isolated vertices inserted at random positions.
+fn graph_with_isolated_vertices() -> impl Strategy<Value = Graph> {
+    (random_connected_graph(), 1usize..60, 0u64..1000).prop_map(|(g, isolated, seed)| {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let n = g.num_vertices() + isolated;
+        // Spread the connected part over `n` slots in seeded order.
+        let mut slots: Vec<u32> = (0..n as u32).collect();
+        slots.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let edges: Vec<(u32, u32)> = g
+            .edge_list()
+            .into_iter()
+            .map(|(u, v)| (slots[u as usize], slots[v as usize]))
+            .collect();
+        Graph::from_edges(n, &edges)
+    })
+}
+
+/// Strategy: Slim Fly MMS graphs (q = 5, 7) minus a random fraction of
+/// their cables, from intact through partitioned.
+fn degraded_slimfly() -> impl Strategy<Value = Graph> {
+    (
+        prop::sample::select(&[5u32, 7][..]),
+        0.0f64..0.6,
+        0u64..1000,
+    )
+        .prop_map(|(q, fraction, seed)| {
+            let g = sf_topo::SlimFly::new(q).unwrap().router_graph();
+            g.without_edges(&fault::sample_links(&g, fraction, seed))
+        })
+}
+
+/// Reference: the histogram of BFS distances from `sources`, one
+/// single-source BFS at a time. `None` if a source misses a vertex.
+fn reference_histogram(g: &Graph, sources: &[u32]) -> Option<Vec<u64>> {
+    let mut hist = Vec::new();
+    for &s in sources {
+        for d in metrics::bfs_distances(g, s) {
+            if d == metrics::UNREACHABLE {
+                return None;
+            }
+            let d = d as usize;
+            if hist.len() <= d {
+                hist.resize(d + 1, 0);
+            }
+            hist[d] += 1;
+        }
+    }
+    Some(hist)
+}
+
+fn distance_sum(hist: &[u64]) -> u64 {
+    hist.iter().enumerate().map(|(d, &c)| d as u64 * c).sum()
+}
+
+/// Every all-pairs metric equals the fold of [`reference_histogram`],
+/// exactly (averages bit for bit).
+fn assert_metrics_match_reference(g: &Graph) {
+    let n = g.num_vertices();
+    let all: Vec<u32> = (0..n as u32).collect();
+    let reference = reference_histogram(g, &all);
+    assert_eq!(
+        metrics::distance_histogram(g),
+        reference,
+        "histogram, n = {n}"
+    );
+    let exact = reference.filter(|_| n >= 2);
+    assert_eq!(
+        metrics::diameter(g),
+        exact.as_ref().map(|h| h.len() as u32 - 1),
+        "diameter, n = {n}"
+    );
+    assert_eq!(
+        metrics::average_distance(g).map(f64::to_bits),
+        exact
+            .as_ref()
+            .map(|h| (distance_sum(h) as f64 / (n as f64 * (n as f64 - 1.0))).to_bits()),
+        "average distance, n = {n}"
+    );
+    for samples in [1, 3, 64, 65, 200] {
+        let stats = metrics::sampled_distance_stats(g, samples);
+        let expected = (n >= 2)
+            .then(|| {
+                let stride = (n / samples.clamp(1, n)).max(1);
+                let sources: Vec<u32> = (0..n as u32).step_by(stride).collect();
+                reference_histogram(g, &sources).map(|h| {
+                    let avg = distance_sum(&h) as f64 / (sources.len() as f64 * (n as f64 - 1.0));
+                    (h.len() as u32 - 1, avg.to_bits())
+                })
+            })
+            .flatten();
+        assert_eq!(
+            stats.map(|(ecc, avg)| (ecc, avg.to_bits())),
+            expected,
+            "sampled stats, n = {n}, samples = {samples}"
+        );
+    }
+}
 
 /// Strategy: a random simple graph with n in [2, 40] and random edges.
 fn random_graph() -> impl Strategy<Value = Graph> {
@@ -150,5 +264,39 @@ proptest! {
             prop_assert!(avg <= d as f64 + 1e-12);
             prop_assert!(avg > 0.0 && a > 0.0);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn all_pairs_metrics_match_single_source_bfs(g in wide_graph()) {
+        assert_metrics_match_reference(&g);
+    }
+
+    #[test]
+    fn all_pairs_metrics_see_isolated_vertices(g in graph_with_isolated_vertices()) {
+        prop_assert_eq!(metrics::diameter(&g), None);
+        assert_metrics_match_reference(&g);
+    }
+
+    #[test]
+    fn all_pairs_metrics_match_on_degraded_slimfly(g in degraded_slimfly()) {
+        assert_metrics_match_reference(&g);
+    }
+}
+
+#[test]
+fn all_pairs_metrics_match_on_a_long_path_and_tiny_graphs() {
+    // 300 vertices: five 64-source batches (the last one partial) and
+    // distances up to 299.
+    let path = Graph::from_edges(300, &(1..300u32).map(|v| (v - 1, v)).collect::<Vec<_>>());
+    assert_eq!(metrics::diameter(&path), Some(299));
+    assert_metrics_match_reference(&path);
+    for n in [0, 1, 2, 63, 64, 65, 128] {
+        assert_metrics_match_reference(&Graph::empty(n));
+        let star: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
+        assert_metrics_match_reference(&Graph::from_edges(n, &star));
     }
 }
