@@ -3,7 +3,7 @@
 //! The container this workspace builds in has no crates.io access, so
 //! this crate provides the parallel-iterator subset the workspace uses
 //! (`into_par_iter()` / `par_iter()` followed by one `map` and a
-//! terminal `sum` / `collect` / `min_by_key` / `try_reduce`), executed
+//! terminal `sum` / `collect` / `min_by_key`), executed
 //! on scoped `std::thread` workers that **claim items dynamically**
 //! from a shared queue (an atomic cursor over the item list) instead of
 //! the fixed contiguous chunks earlier versions used. Heterogeneous
@@ -163,23 +163,6 @@ pub mod iter {
                 })
                 .map(|(_, r)| r)
         }
-
-        /// Fallible reduction over `Option` items (the rayon
-        /// `try_reduce` the workspace uses): `None` short-circuits the
-        /// whole reduction to `None`.
-        pub fn try_reduce<V, ID, OP>(self, identity: ID, op: OP) -> Option<V>
-        where
-            V: Send,
-            F: Fn(T) -> Option<V> + Sync,
-            ID: Fn() -> V,
-            OP: Fn(V, V) -> Option<V>,
-        {
-            let mut acc = identity();
-            for item in par_map_vec(self.items, &self.f) {
-                acc = op(acc, item?)?;
-            }
-            Some(acc)
-        }
     }
 
     /// Conversion of owned collections (ranges, vectors) into a parallel
@@ -247,20 +230,6 @@ mod tests {
         let v = vec![(3, 'a'), (1, 'b'), (1, 'c'), (2, 'd')];
         let m = v.into_par_iter().map(|x| x).min_by_key(|&(k, _)| k);
         assert_eq!(m, Some((1, 'b')));
-    }
-
-    #[test]
-    fn try_reduce_short_circuits_on_none() {
-        let all: Option<u32> = (0..10u32)
-            .into_par_iter()
-            .map(Some)
-            .try_reduce(|| 0, |a, b| Some(a.max(b)));
-        assert_eq!(all, Some(9));
-        let none: Option<u32> = (0..10u32)
-            .into_par_iter()
-            .map(|x| if x == 5 { None } else { Some(x) })
-            .try_reduce(|| 0, |a, b| Some(a.max(b)));
-        assert_eq!(none, None);
     }
 
     #[test]

@@ -1022,19 +1022,32 @@ fn apply_sim(cfg: &mut SimConfig, v: &Value) -> Result<(), SfError> {
 }
 
 /// The cycle engine allocates its input-buffer and staging rings up
-/// front, so their sizes are bounded before any job is prepared.
+/// front and stores VC ids in a byte, so queue sizes and the VC count
+/// are bounded before any job is prepared.
 fn check_queue_bounds(cfg: &SimConfig) -> Result<(), SfError> {
-    for (key, value, max) in [
-        ("buf_per_port", cfg.buf_per_port, sf_sim::MAX_BUF_PER_PORT),
+    for (key, value, max, unit) in [
+        (
+            "num_vcs",
+            cfg.num_vcs,
+            sf_sim::MAX_NUM_VCS,
+            "virtual channels",
+        ),
+        (
+            "buf_per_port",
+            cfg.buf_per_port,
+            sf_sim::MAX_BUF_PER_PORT,
+            "flits",
+        ),
         (
             "output_queue_cap",
             cfg.output_queue_cap,
             sf_sim::MAX_OUTPUT_QUEUE_CAP,
+            "flits",
         ),
     ] {
         if value > max {
             return Err(plan_err(&format!(
-                "sim.{key} = {value} exceeds the cycle engine's bound of {max} flits"
+                "sim.{key} = {value} exceeds the cycle engine's bound of {max} {unit}"
             )));
         }
     }
@@ -1670,6 +1683,12 @@ mod tests {
                  [[sweep]]\ntopo = \"sf:q=5\"",
                 "sim.output_queue_cap = 1000000000 exceeds",
             ),
+            // VC ids are bytes in the engine: a 257th VC would alias VC 0.
+            (
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\n\
+                 num_vcs = 300\nbuf_per_port = 1200",
+                "sim.num_vcs = 300 exceeds the cycle engine's bound of 256 virtual channels",
+            ),
         ];
         for (doc, needle) in cases {
             let err = ExperimentPlan::from_toml_str(doc).unwrap_err();
@@ -1701,10 +1720,12 @@ mod tests {
             "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]",
         )
         .unwrap();
+        plan.sweeps[0].sim.num_vcs = sf_sim::MAX_NUM_VCS;
         plan.sweeps[0].sim.buf_per_port = sf_sim::MAX_BUF_PER_PORT;
         plan.sweeps[0].sim.output_queue_cap = sf_sim::MAX_OUTPUT_QUEUE_CAP;
         plan.expand().unwrap();
         for over in [
+            |c: &mut SimConfig| c.num_vcs = sf_sim::MAX_NUM_VCS + 1,
             |c: &mut SimConfig| c.buf_per_port = sf_sim::MAX_BUF_PER_PORT + 1,
             |c: &mut SimConfig| c.output_queue_cap = usize::MAX,
         ] {
@@ -1714,6 +1735,23 @@ mod tests {
             assert!(matches!(err, SfError::Plan(_)), "{err}");
             assert!(err.to_string().contains("exceeds"), "{err}");
         }
+    }
+
+    #[test]
+    fn the_largest_vc_count_verifies_and_runs() {
+        // VC bases are drawn up to num_vcs − hops, so packets occupy VC
+        // ids up to 255, the largest a byte holds.
+        let plan = ExperimentPlan::from_toml_str(&format!(
+            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n\
+             [sweep.sim]\nnum_vcs = {}\nbuf_per_port = 1024\n\
+             warmup = 150\nmeasure = 300\ndrain = 1000",
+            sf_sim::MAX_NUM_VCS
+        ))
+        .unwrap();
+        let mut set = plan.expand().unwrap();
+        set.verify().unwrap();
+        let records = set.run_job(&set.jobs()[0]).unwrap();
+        assert!(records[0].accepted > 0.0, "{records:?}");
     }
 
     #[test]

@@ -44,31 +44,35 @@ use sf_topo::Network;
 /// minimal routing: the expected router-to-router distance between two
 /// distinct endpoints chosen uniformly at random (Fig 1's y-axis).
 ///
-/// Endpoints on the same router contribute distance 0.
+/// Endpoints on the same router contribute distance 0; unreachable
+/// pairs contribute nothing. The weighted distance sum is an exact
+/// integer, folded over `sf_graph`'s bit-parallel multi-source BFS.
 pub fn average_hops_uniform(net: &Network) -> f64 {
-    let nr = net.num_routers();
     let n = net.num_endpoints() as f64;
     if n < 2.0 {
         return 0.0;
     }
-    let conc: Vec<f64> = net.concentration.iter().map(|&c| c as f64).collect();
-    let total: f64 = (0..nr as u32)
+    let conc = &net.concentration;
+    let sources: Vec<u32> = (0..net.num_routers() as u32)
+        .filter(|&s| conc[s as usize] > 0)
+        .collect();
+    let total: u64 = sources
+        .chunks(metrics::BFS_BATCH)
         .into_par_iter()
-        .map(|s| {
-            if net.concentration[s as usize] == 0 {
-                return 0.0;
-            }
-            let dist = metrics::bfs_distances(&net.graph, s);
-            let mut acc = 0.0;
-            for (v, &d) in dist.iter().enumerate() {
-                if d != metrics::UNREACHABLE {
-                    acc += conc[v] * d as f64;
+        .map(|batch| {
+            let mut acc = 0u64;
+            metrics::multi_source_bfs(&net.graph, batch, |d, v, mut bits| {
+                let mut weight = 0u64;
+                while bits != 0 {
+                    weight += conc[batch[bits.trailing_zeros() as usize] as usize] as u64;
+                    bits &= bits - 1;
                 }
-            }
-            acc * conc[s as usize]
+                acc += weight * conc[v as usize] as u64 * d as u64;
+            });
+            acc
         })
         .sum();
-    total / (n * (n - 1.0))
+    total as f64 / (n * (n - 1.0))
 }
 
 /// Expected load on every directed channel under minimal ECMP routing
@@ -198,6 +202,40 @@ mod tests {
         let exact = sf_graph::metrics::average_distance(&net.graph).unwrap();
         // p = 1: endpoint-weighted equals router average.
         assert!((h - exact).abs() < 1e-9);
+    }
+
+    #[test]
+    fn avg_hops_matches_a_single_source_fold() {
+        // Uneven concentration with empty routers, on a degraded SF(q=7)
+        // and a 150-router path: the fold must equal, bit for bit, the
+        // per-source f64 accumulation it replaced.
+        let sf = SlimFly::new(7).unwrap().router_graph();
+        let degraded = sf.without_edges(&sf_graph::fault::sample_links(&sf, 0.3, 11));
+        let path =
+            sf_graph::Graph::from_edges(150, &(1..150u32).map(|v| (v - 1, v)).collect::<Vec<_>>());
+        for g in [degraded, path] {
+            let conc: Vec<u32> = (0..g.num_vertices() as u32).map(|r| r % 4).collect();
+            let net = Network::new(g, conc, "uneven".into(), sf_topo::TopologyKind::Other);
+            let mut total = 0.0;
+            for s in 0..net.num_routers() as u32 {
+                let cs = net.concentration[s as usize] as f64;
+                if cs == 0.0 {
+                    continue;
+                }
+                let mut acc = 0.0;
+                for (v, &d) in metrics::bfs_distances(&net.graph, s).iter().enumerate() {
+                    if d != metrics::UNREACHABLE {
+                        acc += net.concentration[v] as f64 * d as f64;
+                    }
+                }
+                total += acc * cs;
+            }
+            let n = net.num_endpoints() as f64;
+            assert_eq!(
+                average_hops_uniform(&net).to_bits(),
+                (total / (n * (n - 1.0))).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`Graph`] — undirected simple graph, u32 vertex ids, sorted adjacency;
 //! * [`metrics`] — BFS distances, diameter, average path length, and
-//!   connectivity (rayon-parallel all-pairs sweeps);
+//!   connectivity; all-pairs sweeps run a bit-parallel multi-source BFS
+//!   that advances 64 sources per pass;
 //! * [`partition`] — balanced 2-way partitioning (greedy BFS growth +
 //!   multi-start Fiduccia–Mattheyses refinement), the stand-in for the
 //!   METIS run the paper uses to estimate bisection bandwidth (§III-C);

@@ -1,8 +1,16 @@
 //! Distance metrics: BFS, eccentricity, diameter, average path length.
 //!
 //! These back the paper's §III-A (network diameter), §III-B (average
-//! distance, Fig 1), and the resiliency analyses of §III-D. All-pairs
-//! sweeps parallelize over BFS sources with rayon.
+//! distance, Fig 1), and the resiliency analyses of §III-D.
+//!
+//! [`bfs_distances`] is the single-source primitive. Everything that
+//! needs distances from many sources — the all-pairs metrics here,
+//! `sf_routing`'s distance tables and `sf_flow`'s endpoint-weighted hop
+//! average — runs on one bit-parallel kernel, [`multi_source_bfs`],
+//! which advances [`BFS_BATCH`] sources per pass. The metrics fold its
+//! output into a distance histogram, with batches spread over the rayon
+//! workers. Every result is an exact integer fold, so it does not depend
+//! on the batch or worker order.
 
 use crate::Graph;
 use rayon::prelude::*;
@@ -78,17 +86,122 @@ pub fn connected_components(g: &Graph) -> usize {
     count
 }
 
+/// Sources one [`multi_source_bfs`] pass advances together: one bit of
+/// a `u64` word per source.
+pub const BFS_BATCH: usize = 64;
+
+/// Multi-source BFS (MS-BFS, Then et al., VLDB 2014): up to
+/// [`BFS_BATCH`] sources advance together as the bits of
+/// per-vertex `u64` words, so one scan of a frontier vertex's adjacency
+/// serves every source whose frontier holds it.
+///
+/// Calls `visit(d, v, bits)` once per vertex `v` and distance `d` at
+/// which some sources first reach `v`: bit `i` of `bits` is set iff
+/// `sources[i]` is exactly `d` hops from `v`. Distances arrive in
+/// increasing order, starting with the sources themselves at `d = 0`;
+/// a (source, vertex) pair that is never visited is unreachable.
+///
+/// Each level pushes only from the vertices on the current frontier, and
+/// a vertex is on it at most once per source, so a pass never scans more
+/// adjacency entries than `sources.len()` single-source BFSs do.
+pub fn multi_source_bfs(g: &Graph, sources: &[u32], mut visit: impl FnMut(u32, u32, u64)) {
+    assert!(
+        sources.len() <= BFS_BATCH,
+        "at most {BFS_BATCH} sources per pass, got {}",
+        sources.len()
+    );
+    let n = g.num_vertices();
+    // `seen[v]`: sources that reached `v` so far. `frontier[v]`/`next[v]`:
+    // sources with `v` on the current/next level, nonzero exactly at the
+    // vertices listed in `active`/`reached`.
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let mut active = Vec::with_capacity(sources.len());
+    let mut reached = Vec::new();
+    for (i, &s) in sources.iter().enumerate() {
+        if frontier[s as usize] == 0 {
+            active.push(s);
+        }
+        frontier[s as usize] |= 1 << i;
+        seen[s as usize] |= 1 << i;
+    }
+    for &s in &active {
+        visit(0, s, frontier[s as usize]);
+    }
+    let mut level = 0;
+    while !active.is_empty() {
+        level += 1;
+        for &u in &active {
+            let bits = std::mem::take(&mut frontier[u as usize]);
+            for &v in g.neighbors(u) {
+                let new = bits & !seen[v as usize];
+                if new != 0 {
+                    if next[v as usize] == 0 {
+                        reached.push(v);
+                    }
+                    next[v as usize] |= new;
+                    seen[v as usize] |= new;
+                }
+            }
+        }
+        for &v in &reached {
+            visit(level, v, next[v as usize]);
+        }
+        // Every `frontier` word is zero again: the next level becomes the
+        // frontier, and the cleared array collects the level after it.
+        std::mem::swap(&mut frontier, &mut next);
+        std::mem::swap(&mut active, &mut reached);
+        reached.clear();
+    }
+}
+
+/// Histogram of the BFS distances from `sources` to every vertex:
+/// `hist[d]` counts the (source, vertex) pairs `d` hops apart. `None` if
+/// some source does not reach every vertex. Batches of [`BFS_BATCH`]
+/// sources run in parallel.
+fn distance_histogram_from(g: &Graph, sources: &[u32]) -> Option<Vec<u64>> {
+    let n = g.num_vertices();
+    let partials: Option<Vec<Vec<u64>>> = sources
+        .chunks(BFS_BATCH)
+        .into_par_iter()
+        .map(|batch| {
+            let mut hist: Vec<u64> = Vec::new();
+            multi_source_bfs(g, batch, |d, _, bits| {
+                let d = d as usize;
+                if hist.len() <= d {
+                    hist.resize(d + 1, 0);
+                }
+                hist[d] += bits.count_ones() as u64;
+            });
+            let pairs: u64 = hist.iter().sum();
+            (pairs == (batch.len() * n) as u64).then_some(hist)
+        })
+        .collect();
+    let mut out: Vec<u64> = Vec::new();
+    for hist in partials? {
+        if out.len() < hist.len() {
+            out.resize(hist.len(), 0);
+        }
+        for (d, c) in hist.into_iter().enumerate() {
+            out[d] += c;
+        }
+    }
+    Some(out)
+}
+
+/// Sum of the distances a histogram counts.
+fn distance_sum(hist: &[u64]) -> u64 {
+    hist.iter().enumerate().map(|(d, &c)| d as u64 * c).sum()
+}
+
 /// Exact diameter by all-pairs BFS (parallel). `None` if disconnected or
 /// the graph has < 2 vertices.
 pub fn diameter(g: &Graph) -> Option<u32> {
-    let n = g.num_vertices();
-    if n < 2 {
+    if g.num_vertices() < 2 {
         return None;
     }
-    (0..n as u32)
-        .into_par_iter()
-        .map(|s| eccentricity(g, s))
-        .try_reduce(|| 0, |a, b| Some(a.max(b)))
+    distance_histogram(g).map(|hist| hist.len() as u32 - 1)
 }
 
 /// Exact average shortest-path distance over all ordered vertex pairs
@@ -98,21 +211,8 @@ pub fn average_distance(g: &Graph) -> Option<f64> {
     if n < 2 {
         return None;
     }
-    let sum: Option<u64> = (0..n as u32)
-        .into_par_iter()
-        .map(|s| {
-            let dist = bfs_distances(g, s);
-            let mut acc = 0u64;
-            for &d in &dist {
-                if d == UNREACHABLE {
-                    return None;
-                }
-                acc += d as u64;
-            }
-            Some(acc)
-        })
-        .try_reduce(|| 0, |a, b| Some(a + b));
-    sum.map(|s| s as f64 / (n as f64 * (n as f64 - 1.0)))
+    let sum = distance_sum(&distance_histogram(g)?);
+    Some(sum as f64 / (n as f64 * (n as f64 - 1.0)))
 }
 
 /// Approximate diameter and average distance from a sample of BFS sources
@@ -127,63 +227,16 @@ pub fn sampled_distance_stats(g: &Graph, samples: usize) -> Option<(u32, f64)> {
     let samples = samples.clamp(1, n);
     let stride = (n / samples).max(1);
     let sources: Vec<u32> = (0..n).step_by(stride).map(|v| v as u32).collect();
-    let per_source: Option<Vec<(u32, u64)>> = sources
-        .par_iter()
-        .map(|&s| {
-            let dist = bfs_distances(g, s);
-            let mut max = 0;
-            let mut sum = 0u64;
-            for &d in &dist {
-                if d == UNREACHABLE {
-                    return None;
-                }
-                max = max.max(d);
-                sum += d as u64;
-            }
-            Some((max, sum))
-        })
-        .collect();
-    let per_source = per_source?;
-    let max = per_source.iter().map(|&(m, _)| m).max().unwrap();
-    let total: u64 = per_source.iter().map(|&(_, s)| s).sum();
-    let avg = total as f64 / (per_source.len() as f64 * (n as f64 - 1.0));
-    Some((max, avg))
+    let hist = distance_histogram_from(g, &sources)?;
+    let avg = distance_sum(&hist) as f64 / (sources.len() as f64 * (n as f64 - 1.0));
+    Some((hist.len() as u32 - 1, avg))
 }
 
 /// Histogram of pairwise distances: `hist[d]` = number of ordered pairs at
 /// distance `d` (index 0 counts the n self-pairs). `None` if disconnected.
 pub fn distance_histogram(g: &Graph) -> Option<Vec<u64>> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let partials: Option<Vec<Vec<u64>>> = (0..n as u32)
-        .into_par_iter()
-        .map(|s| {
-            let dist = bfs_distances(g, s);
-            let mut h: Vec<u64> = Vec::new();
-            for &d in &dist {
-                if d == UNREACHABLE {
-                    return None;
-                }
-                let d = d as usize;
-                if h.len() <= d {
-                    h.resize(d + 1, 0);
-                }
-                h[d] += 1;
-            }
-            Some(h)
-        })
-        .collect();
-    let partials = partials?;
-    let maxlen = partials.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = vec![0u64; maxlen];
-    for h in partials {
-        for (d, c) in h.into_iter().enumerate() {
-            out[d] += c;
-        }
-    }
-    Some(out)
+    let sources: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    distance_histogram_from(g, &sources)
 }
 
 #[cfg(test)]

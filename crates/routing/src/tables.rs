@@ -6,6 +6,12 @@
 //! megabytes and gives O(1) distance lookups and O(degree) next-hop
 //! queries — the substrate for MIN routing and for the worst-case
 //! traffic-pattern generator.
+//!
+//! Construction runs `sf_graph`'s bit-parallel multi-source BFS
+//! ([`metrics::multi_source_bfs`]): 64 sources advance together as the
+//! bits of one `u64` word per router, and each pass writes its 64 rows of
+//! the flat matrix in place. It records the largest finite distance on
+//! the way, so [`RoutingTables::max_distance`] is a field read.
 
 use sf_graph::{metrics, Graph};
 
@@ -17,33 +23,40 @@ pub const UNREACHABLE: u8 = u8::MAX;
 pub struct RoutingTables {
     nr: usize,
     dist: Vec<u8>,
+    /// Largest finite entry of `dist` (0 if there is none).
+    max_dist: u8,
 }
 
 impl RoutingTables {
-    /// Builds tables by parallel BFS from every router.
+    /// Builds tables with the bit-parallel BFS
+    /// ([`metrics::multi_source_bfs`]): each pass fills one block of
+    /// [`metrics::BFS_BATCH`] rows in place, and blocks run in parallel.
+    /// Distances saturate at 254 hops; unreachable pairs read
+    /// [`UNREACHABLE`].
     pub fn new(g: &Graph) -> Self {
         use rayon::prelude::*;
         let nr = g.num_vertices();
-        let rows: Vec<Vec<u8>> = (0..nr as u32)
+        let mut dist = vec![UNREACHABLE; nr * nr];
+        let sources: Vec<u32> = (0..nr as u32).collect();
+        let block_max: Vec<u32> = dist
+            .chunks_mut((metrics::BFS_BATCH * nr).max(1))
+            .zip(sources.chunks(metrics::BFS_BATCH))
             .into_par_iter()
-            .map(|s| {
-                metrics::bfs_distances(g, s)
-                    .into_iter()
-                    .map(|d| {
-                        if d == metrics::UNREACHABLE {
-                            UNREACHABLE
-                        } else {
-                            d.min(254) as u8
-                        }
-                    })
-                    .collect()
+            .map(|(rows, batch)| {
+                let mut max = 0;
+                metrics::multi_source_bfs(g, batch, |d, v, mut bits| {
+                    max = d;
+                    let d = d.min(254) as u8;
+                    while bits != 0 {
+                        rows[bits.trailing_zeros() as usize * nr + v as usize] = d;
+                        bits &= bits - 1;
+                    }
+                });
+                max
             })
             .collect();
-        let mut dist = Vec::with_capacity(nr * nr);
-        for row in rows {
-            dist.extend_from_slice(&row);
-        }
-        RoutingTables { nr, dist }
+        let max_dist = block_max.into_iter().max().unwrap_or(0).min(254) as u8;
+        RoutingTables { nr, dist, max_dist }
     }
 
     /// Number of routers covered.
@@ -104,14 +117,11 @@ impl RoutingTables {
             .fold(0u64, |a, b| a.saturating_add(b))
     }
 
-    /// Maximum finite distance (the diameter if connected).
+    /// Maximum finite distance (the diameter if connected), recorded at
+    /// construction.
+    #[inline]
     pub fn max_distance(&self) -> u8 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != UNREACHABLE)
-            .max()
-            .unwrap_or(0)
+        self.max_dist
     }
 
     /// Average inter-router distance over ordered pairs (u ≠ v).

@@ -255,7 +255,7 @@ pub struct SimConfig {
     /// longer than `num_vcs` hops clamp to the last VC, weakening the
     /// deadlock guarantee — raise this (e.g. to 6 for Valiant on
     /// diameter-3 topologies) when routing non-minimally on deeper
-    /// networks.
+    /// networks. At most [`MAX_NUM_VCS`].
     pub num_vcs: usize,
     /// Total flit buffering per port, split evenly across VCs (paper: 64;
     /// swept in Fig 8a). At most [`MAX_BUF_PER_PORT`].
@@ -309,6 +309,11 @@ pub const ADAPTIVE_HOP_BUDGET: u8 = 4;
 /// (`sf_verify::check_path_capacity`), so a plan whose routes cannot
 /// fit gets a typed error instead of reaching the engine.
 pub const MAX_PATH_HOPS: usize = 9;
+
+/// Upper bound on [`SimConfig::num_vcs`]: flit handles and packet VC
+/// bases store VC ids in a `u8`, so VC `256` and above would alias a
+/// lower VC's queue and credits.
+pub const MAX_NUM_VCS: usize = 256;
 
 /// Upper bound on [`SimConfig::buf_per_port`]. Every input buffer is a
 /// ring allocated up front (`buf_per_port` flit handles per port, 8
@@ -1161,6 +1166,11 @@ impl<'a> Simulator<'a> {
             (1..=MAX_PACKET_SIZE).contains(&cfg.packet_size),
             "packet_size must be in 1..={MAX_PACKET_SIZE}, got {}",
             cfg.packet_size
+        );
+        assert!(
+            (1..=MAX_NUM_VCS).contains(&cfg.num_vcs),
+            "num_vcs must be in 1..={MAX_NUM_VCS}, got {}",
+            cfg.num_vcs
         );
         assert!(
             cfg.buf_per_port <= MAX_BUF_PER_PORT,

@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use engine::{
     hop_vc, vc_base_slack, LoadSweep, SimConfig, SimResult, Simulator, ADAPTIVE_HOP_BUDGET,
-    ENGINE_EPOCH, ENGINE_SHARDS, MAX_BUF_PER_PORT, MAX_OUTPUT_QUEUE_CAP, MAX_PACKET_SIZE,
-    MAX_PATH_HOPS,
+    ENGINE_EPOCH, ENGINE_SHARDS, MAX_BUF_PER_PORT, MAX_NUM_VCS, MAX_OUTPUT_QUEUE_CAP,
+    MAX_PACKET_SIZE, MAX_PATH_HOPS,
 };
 pub use stats::LatencyStats;
