@@ -249,6 +249,35 @@ impl fmt::Display for TomlError {
 
 impl std::error::Error for TomlError {}
 
+/// Deepest nesting of arrays and tables either parser accepts: every
+/// `[`/`{` and every table a dotted key or header opens is one level.
+/// Both parsers recurse once per level, and so do `Drop` and the
+/// renderer, so an unbounded depth would let hostile input overflow
+/// the stack. Plans nest four levels at most.
+const MAX_DEPTH: usize = 128;
+
+/// Fails with a typed error when a container would sit at nesting
+/// `level` (1 = a top-level key's table or array) past [`MAX_DEPTH`].
+fn check_depth(level: usize, line: usize) -> Result<(), TomlError> {
+    if level <= MAX_DEPTH {
+        Ok(())
+    } else {
+        Err(TomlError {
+            line,
+            msg: format!("arrays and tables nest deeper than {MAX_DEPTH} levels"),
+        })
+    }
+}
+
+/// Renders the byte a parser found where it expected something else:
+/// `'q'`, or `end of input`.
+fn found(b: Option<u8>) -> String {
+    match b {
+        Some(b) => format!("{:?}", b as char),
+        None => "end of input".into(),
+    }
+}
+
 /// Parses a TOML document into a top-level [`Value::Table`].
 pub fn from_str(text: &str) -> Result<Value, TomlError> {
     let mut p = Parser::new(text);
@@ -271,6 +300,7 @@ pub fn from_str(text: &str) -> Result<Value, TomlError> {
                 p.bump();
             }
             let path = p.parse_key_path()?;
+            check_depth(path.len() + array as usize, stmt_line)?;
             p.expect(b']')?;
             if array {
                 p.expect(b']')?;
@@ -296,10 +326,14 @@ pub fn from_str(text: &str) -> Result<Value, TomlError> {
             current = path;
         } else {
             let path = p.parse_key_path()?;
+            // The key's value sits inside the header's tables and the
+            // tables the key's own dots open.
+            let depth = current.len() + path.len() - 1;
+            check_depth(depth, stmt_line)?;
             p.skip_inline_ws();
             p.expect(b'=')?;
             p.skip_inline_ws();
-            let value = p.parse_value()?;
+            let value = p.parse_value(depth)?;
             p.end_of_line()?;
             let table = navigate(&mut root, &current, stmt_line)?;
             insert_dotted(table, &path, value, stmt_line)?;
@@ -397,11 +431,7 @@ impl<'a> Parser<'a> {
     fn expect(&mut self, b: u8) -> Result<(), TomlError> {
         match self.bump() {
             Some(got) if got == b => Ok(()),
-            got => Err(self.err(format!(
-                "expected {:?}, found {:?}",
-                b as char,
-                got.map(|g| g as char)
-            ))),
+            got => Err(self.err(format!("expected {:?}, found {}", b as char, found(got)))),
         }
     }
 
@@ -517,8 +547,8 @@ impl<'a> Parser<'a> {
                     }
                     other => {
                         return Err(self.err(format!(
-                            "unsupported escape \\{:?}",
-                            other.map(|b| b as char)
+                            "unsupported escape: backslash followed by {}",
+                            found(other)
                         )))
                     }
                 },
@@ -550,12 +580,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, TomlError> {
+    /// Parses one value enclosed by `depth` arrays and tables.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, TomlError> {
         match self.peek() {
             None => Err(self.err("expected a value".into())),
             Some(b'"') => Ok(Value::String(self.parse_basic_string()?)),
             Some(b'\'') => Ok(Value::String(self.parse_literal_string()?)),
             Some(b'[') => {
+                check_depth(depth + 1, self.line)?;
                 self.bump();
                 let mut items = Vec::new();
                 loop {
@@ -564,7 +596,7 @@ impl<'a> Parser<'a> {
                         self.bump();
                         return Ok(Value::Array(items));
                     }
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_trivia();
                     match self.peek() {
                         Some(b',') => {
@@ -573,14 +605,15 @@ impl<'a> Parser<'a> {
                         Some(b']') => {}
                         other => {
                             return Err(self.err(format!(
-                                "expected ',' or ']' in array, found {:?}",
-                                other.map(|b| b as char)
+                                "expected ',' or ']' in array, found {}",
+                                found(other)
                             )))
                         }
                     }
                 }
             }
             Some(b'{') => {
+                check_depth(depth + 1, self.line)?;
                 self.bump();
                 let mut table = Map::new();
                 loop {
@@ -590,10 +623,12 @@ impl<'a> Parser<'a> {
                         return Ok(Value::Table(table));
                     }
                     let path = self.parse_key_path()?;
+                    let inner = depth + path.len();
+                    check_depth(inner, self.line)?;
                     self.skip_inline_ws();
                     self.expect(b'=')?;
                     self.skip_inline_ws();
-                    let v = self.parse_value()?;
+                    let v = self.parse_value(inner)?;
                     let line = self.line;
                     insert_dotted(&mut table, &path, v, line)?;
                     self.skip_trivia();
@@ -647,7 +682,7 @@ fn utf8_len(first: u8) -> usize {
 /// JSON parsing into the same [`Value`] tree (objects become tables;
 /// integral numbers without `.`/exponent become [`Value::Integer`]).
 pub mod json {
-    use super::{utf8_len, Map, TomlError, Value};
+    use super::{check_depth, found, utf8_len, Map, TomlError, Value};
 
     /// Parses a JSON document (any top-level value).
     pub fn from_str(text: &str) -> Result<Value, TomlError> {
@@ -657,7 +692,7 @@ pub mod json {
             line: 1,
         };
         p.ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.ws();
         if p.i < p.s.len() {
             return Err(p.err("trailing characters after JSON value".into()));
@@ -704,20 +739,18 @@ pub mod json {
         fn expect(&mut self, b: u8) -> Result<(), TomlError> {
             match self.bump() {
                 Some(got) if got == b => Ok(()),
-                got => Err(self.err(format!(
-                    "expected {:?}, found {:?}",
-                    b as char,
-                    got.map(|g| g as char)
-                ))),
+                got => Err(self.err(format!("expected {:?}, found {}", b as char, found(got)))),
             }
         }
 
-        fn value(&mut self) -> Result<Value, TomlError> {
+        /// Parses one value enclosed by `depth` arrays and objects.
+        fn value(&mut self, depth: usize) -> Result<Value, TomlError> {
             self.ws();
             match self.peek() {
                 None => Err(self.err("expected a JSON value".into())),
                 Some(b'"') => Ok(Value::String(self.string()?)),
                 Some(b'[') => {
+                    check_depth(depth + 1, self.line)?;
                     self.bump();
                     let mut items = Vec::new();
                     self.ws();
@@ -726,21 +759,20 @@ pub mod json {
                         return Ok(Value::Array(items));
                     }
                     loop {
-                        items.push(self.value()?);
+                        items.push(self.value(depth + 1)?);
                         self.ws();
                         match self.bump() {
                             Some(b',') => {}
                             Some(b']') => return Ok(Value::Array(items)),
                             other => {
-                                return Err(self.err(format!(
-                                    "expected ',' or ']', found {:?}",
-                                    other.map(|b| b as char)
-                                )))
+                                return Err(self
+                                    .err(format!("expected ',' or ']', found {}", found(other))))
                             }
                         }
                     }
                 }
                 Some(b'{') => {
+                    check_depth(depth + 1, self.line)?;
                     self.bump();
                     let mut table = Map::new();
                     self.ws();
@@ -753,7 +785,7 @@ pub mod json {
                         let key = self.string()?;
                         self.ws();
                         self.expect(b':')?;
-                        let v = self.value()?;
+                        let v = self.value(depth + 1)?;
                         if table.insert(key.clone(), v).is_some() {
                             return Err(self.err(format!("duplicate key {key:?}")));
                         }
@@ -762,10 +794,8 @@ pub mod json {
                             Some(b',') => {}
                             Some(b'}') => return Ok(Value::Table(table)),
                             other => {
-                                return Err(self.err(format!(
-                                    "expected ',' or '}}', found {:?}",
-                                    other.map(|b| b as char)
-                                )))
+                                return Err(self
+                                    .err(format!("expected ',' or '}}', found {}", found(other))))
                             }
                         }
                     }
@@ -828,8 +858,8 @@ pub mod json {
                         }
                         other => {
                             return Err(self.err(format!(
-                                "unsupported escape \\{:?}",
-                                other.map(|b| b as char)
+                                "unsupported escape: backslash followed by {}",
+                                found(other)
                             )))
                         }
                     },
@@ -987,5 +1017,86 @@ mod tests {
         assert_eq!(sw.get("n").unwrap().as_int(), Some(3));
         assert!(json::from_str("{\"a\": null}").is_err());
         assert!(json::from_str("[1, 2,]").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error() {
+        // Each of these overflowed the stack before depth was bounded.
+        let deep = 100_000;
+        let cases = [
+            (
+                "arrays",
+                from_str(&format!("a = 1\nx = {}", "[".repeat(deep))),
+            ),
+            (
+                "json arrays",
+                json::from_str(&format!("{{\"figure\":\n{}", "[".repeat(deep))),
+            ),
+            (
+                "inline tables",
+                from_str(&format!("a = 1\nx = {}", "{a=".repeat(deep))),
+            ),
+            (
+                "dotted keys",
+                from_str(&format!("a = 1\nx{} = 1", ".a".repeat(deep))),
+            ),
+            (
+                "headers",
+                from_str(&format!("a = 1\n[x{}]", ".a".repeat(deep))),
+            ),
+        ];
+        for (what, got) in cases {
+            let err = got.unwrap_err();
+            assert!(
+                err.msg.contains("nest deeper than 128 levels"),
+                "{what}: {err}"
+            );
+            assert_eq!(err.line, 2, "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        let arrays = |n: usize| format!("x = {}1{}", "[".repeat(n), "]".repeat(n));
+        let tables = |n: usize| format!("x = {}1{}", "{a = ".repeat(n), "}".repeat(n));
+        let json_arrays = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        let dotted = |n: usize| format!("x{} = 1", ".a".repeat(n - 1));
+        assert!(from_str(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(from_str(&tables(MAX_DEPTH)).is_ok());
+        assert!(from_str(&tables(MAX_DEPTH + 1)).is_err());
+        assert!(json::from_str(&json_arrays(MAX_DEPTH)).is_ok());
+        assert!(json::from_str(&json_arrays(MAX_DEPTH + 1)).is_err());
+        // A dotted key of n segments opens n - 1 tables.
+        assert!(from_str(&dotted(MAX_DEPTH + 1)).is_ok());
+        assert!(from_str(&dotted(MAX_DEPTH + 2)).is_err());
+    }
+
+    #[test]
+    fn messages_name_characters_not_options() {
+        let cases = [
+            from_str("name = \"a\\qb\"\n"),
+            from_str("name = \"a\\"),
+            from_str("x = [1 2]\n"),
+            from_str("[a"),
+            json::from_str("\"a\\qb\""),
+            json::from_str("\"a\\"),
+            json::from_str("[1 2]"),
+            json::from_str("{\"a\": 1 2}"),
+            json::from_str("{\"a\" 1}"),
+        ]
+        .map(|r| r.unwrap_err().msg);
+        for msg in &cases {
+            assert!(!msg.contains("Some(") && !msg.contains("None"), "{msg}");
+        }
+        assert_eq!(cases[0], "unsupported escape: backslash followed by 'q'");
+        assert_eq!(
+            cases[1],
+            "unsupported escape: backslash followed by end of input"
+        );
+        assert_eq!(cases[2], "expected ',' or ']' in array, found '2'");
+        assert_eq!(cases[3], "expected ']', found end of input");
+        assert_eq!(cases[5], cases[1]);
+        assert_eq!(cases[8], "expected ':', found '1'");
     }
 }

@@ -219,7 +219,7 @@ proptest! {
     }
 
     #[test]
-    fn mid_run_kill_conserves_credits_and_quiesces(
+    fn boot_degraded_networks_conserve_credits_and_quiesce(
         load in 0.05f64..0.25,
         seed in 0u64..200,
         kill_seed in 0u64..50,
@@ -227,53 +227,48 @@ proptest! {
         algo_idx in 0usize..5,
         size_idx in 0usize..3,
     ) {
-        // Random kill-sets × routings × packet sizes: after a mid-run
-        // link kill the credit loop must still balance, the phase must
-        // drain (administrative drops count toward quiescence, even if
-        // the kill partitions the network), and quieting the sources
-        // must return the engine to its exact reset state — no flit
-        // stranded on a dead cable, no credit lost across the cut.
+        // Random kill-sets × routings × packet sizes on a network
+        // degraded at boot: the phase must drain, the credit loop and
+        // the occupancy counters must balance, and quieting the sources
+        // must return the engine to its exact reset state.
         use sf_graph::fault::{kill_set, FaultMode};
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
-        let tables = RoutingTables::new(&net.graph);
-        let pattern = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let frac = [0.01, 0.03, 0.05][frac_idx];
+        let kill = kill_set(&net.graph, frac, 0.0, kill_seed, FaultMode::Random);
+        prop_assert!(!kill.links.is_empty());
+        // A kill-set that partitions the live routers is a boot refusal,
+        // not a network to simulate.
+        let Ok(dnet) = net.degrade(&kill, " [kill]") else {
+            continue;
+        };
+        let tables = RoutingTables::new(&dnet.graph);
+        let pattern = TrafficPattern::uniform(dnet.num_endpoints() as u32);
         let spec: RoutingSpec =
             ["min", "val", "ugal-l:c=4", "ugal-g:c=4", "fatpaths:layers=3"][algo_idx]
                 .parse()
                 .unwrap();
         let packet_size = [1usize, 3, 5][size_idx];
-        let router = spec.build(&net.graph, &tables).unwrap();
+        // A policy that cannot be built on the degraded graph (FatPaths
+        // on an unlucky cut) falls back to MIN, as plan runs do.
+        let router = spec
+            .build(&dnet.graph, &tables)
+            .unwrap_or(Box::new(sf_routing::MinRouter));
         let mut sim = Simulator::new(
-            &net,
+            &dnet,
             &tables,
             router.as_ref(),
             &pattern,
             load,
             packet_cfg(seed, 5, packet_size),
         );
-        let warm = sim.run_phase();
-        prop_assert!(!warm.saturated, "{} must drain fault-free", router.label());
-        let frac = [0.01, 0.03, 0.05][frac_idx];
-        let kill = kill_set(&net.graph, frac, 0.0, kill_seed, FaultMode::Random);
-        prop_assert!(!kill.links.is_empty());
-        let dg = net.graph.without_edges(&kill.links);
-        let dt = RoutingTables::new(&dg);
-        // Rebuild the same policy on the degraded graph; one that
-        // cannot be rebuilt there (FatPaths on an unlucky cut) falls
-        // back to MIN — the documented degraded-mode fallback.
-        let drouter = spec
-            .build(&dg, &dt)
-            .unwrap_or(Box::new(sf_routing::MinRouter));
-        sim.apply_fault(&kill.links, &dg, &dt, drouter.as_ref());
-        sim.rearm(load, seed ^ 0x5EED);
         let phase = sim.run_phase();
-        prop_assert!(!phase.saturated, "{}: drops must count toward the drain", drouter.label());
+        prop_assert!(!phase.saturated, "{} frac {frac} must drain", router.label());
         if let Err(e) = sim.verify_credit_round_trip() {
-            prop_assert!(false, "{} after kill: {e}", drouter.label());
+            prop_assert!(false, "{} frac {frac}: {e}", router.label());
         }
         if let Err(e) = sim.verify_occupancy_counters() {
-            prop_assert!(false, "{} after kill: {e}", drouter.label());
+            prop_assert!(false, "{} frac {frac}: {e}", router.label());
         }
         sim.rearm(0.0, seed ^ 0xDEAD);
         for _ in 0..20_000 {
@@ -285,27 +280,25 @@ proptest! {
         if let Err(e) = sim.verify_quiescent() {
             prop_assert!(
                 false,
-                "{} size {packet_size} frac {frac}: failed to quiesce after kill: {e}",
-                drouter.label()
+                "{} size {packet_size} frac {frac}: failed to quiesce: {e}",
+                router.label()
             );
         }
     }
 
     #[test]
-    fn step_batches_and_mid_run_kill_conserve_credits(
+    fn step_batches_rearm_and_phase_conserve_credits(
         load in 0.05f64..0.4,
         seed in 0u64..200,
-        kill_seed in 0u64..50,
         algo_idx in 0usize..6,
         size_idx in 0usize..2,
         batches in proptest::collection::vec(1usize..40, 1..5),
     ) {
-        // Random step batches, then a mid-run link kill, a rearm and a
-        // full measurement phase: the occupancy counters and the credit
-        // round trip must hold at every batch boundary and after the
-        // phase, for every routing scheme (including the per-hop
-        // adaptive one) and for wormhole packets.
-        use sf_graph::fault::{kill_set, FaultMode};
+        // Random step batches, then a rearm and a full measurement
+        // phase: the occupancy counters and the credit round trip must
+        // hold at every batch boundary and after the phase, for every
+        // routing scheme (including the per-hop adaptive one) and for
+        // wormhole packets.
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
         let tables = RoutingTables::new(&net.graph);
@@ -335,21 +328,13 @@ proptest! {
                 prop_assert!(false, "{} after {} cycles: {e}", router.label(), sim.now());
             }
         }
-        let kill = kill_set(&net.graph, 0.03, 0.0, kill_seed, FaultMode::Random);
-        prop_assert!(!kill.links.is_empty());
-        let dg = net.graph.without_edges(&kill.links);
-        let dt = RoutingTables::new(&dg);
-        let drouter = spec
-            .build(&dg, &dt)
-            .unwrap_or(Box::new(sf_routing::MinRouter));
-        sim.apply_fault(&kill.links, &dg, &dt, drouter.as_ref());
         sim.rearm(load, seed ^ 0x5EED);
         sim.run_phase();
         if let Err(e) = sim.verify_credit_round_trip() {
-            prop_assert!(false, "{} after phase: {e}", drouter.label());
+            prop_assert!(false, "{} after phase: {e}", router.label());
         }
         if let Err(e) = sim.verify_occupancy_counters() {
-            prop_assert!(false, "{} after phase: {e}", drouter.label());
+            prop_assert!(false, "{} after phase: {e}", router.label());
         }
     }
 
@@ -359,9 +344,9 @@ proptest! {
         seed in 0u64..200,
     ) {
         // The zero-fault parity guard at the engine level: degrading by
-        // an empty kill-set and applying an empty fault must leave the
-        // engine on its fault-free hot path — results are bit-identical
-        // to a run that never heard of faults.
+        // an empty kill-set must leave the engine on its fault-free
+        // path — results are bit-identical to a run that never heard of
+        // faults.
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
         let kill = sf_graph::fault::KillSet::default();
@@ -371,14 +356,10 @@ proptest! {
         let a = Simulator::new(&net, &tables, &sf_routing::MinRouter, &TrafficPattern::uniform(net.num_endpoints() as u32), load, quick_cfg(seed, 4, 64)).run();
         let dt = RoutingTables::new(&dnet.graph);
         let pat = TrafficPattern::uniform(dnet.num_endpoints() as u32);
-        let mut sim = Simulator::new(&dnet, &dt, &sf_routing::MinRouter, &pat, load, quick_cfg(seed, 4, 64));
-        sim.apply_fault(&[], &dnet.graph, &dt, &sf_routing::MinRouter);
-        let b = sim.run();
+        let b = Simulator::new(&dnet, &dt, &sf_routing::MinRouter, &pat, load, quick_cfg(seed, 4, 64)).run();
         prop_assert_eq!(a.ejected, b.ejected);
         prop_assert_eq!(a.avg_latency.to_bits(), b.avg_latency.to_bits());
         prop_assert_eq!(a.accepted.to_bits(), b.accepted.to_bits());
-        prop_assert_eq!(b.dropped_flits, 0);
-        prop_assert_eq!(b.unreachable_pairs, 0);
     }
 
     #[test]

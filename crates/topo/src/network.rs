@@ -221,10 +221,9 @@ impl Network {
     /// **Connectivity contract**: every *live* router (not explicitly
     /// killed) must remain in one connected component, otherwise some
     /// endpoint pair is permanently unreachable at boot and the typed
-    /// [`DegradeError::Partitioned`] is returned. (Mid-run kills inside
-    /// the simulator are allowed to disconnect — the engine counts the
-    /// resulting drops instead; this check guards *boot-time* degraded
-    /// topologies, where unreachable pairs would silently skew curves.)
+    /// [`DegradeError::Partitioned`] is returned: unreachable pairs
+    /// would silently skew curves, and the simulator routes every
+    /// packet it generates.
     pub fn degrade(&self, kill: &KillSet, suffix: &str) -> Result<Network, DegradeError> {
         if kill.is_empty() {
             return Ok(self.clone());
