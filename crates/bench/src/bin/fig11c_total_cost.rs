@@ -13,7 +13,7 @@ use slimfly::prelude::*;
 fn main() {
     run_cli(|args| {
         let sizes = args.list("sizes", &[512usize, 1024, 2048, 4096, 10_000])?;
-        let which = args.get("model").unwrap_or("fdr10");
+        let which = args.get("model")?.unwrap_or("fdr10");
         let models: Vec<CostModel> = match which {
             "fdr10" => vec![CostModel::fdr10()],
             "qdr56" => vec![CostModel::qdr56()],

@@ -84,12 +84,12 @@ fn main() {
 /// Resolves the cache directory for a command: `--cache DIR` wins,
 /// then the `SF_CACHE_DIR` environment variable; `--no-cache` beats
 /// both. `None` means caching is off.
-fn resolve_cache_dir(args: &sf_bench::SweepArgs) -> Option<String> {
-    let explicit = args.get("cache").map(str::to_string);
+fn resolve_cache_dir(args: &sf_bench::SweepArgs) -> Result<Option<String>, SfError> {
+    let explicit = args.get("cache")?.map(str::to_string);
     if args.flag("no-cache") {
-        return None;
+        return Ok(None);
     }
-    explicit.or_else(|| std::env::var("SF_CACHE_DIR").ok().filter(|d| !d.is_empty()))
+    Ok(explicit.or_else(|| std::env::var("SF_CACHE_DIR").ok().filter(|d| !d.is_empty())))
 }
 
 fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
@@ -99,16 +99,16 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         .to_string();
     let workers: usize = args.value("workers", 0)?;
     let quiet = args.flag("quiet");
-    let out: Option<String> = args.get("out").map(str::to_string);
+    let out: Option<String> = args.get("out")?.map(str::to_string);
     let format: String = args.value("format", "csv".to_string())?;
     if !matches!(format.as_str(), "csv" | "jsonl") {
         return Err(SfError::Cli(format!(
             "--format {format:?} (expected csv or jsonl)"
         )));
     }
-    let report_path: Option<String> = args.get("report").map(str::to_string);
+    let report_path: Option<String> = args.get("report")?.map(str::to_string);
     let check_builder = args.flag("check-builder");
-    let cache = match resolve_cache_dir(args) {
+    let cache = match resolve_cache_dir(args)? {
         Some(dir) => Some(ResultCache::open(dir)?),
         None => None,
     };
@@ -227,7 +227,7 @@ fn cmd_cache(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         .positional(1)
         .ok_or_else(|| SfError::Cli("usage: sf-bench cache <stats|gc|clear> [--cache DIR]".into()))?
         .to_string();
-    let dir = resolve_cache_dir(args).ok_or_else(|| {
+    let dir = resolve_cache_dir(args)?.ok_or_else(|| {
         SfError::Cli("cache: no directory (pass --cache DIR or set SF_CACHE_DIR)".into())
     })?;
     let cache = ResultCache::open(&dir)?;

@@ -24,7 +24,7 @@ const TABLE_IV: &str = "torus3:k=22;torus:dims=6x6x6x6x8;hc:d=13;lh:d=13,l=3;ft3
 fn main() {
     run_cli(|args| {
         let model = CostModel::fdr10();
-        let raw = args.get("specs").unwrap_or(TABLE_IV);
+        let raw = args.get("specs")?.unwrap_or(TABLE_IV);
         let specs = raw
             .split(';')
             .map(|s| s.trim().parse::<TopologySpec>())

@@ -1,10 +1,11 @@
 //! # sf-bench — benchmark harness for the Slim Fly paper
 //!
-//! One binary per table/figure of the paper's evaluation. Every binary
-//! is a thin declarative program over the `slimfly` experiment API:
-//! topologies come from [`slimfly::spec::TopologySpec`] (and the
-//! [`slimfly::spec::roster`] registry), sweeps run through
-//! [`slimfly::experiment::Experiment`], and flags are parsed by the
+//! One binary per static table/figure of the paper's evaluation, and
+//! the `sf-bench` runner for the simulation figures, which are plan
+//! files under `figures/` (`sf-bench run figures/fig6.toml`). Every
+//! binary is a thin declarative program over the `slimfly` experiment
+//! API: topologies come from [`slimfly::spec::TopologySpec`] (and the
+//! [`slimfly::spec::roster`] registry), and flags are parsed by the
 //! shared [`SweepArgs`] parser — no per-binary argument scanning or
 //! topology dispatch.
 
@@ -30,10 +31,9 @@ fn print_line(line: std::fmt::Arguments<'_>) {
     }
 }
 
-/// Prints one already-formatted CSV line verbatim (for callers that
-/// compose rows from pre-quoted pieces, e.g. a prefix column plus
-/// [`Record::to_csv`] — routing those through [`print_csv_row`] would
-/// re-quote the whole line as one field).
+/// Prints one already-formatted line verbatim (for pre-quoted CSV such
+/// as [`Record::to_csv`] — routing it through [`print_csv_row`] would
+/// re-quote the whole line as one field — and for plain status lines).
 pub fn print_raw_line(line: &str) {
     print_line(format_args!("{line}"));
 }
@@ -52,14 +52,6 @@ pub fn print_csv_row(cols: &[String]) {
 /// [`slimfly::experiment::fmt_float`] convention).
 pub fn f(v: f64) -> String {
     slimfly::experiment::fmt_float(v)
-}
-
-/// Prints experiment records as a CSV table (header + rows).
-pub fn print_records(records: &[Record]) {
-    print_line(format_args!("{}", Record::CSV_HEADER));
-    for r in records {
-        print_line(format_args!("{}", r.to_csv()));
-    }
 }
 
 /// A [`slimfly::sink::RecordSink`] that streams CSV rows to stdout as
@@ -95,23 +87,6 @@ impl slimfly::sink::RecordSink for StdoutCsvSink {
     }
 }
 
-/// Runs a plan through the work-stealing scheduler, streaming CSV to
-/// stdout, and returns the schedule report — the shared execution path
-/// of the figure wrapper binaries (records stream; nothing is
-/// buffered).
-pub fn run_plan_stdout(
-    plan: &slimfly::ExperimentPlan,
-    workers: usize,
-) -> Result<slimfly::schedule::ScheduleReport, SfError> {
-    let mut set = plan.expand()?;
-    let mut sink = StdoutCsvSink {
-        quiet: false,
-        collect: false,
-        records: Vec::new(),
-    };
-    slimfly::Scheduler::new(workers).run(&mut set, &mut sink)
-}
-
 /// Runs a bench body with parsed [`SweepArgs`], reporting any
 /// [`SfError`] on stderr with a non-zero exit code — the shared `main`
 /// of every binary in this crate. After the body succeeds, any
@@ -129,12 +104,11 @@ pub fn run_cli(body: impl FnOnce(&SweepArgs) -> Result<(), SfError>) {
 
 /// The shared CLI parser for sweep binaries.
 ///
-/// Grammar: boolean flags (`--large`), valued flags (`--size 1024`),
-/// comma-separated lists (`--loads 0.1,0.2`), [`TopologySpec`] flags
-/// (`--topo sf:q=19`), [`TrafficSpec`] flags (`--traffic worst`), and
-/// bare positional values *before* any flag (`datacenter_design 4096`).
-/// Unknown or malformed values surface as typed [`SfError::Cli`] /
-/// parse errors, never panics.
+/// Grammar: boolean flags (`--quiet`), valued flags (`--size 1024`),
+/// comma-separated lists (`--loads 0.1,0.2`), and bare positional
+/// values *before* any flag (`datacenter_design 4096`). Unknown flags,
+/// valued flags without a value, and malformed values surface as typed
+/// [`SfError::Cli`] errors, never panics or silent defaults.
 #[derive(Clone, Debug, Default)]
 pub struct SweepArgs {
     argv: Vec<String>,
@@ -168,15 +142,20 @@ impl SweepArgs {
         self.argv.contains(&tag)
     }
 
-    /// Raw value of `--name`, when present.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    /// Raw value of `--name`, when present. A valued flag that is the
+    /// last token, or is followed by another `--` token, is an error:
+    /// it must neither fall back to the default nor take the next
+    /// flag's name as its value.
+    pub fn get(&self, name: &str) -> Result<Option<&str>, SfError> {
         self.note(name);
         let tag = format!("--{name}");
-        self.argv
-            .iter()
-            .position(|a| *a == tag)
-            .and_then(|i| self.argv.get(i + 1))
-            .map(String::as_str)
+        let Some(i) = self.argv.iter().position(|a| *a == tag) else {
+            return Ok(None);
+        };
+        match self.argv.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(Some(v.as_str())),
+            _ => Err(SfError::Cli(format!("{tag} needs a value"))),
+        }
     }
 
     /// The `idx`-th bare positional argument (0-based). Positionals
@@ -192,7 +171,7 @@ impl SweepArgs {
 
     /// Value of `--name` parsed as `T`, or `default` when absent.
     pub fn value<T: FromStr>(&self, name: &str, default: T) -> Result<T, SfError> {
-        match self.get(name) {
+        match self.get(name)? {
             None => Ok(default),
             Some(raw) => raw
                 .parse::<T>()
@@ -202,7 +181,7 @@ impl SweepArgs {
 
     /// Comma-separated list value of `--name`, or `default` when absent.
     pub fn list<T: FromStr + Clone>(&self, name: &str, default: &[T]) -> Result<Vec<T>, SfError> {
-        match self.get(name) {
+        match self.get(name)? {
             None => Ok(default.to_vec()),
             Some(raw) => raw
                 .split(',')
@@ -212,60 +191,6 @@ impl SweepArgs {
                     })
                 })
                 .collect(),
-        }
-    }
-
-    /// Topology spec value of `--name`, or `default` (itself parsed)
-    /// when absent.
-    pub fn spec(&self, name: &str, default: &str) -> Result<TopologySpec, SfError> {
-        self.get(name).unwrap_or(default).parse()
-    }
-
-    /// Traffic spec value of `--name`, or `default` when absent.
-    pub fn traffic(&self, name: &str, default: TrafficSpec) -> Result<TrafficSpec, SfError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => Ok(raw.parse::<TrafficSpec>().map_err(SfError::from)?),
-        }
-    }
-
-    /// Routing-spec list value of `--name` — comma-separated
-    /// [`RoutingSpec`] strings (`--routing min,ugal-l:c=4,fatpaths:layers=3`)
-    /// — or `default` when absent. Malformed schemes surface as typed
-    /// routing errors (`ugal-l:c=0` fails here, not mid-sweep).
-    pub fn routing(
-        &self,
-        name: &str,
-        default: &[RoutingSpec],
-    ) -> Result<Vec<RoutingSpec>, SfError> {
-        match self.get(name) {
-            None => Ok(default.to_vec()),
-            Some(raw) => raw
-                .split(',')
-                .map(|v| v.parse::<RoutingSpec>().map_err(SfError::from))
-                .collect(),
-        }
-    }
-
-    /// Value of `--packet-size` (flits per packet) when present — the
-    /// shared multi-flit override of the figure wrappers: sizes > 1
-    /// run the sweep under wormhole flow control. `0` is a typed error
-    /// here, not a mid-sweep panic.
-    pub fn packet_size(&self) -> Result<Option<usize>, SfError> {
-        match self.get("packet-size") {
-            None => Ok(None),
-            Some(raw) => {
-                let ps: usize = raw
-                    .parse()
-                    .map_err(|_| SfError::Cli(format!("--packet-size: cannot parse {raw:?}")))?;
-                if !(1..=slimfly::sim::MAX_PACKET_SIZE).contains(&ps) {
-                    return Err(SfError::Cli(format!(
-                        "--packet-size must be in 1..={} flits, got {ps}",
-                        slimfly::sim::MAX_PACKET_SIZE
-                    )));
-                }
-                Ok(Some(ps))
-            }
         }
     }
 
@@ -315,34 +240,14 @@ mod tests {
             SfError::Cli(_)
         ));
         let a = args(&["--topo", "zz:q=1"]);
-        assert!(a.spec("topo", "sf:q=5").is_err());
+        assert!(matches!(
+            a.value("topo", TopologySpec::slimfly(5)).unwrap_err(),
+            SfError::Cli(_)
+        ));
         let a = args(&["--traffic", "wurst"]);
         assert!(matches!(
-            a.traffic("traffic", TrafficSpec::Uniform).unwrap_err(),
-            SfError::Traffic(_)
-        ));
-    }
-
-    #[test]
-    fn sweep_args_routing_lists() {
-        let a = args(&["--routing", "min,ugal-l:c=4,fatpaths:layers=2"]);
-        assert_eq!(
-            a.routing("routing", &[RoutingSpec::Min]).unwrap(),
-            vec![
-                RoutingSpec::Min,
-                RoutingSpec::UgalL { candidates: 4 },
-                RoutingSpec::FatPaths { layers: 2 },
-            ]
-        );
-        let a = args(&[]);
-        assert_eq!(
-            a.routing("routing", &[RoutingSpec::Ecmp]).unwrap(),
-            vec![RoutingSpec::Ecmp]
-        );
-        let a = args(&["--routing", "ugal-l:c=0"]);
-        assert!(matches!(
-            a.routing("routing", &[]).unwrap_err(),
-            SfError::Routing(_)
+            a.value("traffic", TrafficSpec::Uniform).unwrap_err(),
+            SfError::Cli(_)
         ));
     }
 
@@ -350,10 +255,13 @@ mod tests {
     fn sweep_args_spec_and_positional() {
         let a = args(&["--topo", "df:p=3"]);
         assert_eq!(
-            a.spec("topo", "sf:q=5").unwrap(),
+            a.value("topo", TopologySpec::slimfly(5)).unwrap(),
             TopologySpec::dragonfly_balanced(3)
         );
-        assert_eq!(a.spec("other", "sf:q=5").unwrap(), TopologySpec::slimfly(5));
+        assert_eq!(
+            a.value("other", TopologySpec::slimfly(5)).unwrap(),
+            TopologySpec::slimfly(5)
+        );
 
         // Positionals come before flags; the scan stops at the first
         // flag token.
@@ -366,9 +274,31 @@ mod tests {
     }
 
     #[test]
+    fn valued_flags_without_a_value_are_errors() {
+        // `--quiet --out` must not run and write nothing; `--out
+        // --quiet` must not write a file named `--quiet`; a trailing
+        // `--workers` must not fall back to the default.
+        for (argv, name) in [
+            (&["run", "f.toml", "--quiet", "--out"][..], "out"),
+            (&["run", "f.toml", "--out", "--quiet"][..], "out"),
+            (&["run", "f.toml", "--workers"][..], "workers"),
+        ] {
+            let err = args(argv).value(name, String::new()).unwrap_err();
+            assert!(matches!(err, SfError::Cli(_)), "{err}");
+            assert!(
+                err.to_string().contains(&format!("--{name} needs a value")),
+                "{err}"
+            );
+        }
+        let a = args(&["--loads", "--size", "512"]);
+        assert!(a.list("loads", &[0.5f64]).is_err());
+        assert_eq!(a.value("size", 0usize).unwrap(), 512);
+    }
+
+    #[test]
     fn unknown_flags_are_rejected() {
         let a = args(&["--trafic", "worst"]);
-        let _ = a.traffic("traffic", TrafficSpec::Uniform);
+        let _ = a.get("traffic");
         let err = a.check_unknown_flags().unwrap_err();
         assert!(matches!(err, SfError::Cli(_)), "{err}");
         assert!(err.to_string().contains("--trafic"));
@@ -378,7 +308,7 @@ mod tests {
         );
 
         let a = args(&["--traffic", "worst"]);
-        let _ = a.traffic("traffic", TrafficSpec::Uniform);
+        assert_eq!(a.get("traffic").unwrap(), Some("worst"));
         assert!(a.check_unknown_flags().is_ok());
     }
 }

@@ -305,10 +305,9 @@ impl Experiment {
     }
 
     /// Adds one routing scheme to the sweep (replaces the MIN default
-    /// on first call; call repeatedly to compare schemes). Accepts a
-    /// [`RoutingSpec`] or a legacy `RouteAlgo` value.
-    pub fn routing(mut self, spec: impl Into<RoutingSpec>) -> Self {
-        self.routings.push(RoutingChoice::Spec(spec.into()));
+    /// on first call; call repeatedly to compare schemes).
+    pub fn routing(mut self, spec: RoutingSpec) -> Self {
+        self.routings.push(RoutingChoice::Spec(spec));
         self
     }
 
@@ -517,7 +516,6 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sf_routing::RouteAlgo;
 
     fn quick_sim() -> SimConfig {
         SimConfig {
@@ -531,8 +529,8 @@ mod tests {
     #[test]
     fn run_produces_one_record_per_algo_and_load() {
         let records = Experiment::on(TopologySpec::slimfly(5))
-            .routing(RouteAlgo::Min)
-            .routing(RouteAlgo::Valiant { cap3: false })
+            .routing(RoutingSpec::Min)
+            .routing(RoutingSpec::Valiant { cap3: false })
             .loads(&[0.1, 0.2])
             .sim(quick_sim())
             .run()

@@ -133,7 +133,7 @@ pub mod prelude {
     };
     pub use sf_graph::{metrics, partition, Graph};
     pub use sf_routing::{
-        AdaptiveEcmpRouter, FatPathsRouter, MinRouter, QueueView, RouteAlgo, Router, RoutingError,
+        AdaptiveEcmpRouter, FatPathsRouter, MinRouter, QueueView, Router, RoutingError,
         RoutingSpec, RoutingTables, UgalRouter, ValiantRouter,
     };
     pub use sf_sim::{LoadSweep, SimConfig, Simulator};

@@ -29,7 +29,7 @@ pub mod router;
 pub mod spec;
 pub mod tables;
 
-pub use paths::{PathGen, RouteAlgo};
+pub use paths::PathGen;
 pub use router::{
     AdaptiveEcmpRouter, FatPathsRouter, MinRouter, NoQueues, QueueView, RouteCtx, RouteDecision,
     Router, UgalRouter, ValiantRouter,

@@ -10,40 +10,6 @@ use crate::tables::RoutingTables;
 use rand::Rng;
 use sf_graph::Graph;
 
-/// Routing algorithm selector, mirroring §IV and Fig 6 legends.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteAlgo {
-    /// Minimal static routing (SF-MIN), random ECMP tie-break.
-    Min,
-    /// Valiant random routing (SF-VAL); `cap3` restricts random paths to
-    /// at most 3 hops (the ablation of §IV-B which the paper found to
-    /// *increase* latency).
-    Valiant { cap3: bool },
-    /// UGAL with local queue information (§IV-C2); `candidates` random
-    /// Valiant paths are compared against MIN (paper: 4 is best).
-    UgalL { candidates: usize },
-    /// UGAL with global queue information (§IV-C1).
-    UgalG { candidates: usize },
-    /// Per-hop adaptive ECMP over minimal paths — the stand-in for the
-    /// fat tree's Adaptive Nearest Common Ancestor protocol (ANCA): at
-    /// every hop the least-loaded minimal next hop is taken.
-    AdaptiveEcmp,
-}
-
-impl RouteAlgo {
-    /// Display name matching the paper's figure legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RouteAlgo::Min => "MIN",
-            RouteAlgo::Valiant { cap3: false } => "VAL",
-            RouteAlgo::Valiant { cap3: true } => "VAL-cap3",
-            RouteAlgo::UgalL { .. } => "UGAL-L",
-            RouteAlgo::UgalG { .. } => "UGAL-G",
-            RouteAlgo::AdaptiveEcmp => "ANCA",
-        }
-    }
-}
-
 /// `rng.gen_range(0..n)` without the 64-bit modulo when `n == 1`: the
 /// draw is still consumed, so the RNG advances identically.
 #[inline]
@@ -341,15 +307,5 @@ mod tests {
         for c in &cands {
             validate_path(&g, c, 0, 4);
         }
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(RouteAlgo::Min.label(), "MIN");
-        assert_eq!(RouteAlgo::Valiant { cap3: false }.label(), "VAL");
-        assert_eq!(RouteAlgo::Valiant { cap3: true }.label(), "VAL-cap3");
-        assert_eq!(RouteAlgo::UgalL { candidates: 4 }.label(), "UGAL-L");
-        assert_eq!(RouteAlgo::UgalG { candidates: 4 }.label(), "UGAL-G");
-        assert_eq!(RouteAlgo::AdaptiveEcmp.label(), "ANCA");
     }
 }

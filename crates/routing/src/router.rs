@@ -553,7 +553,6 @@ impl Router for FatPathsRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::RouteAlgo;
     use rand::SeedableRng;
 
     fn cycle(n: usize) -> Graph {
@@ -798,24 +797,5 @@ mod tests {
         let st = RoutingTables::new(&split);
         let err = FatPathsRouter::build(&split, &st, 2, 1).unwrap_err();
         assert!(err.to_string().contains("live routers"), "{err}");
-    }
-
-    #[test]
-    fn legacy_algo_bridge_builds_matching_labels() {
-        // The one legacy bridge: RouteAlgo → RoutingSpec → build.
-        let g = cycle(6);
-        let t = RoutingTables::new(&g);
-        for (algo, label) in [
-            (RouteAlgo::Min, "MIN"),
-            (RouteAlgo::Valiant { cap3: true }, "VAL-cap3"),
-            (RouteAlgo::UgalL { candidates: 4 }, "UGAL-L"),
-            (RouteAlgo::UgalG { candidates: 4 }, "UGAL-G"),
-            (RouteAlgo::AdaptiveEcmp, "ANCA"),
-        ] {
-            let spec = crate::spec::RoutingSpec::from(algo);
-            assert_eq!(spec.build(&g, &t).unwrap().label(), label);
-        }
-        let bad = crate::spec::RoutingSpec::from(RouteAlgo::UgalL { candidates: 0 });
-        assert!(bad.build(&g, &t).is_err());
     }
 }

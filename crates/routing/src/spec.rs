@@ -21,7 +21,6 @@
 //! [`RoutingError`]s at parse (or, for programmatically built values,
 //! at [`RoutingSpec::build`]) time, never silent runtime fallbacks.
 
-use crate::paths::RouteAlgo;
 use crate::router::{
     AdaptiveEcmpRouter, FatPathsRouter, MinRouter, Router, UgalRouter, ValiantRouter,
     FATPATHS_MAX_LAYERS, FATPATHS_SEED,
@@ -167,18 +166,6 @@ impl RoutingSpec {
                 Box::new(FatPathsRouter::build(graph, tables, layers, FATPATHS_SEED)?)
             }
         })
-    }
-}
-
-impl From<RouteAlgo> for RoutingSpec {
-    fn from(algo: RouteAlgo) -> Self {
-        match algo {
-            RouteAlgo::Min => RoutingSpec::Min,
-            RouteAlgo::Valiant { cap3 } => RoutingSpec::Valiant { cap3 },
-            RouteAlgo::UgalL { candidates } => RoutingSpec::UgalL { candidates },
-            RouteAlgo::UgalG { candidates } => RoutingSpec::UgalG { candidates },
-            RouteAlgo::AdaptiveEcmp => RoutingSpec::Ecmp,
-        }
     }
 }
 
@@ -379,23 +366,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{example}: {e}"));
             assert_eq!(router.label(), spec.label());
         }
-    }
-
-    #[test]
-    fn legacy_algo_converts() {
-        assert_eq!(RoutingSpec::from(RouteAlgo::Min), RoutingSpec::Min);
-        assert_eq!(
-            RoutingSpec::from(RouteAlgo::UgalL { candidates: 4 }),
-            RoutingSpec::UgalL { candidates: 4 }
-        );
-        assert_eq!(
-            RoutingSpec::from(RouteAlgo::AdaptiveEcmp),
-            RoutingSpec::Ecmp
-        );
-        assert_eq!(
-            RoutingSpec::from(RouteAlgo::Valiant { cap3: true }).to_string(),
-            "val:cap3"
-        );
     }
 
     #[test]

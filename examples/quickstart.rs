@@ -35,7 +35,7 @@ fn main() -> Result<(), SfError> {
     // 4. A short cycle-accurate load sweep at 30% uniform load (§V-A),
     //    through the experiment builder.
     let records = Experiment::on(spec)
-        .routing(RouteAlgo::Min)
+        .routing(RoutingSpec::Min)
         .traffic(TrafficSpec::Uniform)
         .loads(&[0.3])
         .sim(SimConfig {

@@ -48,7 +48,7 @@ fn parity_cfg() -> SimConfig {
 
 /// (routing label, offered load, avg latency, accepted throughput)
 /// with `parity_cfg()` on `sf:q=5`, uniform traffic. Originally
-/// captured from the pre-refactor engine (closed `RouteAlgo` enum);
+/// captured from the engine before routing became pluggable specs;
 /// re-captured at the shard-RNG transition (see the module docs).
 const PRE_REFACTOR_UNIFORM: &[(&str, f64, f64, f64)] = &[
     ("MIN", 0.1, 7.449740, 0.099900),

@@ -10,7 +10,7 @@ use slimfly::prelude::*;
 #[test]
 fn tiny_end_to_end_experiment() {
     let records = Experiment::on("sf:q=5")
-        .routing(RouteAlgo::Min)
+        .routing(RoutingSpec::Min)
         .traffic(TrafficSpec::Uniform)
         .loads(&[0.1, 0.3])
         .sim(SimConfig {

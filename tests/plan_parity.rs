@@ -153,6 +153,61 @@ fn every_checked_in_figure_file_parses_and_expands() {
     assert!(seen >= 4, "expected the four checked-in figure files");
 }
 
+/// The paper-size (§V, N ≈ 10K) class of each quick-size topology in a
+/// simulation figure: SF q=19 (k=44, balanced p=15), DF p=7 (k=27),
+/// FT p=22 (k=44). Fig 8's concentrations stay balanced, +1 and +3.
+const UPSIZE: &[(&str, &[(&str, &str)])] = &[
+    (
+        "fig6",
+        &[
+            ("sf:q=7", "sf:q=19"),
+            ("df:p=3", "df:p=7"),
+            ("ft3:p=8", "ft3:p=22"),
+        ],
+    ),
+    (
+        "fig8",
+        &[
+            ("sf:q=7,p=6", "sf:q=19,p=15"),
+            ("sf:q=7,p=7", "sf:q=19,p=16"),
+            ("sf:q=7,p=9", "sf:q=19,p=18"),
+        ],
+    ),
+    ("fig8a", &[("sf:q=7", "sf:q=19")]),
+];
+
+#[test]
+fn paper_size_figure_files_are_the_quick_files_upsized() {
+    // Each `figures/<x>_large.toml` must be `figures/<x>.toml` with
+    // every topology swapped for its paper-size class (and, for Fig 6,
+    // the §V measurement windows): same sweeps in the same order, same
+    // routings, traffic, loads and simulator settings.
+    for &(name, table) in UPSIZE {
+        let quick = ExperimentPlan::from_path(&repo_file(&format!("figures/{name}.toml"))).unwrap();
+        let large =
+            ExperimentPlan::from_path(&repo_file(&format!("figures/{name}_large.toml"))).unwrap();
+        let mut want = quick.sweeps.clone();
+        for sweep in &mut want {
+            for topo in &mut sweep.topos {
+                let small = topo.to_string();
+                let (_, big) = table.iter().find(|(s, _)| *s == small).unwrap_or_else(|| {
+                    panic!("figures/{name}.toml: no paper-size class for {small}")
+                });
+                *topo = big.parse().unwrap();
+            }
+            if name == "fig6" {
+                sweep.sim.warmup = 2_000;
+                sweep.sim.measure = 4_000;
+                sweep.sim.drain = 8_000;
+            }
+        }
+        assert_eq!(
+            large.sweeps, want,
+            "figures/{name}_large.toml is not figures/{name}.toml upsized"
+        );
+    }
+}
+
 #[test]
 fn warm_start_flag_changes_only_non_first_chain_loads() {
     // Parity pin for the warm-start default: the flag off must leave
