@@ -112,7 +112,10 @@ pub struct Record {
     /// Mean packet latency in cycles — generation to *tail*-flit
     /// ejection, serialization included (NaN if nothing ejected).
     pub latency: f64,
-    /// Approximate 99th-percentile latency.
+    /// 99th-percentile packet latency in cycles. The cycle backend
+    /// takes it exactly, as the nearest-rank order statistic over the
+    /// ejected sample packets the mean is taken over; the flow backend
+    /// estimates it from its queueing model.
     pub p99: f64,
     /// Accepted throughput (flits/active endpoint/cycle).
     pub accepted: f64,

@@ -387,7 +387,9 @@ pub struct SimResult {
     /// measurement window) — includes serialization latency. NaN if
     /// none ejected.
     pub avg_latency: f64,
-    /// Approximate 99th percentile packet latency.
+    /// 99th-percentile packet latency (cycles), over the same sample
+    /// packets as [`SimResult::avg_latency`]: exact, the nearest-rank
+    /// order statistic of their latencies. NaN if none ejected.
     pub p99_latency: f64,
     /// Mean **head-flit** latency (cycles): generation to head-flit
     /// ejection. Equals [`SimResult::avg_latency`] at `packet_size = 1`;

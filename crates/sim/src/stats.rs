@@ -1,29 +1,19 @@
 //! Latency statistics accumulation.
 
-/// Streaming latency statistics (mean/min/max plus a coarse histogram
-/// for percentile estimates).
-#[derive(Clone, Debug)]
+/// Streaming latency statistics: count, mean, min, max and exact
+/// quantiles, from a one-cycle counting histogram grown to the largest
+/// latency recorded.
+///
+/// The engine records only sample packets, which are generated inside
+/// the measurement window and eject before the drain ends, so the
+/// histogram holds at most `measure + drain` entries.
+#[derive(Clone, Debug, Default)]
 pub struct LatencyStats {
     count: u64,
     sum: u64,
-    min: u32,
-    max: u32,
-    /// hist[i] counts latencies in [i·BUCKET, (i+1)·BUCKET).
+    /// `hist[v]` counts the latencies of exactly `v` cycles; its last
+    /// entry is the maximum.
     hist: Vec<u64>,
-}
-
-const BUCKET: u32 = 4;
-
-impl Default for LatencyStats {
-    fn default() -> Self {
-        LatencyStats {
-            count: 0,
-            sum: 0,
-            min: u32::MAX,
-            max: 0,
-            hist: vec![0; 512],
-        }
-    }
 }
 
 impl LatencyStats {
@@ -34,13 +24,13 @@ impl LatencyStats {
 
     /// Records one packet latency (cycles).
     pub fn record(&mut self, latency: u32) {
+        let v = latency as usize;
+        if v >= self.hist.len() {
+            self.hist.resize(v + 1, 0);
+        }
+        self.hist[v] += 1;
         self.count += 1;
         self.sum += latency as u64;
-        self.min = self.min.min(latency);
-        self.max = self.max.max(latency);
-        let b = (latency / BUCKET) as usize;
-        let b = b.min(self.hist.len() - 1);
-        self.hist[b] += 1;
     }
 
     /// Number of samples.
@@ -59,39 +49,28 @@ impl LatencyStats {
 
     /// Minimum observed latency (None when empty).
     pub fn min(&self) -> Option<u32> {
-        (self.count > 0).then_some(self.min)
+        self.quantile(0.0)
     }
 
     /// Maximum observed latency (None when empty).
     pub fn max(&self) -> Option<u32> {
-        (self.count > 0).then_some(self.max)
+        self.quantile(1.0)
     }
 
-    /// Approximate quantile (bucket resolution = 4 cycles).
+    /// The nearest-rank `q`-quantile, `q` clamped to [0, 1]: the
+    /// smallest recorded latency with at least ⌈q·n⌉ of the n samples
+    /// at or below it (at least one, so `q = 0` gives the minimum). The
+    /// value is exact and always in [min, max]; None when empty.
     pub fn quantile(&self, q: f64) -> Option<u32> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = 0u64;
-        for (i, &c) in self.hist.iter().enumerate() {
-            acc += c;
-            if acc >= target.max(1) {
-                return Some((i as u32 + 1) * BUCKET);
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.hist.iter_mut().zip(&other.hist) {
-            *a += b;
-        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut at_or_below = 0;
+        self.hist
+            .iter()
+            .position(|&c| {
+                at_or_below += c;
+                at_or_below >= rank
+            })
+            .map(|v| v as u32)
     }
 }
 
@@ -134,23 +113,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = LatencyStats::new();
-        a.record(10);
-        let mut b = LatencyStats::new();
-        b.record(30);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 20.0);
-        assert_eq!(a.min(), Some(10));
-        assert_eq!(a.max(), Some(30));
-    }
-
-    #[test]
-    fn huge_latencies_clamp_to_last_bucket() {
+    fn quantiles_are_recorded_latencies() {
+        // The old 4-cycle buckets reported 12 here (a bucket's upper
+        // edge, above the maximum) and capped everything at 2048.
         let mut s = LatencyStats::new();
-        s.record(1_000_000);
-        assert_eq!(s.count(), 1);
-        assert!(s.quantile(1.0).is_some());
+        for _ in 0..10 {
+            s.record(10);
+        }
+        assert_eq!(s.quantile(0.99), Some(10));
+        s.record(6332);
+        assert_eq!(s.quantile(1.0), Some(6332));
+        assert_eq!(s.quantile(0.5), Some(10));
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sf_routing::{RoutingSpec, RoutingTables};
-use sf_sim::{SimConfig, Simulator};
+use sf_sim::{LatencyStats, SimConfig, Simulator};
 use sf_topo::SlimFly;
 use sf_traffic::TrafficPattern;
 
@@ -401,5 +401,34 @@ proptest! {
             prop_assert!(res.avg_hops <= 2.0 + 1e-9);
             prop_assert!(res.avg_hops >= 1.5, "SF(q=5) average distance ≈ 1.83");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Quantiles are exact nearest-rank order statistics: the sample
+    /// sorted, then indexed at ⌈q·n⌉ (at least 1). Latencies repeat
+    /// and reach past the 2048 cycles the old bucketed histogram
+    /// clamped at.
+    #[test]
+    fn latency_quantiles_match_a_sorted_vector_oracle(
+        distinct in prop::collection::vec(0u32..=20_000, 1..20),
+        picks in prop::collection::vec(0usize..20, 1..300),
+    ) {
+        let mut sample: Vec<u32> = picks.iter().map(|&i| distinct[i % distinct.len()]).collect();
+        let mut stats = LatencyStats::new();
+        for &l in &sample {
+            stats.record(l);
+        }
+        sample.sort_unstable();
+        let n = sample.len();
+        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+            let rank = ((q * n as f64).ceil() as usize).max(1);
+            prop_assert_eq!(stats.quantile(q), Some(sample[rank - 1]), "q = {} over {:?}", q, sample);
+        }
+        prop_assert_eq!(stats.min(), Some(sample[0]));
+        prop_assert_eq!(stats.max(), Some(sample[n - 1]));
+        prop_assert_eq!(stats.count(), n as u64);
     }
 }
