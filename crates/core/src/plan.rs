@@ -504,9 +504,10 @@ impl ExperimentPlan {
                     sweep.sim.packet_size
                 )));
             }
-            // Parse already bounds the queue sizes; re-check here so
-            // hand-built plans and the builder get the same typed error.
-            check_queue_bounds(&sweep.sim)?;
+            // Parse already bounds the queues and the run window;
+            // re-check here so hand-built plans and the builder get the
+            // same typed error.
+            check_sim_bounds(&sweep.sim)?;
             // Matrix sugar multiplies [[sweep]] blocks at parse time,
             // so this index may not match a file ordinal — say so.
             if sweep.topos.is_empty() {
@@ -789,6 +790,7 @@ impl SweepPlan {
         if let Some(s) = v.get("sim") {
             apply_sim(&mut sim, s)?;
         }
+        check_sim_bounds(&sim)?;
         let warm_start = match v.get("warm_start") {
             Some(b) => b
                 .as_bool()
@@ -1018,13 +1020,27 @@ fn apply_sim(cfg: &mut SimConfig, v: &Value) -> Result<(), SfError> {
             other => return Err(plan_err(&format!("unknown sim key {other:?}"))),
         }
     }
-    check_queue_bounds(cfg)
+    Ok(())
 }
 
 /// The cycle engine allocates its input-buffer and staging rings up
-/// front and stores VC ids in a byte, so queue sizes and the VC count
-/// are bounded before any job is prepared.
-fn check_queue_bounds(cfg: &SimConfig) -> Result<(), SfError> {
+/// front, stores VC ids in a byte and counts cycles in a `u32`, so
+/// queue sizes, the VC count and the run window are bounded before any
+/// job is prepared.
+fn check_sim_bounds(cfg: &SimConfig) -> Result<(), SfError> {
+    let window = [cfg.warmup, cfg.measure, cfg.drain];
+    if window
+        .iter()
+        .try_fold(0u32, |acc, &c| acc.checked_add(c))
+        .is_none()
+    {
+        return Err(plan_err(&format!(
+            "sim.warmup + sim.measure + sim.drain = {} exceeds the cycle engine's clock \
+             bound of {} cycles",
+            window.iter().map(|&c| c as u64).sum::<u64>(),
+            u32::MAX
+        )));
+    }
     for (key, value, max, unit) in [
         (
             "num_vcs",
@@ -1735,6 +1751,42 @@ mod tests {
             assert!(matches!(err, SfError::Plan(_)), "{err}");
             assert!(err.to_string().contains("exceeds"), "{err}");
         }
+    }
+
+    #[test]
+    fn run_windows_past_the_cycle_clock_are_typed_errors() {
+        // The engine adds the three phases in u32 cycles.
+        let doc = |defaults: &str, sweep: &str| {
+            format!(
+                "[figure]\nname = \"x\"\n[defaults.sim]\n{defaults}\n\
+                 [[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n[sweep.sim]\n{sweep}"
+            )
+        };
+        for (defaults, sweep) in [
+            ("", "warmup = 4294967295\nmeasure = 2\ndrain = 10"),
+            ("warmup = 4294967295", "measure = 2\ndrain = 10"),
+            ("", "drain = 4294967295"),
+        ] {
+            let err = ExperimentPlan::from_toml_str(&doc(defaults, sweep)).unwrap_err();
+            assert!(matches!(err, SfError::Plan(_)), "{err}");
+            assert!(err.to_string().contains("clock bound"), "{err}");
+        }
+        // A sweep may override the defaults back under the bound.
+        ExperimentPlan::from_toml_str(&doc(
+            "warmup = 4294967295",
+            "warmup = 4294967285\nmeasure = 0\ndrain = 10",
+        ))
+        .unwrap()
+        .expand()
+        .unwrap();
+        // Hand-built plans get the same error at expansion.
+        let mut plan = ExperimentPlan::from_toml_str(&doc("", "measure = 2\ndrain = 10")).unwrap();
+        plan.sweeps[0].sim.warmup = u32::MAX - 12;
+        plan.expand().unwrap();
+        plan.sweeps[0].sim.warmup += 1;
+        let err = plan.expand().unwrap_err();
+        assert!(matches!(err, SfError::Plan(_)), "{err}");
+        assert!(err.to_string().contains("clock bound"), "{err}");
     }
 
     #[test]

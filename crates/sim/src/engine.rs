@@ -1110,6 +1110,16 @@ impl<'a> Simulator<'a> {
             "output_queue_cap must be at most {MAX_OUTPUT_QUEUE_CAP}, got {}",
             cfg.output_queue_cap
         );
+        assert!(
+            cfg.warmup
+                .checked_add(cfg.measure)
+                .and_then(|t| t.checked_add(cfg.drain))
+                .is_some(),
+            "warmup + measure + drain must fit the u32 cycle clock, got {} + {} + {}",
+            cfg.warmup,
+            cfg.measure,
+            cfg.drain
+        );
         let nr = net.num_routers();
         let nvc = cfg.num_vcs;
         let vc_cap = (cfg.buf_per_port / nvc).max(1);
@@ -2459,6 +2469,16 @@ mod tests {
         let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
         let mut cfg = quick_cfg(24);
         cfg.packet_size = 0;
+        let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 cycle clock")]
+    fn run_window_past_the_cycle_clock_is_rejected() {
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let mut cfg = quick_cfg(24);
+        cfg.warmup = u32::MAX;
         let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
     }
 
