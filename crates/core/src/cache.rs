@@ -37,7 +37,7 @@
 //! self-checking:
 //!
 //! ```text
-//! sfcache v1 epoch 2 key <32 hex> records <n>
+//! sfcache v1 epoch 3 key <32 hex> records <n>
 //! <n tab-separated record lines, floats as f64 bit patterns>
 //! sum <16 hex FNV-1a checksum of everything above>
 //! ```
@@ -764,19 +764,19 @@ mod tests {
             .map(|j| set.job_key(j).to_string())
             .collect();
         let pinned = [
-            "8bbb29e3e2959c4241e28468a52acad4",
-            "531fe653d5025832ca18634c28d4bb64",
-            "ea41e6083c80d9536ce5983cf87e45a0",
-            "489c5bd1a90c9acd924d099127866374",
-            "5e6adb4f5a1edb61bbb59af9b327f110",
-            "f11a03e1cc319458fda77c1664c7e630",
-            "4f7df77e29fa613c5b838fdc18cd72b8",
-            "1d69adc71891a01c6afc5305831a7ee0",
-            "aef9c76f0163579514bda38716a2ac02",
-            "9fbb59f94a3f8b7acf1b60604ced4790",
-            "9ca716e9df62c04e6d215863e0d46cf0",
-            "b49ea30f8a00a0d02b24e0e21d373230",
-            "8f7ec006c745183c43586121767e1bf8",
+            "dd3dc3815dc997a59f4c1a5e44909c3c",
+            "75e31a3d74172059ca94497113f221f8",
+            "14e2181470cb5dd0e7de58a4a2d151b0",
+            "54f6f916b8366bc2cd1a4a4aa1e7a614",
+            "1c5bb586aaa327b272f94d4b60b42ec4",
+            "b37db53b1221a8d391d993a682bc12c8",
+            "4392145446f8fbc9a2fc511db06a15b6",
+            "605fb5c0d65b67d58bc426f8636bb062",
+            "d2322f7956f2525c6606e54bd9f9cf90",
+            "4f9349d130460d0180d8c89b63ae92cc",
+            "7ac8e308375949598e7fffb01b07fae0",
+            "6264d764525012b55bbde076077b40aa",
+            "2eb1fd891dfb3bbdd9739e114bd5a196",
         ];
         assert_eq!(keys, pinned);
     }

@@ -1,5 +1,5 @@
-//! Engine-parity regression suite for the pluggable-routing refactor,
-//! the multi-flit wormhole refactor and the sharded-engine refactor.
+//! Engine-parity regression suite for the pluggable-routing refactor
+//! and the multi-flit wormhole refactor.
 //!
 //! The routing policies used to live as `match` arms inside the
 //! simulator core; they are now `sf_routing::Router` trait impls behind
@@ -9,19 +9,17 @@
 //! drift), and the paper's Fig 6 qualitative result — worst-case
 //! traffic crushes MIN but not UGAL — must keep holding end to end.
 //!
-//! **Shard-RNG re-pin.** The sharded-engine refactor replaced the
-//! single global RNG stream with one splitmix64-derived stream per
-//! shard, keyed on `(seed, shard_id)`, so results are a pure function
-//! of `(plan, seed)` independent of the thread count. The draw
-//! *sequence* necessarily differs from the single-stream engine, so
-//! every table below was re-captured from the sharded engine at
-//! `threads = 1` in the same commit that introduced the sharding; the
-//! statistical identity of old and new curves was checked against the
-//! pre-shard captures (every cell within the stated tolerances except
-//! the deep-saturation VAL@0.5 point, which moved 200.0 → 226.9 —
-//! saturated-region latency is seed-sensitive by nature). These pins
-//! now freeze the per-shard draw order: any engine change that
-//! perturbs it fails these tests.
+//! **Single-stream captures, restored at engine epoch 3.** Every
+//! random draw of a simulation comes from one stream seeded with
+//! `SimConfig::seed`, and every table below is a capture from that
+//! single-stream engine. At engine epoch 2 the engine drew from one
+//! stream per router range ("shard") instead, and these tables held
+//! re-captures from it. Epoch 3 went back to one stream with the same
+//! draw points and call order, and every cell returned to its original
+//! capture to the last decimal (the deep-saturation VAL@0.5 point, for
+//! one, reads 200.037457 again, not 226.904661). These pins freeze the
+//! single-stream draw order: any engine change that perturbs it fails
+//! these tests.
 //!
 //! The wormhole refactor is held to a stricter bar: at
 //! `packet_size = 1` every flit is its own head and tail, no VC
@@ -47,22 +45,21 @@ fn parity_cfg() -> SimConfig {
 }
 
 /// (routing label, offered load, avg latency, accepted throughput)
-/// with `parity_cfg()` on `sf:q=5`, uniform traffic. Originally
-/// captured from the engine before routing became pluggable specs;
-/// re-captured at the shard-RNG transition (see the module docs).
+/// captured from the engine before routing became pluggable specs,
+/// with `parity_cfg()` on `sf:q=5`, uniform traffic.
 const PRE_REFACTOR_UNIFORM: &[(&str, f64, f64, f64)] = &[
-    ("MIN", 0.1, 7.449740, 0.099900),
-    ("MIN", 0.3, 7.901346, 0.300856),
-    ("MIN", 0.5, 8.850728, 0.502019),
-    ("VAL", 0.1, 14.952432, 0.100013),
-    ("VAL", 0.3, 17.492678, 0.298506),
-    ("VAL", 0.5, 226.904661, 0.405137),
-    ("UGAL-L", 0.1, 8.485680, 0.100081),
-    ("UGAL-L", 0.3, 9.554195, 0.300787),
-    ("UGAL-L", 0.5, 10.408192, 0.499213),
-    ("UGAL-G", 0.1, 9.711958, 0.101069),
-    ("UGAL-G", 0.3, 9.471102, 0.301794),
-    ("UGAL-G", 0.5, 10.083277, 0.500437),
+    ("MIN", 0.1, 7.468813, 0.099269),
+    ("MIN", 0.3, 7.896257, 0.300419),
+    ("MIN", 0.5, 8.841631, 0.500494),
+    ("VAL", 0.1, 14.933872, 0.099369),
+    ("VAL", 0.3, 17.629093, 0.301787),
+    ("VAL", 0.5, 200.037457, 0.410737),
+    ("UGAL-L", 0.1, 8.505701, 0.100144),
+    ("UGAL-L", 0.3, 9.543049, 0.298269),
+    ("UGAL-L", 0.5, 10.390863, 0.502219),
+    ("UGAL-G", 0.1, 9.657796, 0.099450),
+    ("UGAL-G", 0.3, 9.428159, 0.298406),
+    ("UGAL-G", 0.5, 10.061011, 0.499431),
 ];
 
 /// The per-hop adaptive curve, captured from the pre-CSR-refactor
@@ -73,35 +70,33 @@ const PRE_REFACTOR_UNIFORM: &[(&str, f64, f64, f64)] = &[
 /// active-set skipping, and the exact occupancy values the incremental
 /// counters report.
 const PRE_REFACTOR_ECMP: &[(&str, f64, f64, f64)] = &[
-    ("ANCA", 0.1, 7.443795, 0.099488),
-    ("ANCA", 0.3, 7.896367, 0.300406),
-    ("ANCA", 0.5, 8.883771, 0.500100),
+    ("ANCA", 0.1, 7.477989, 0.099106),
+    ("ANCA", 0.3, 7.894476, 0.298475),
+    ("ANCA", 0.5, 8.823595, 0.499525),
 ];
 
 /// (routing label, offered load, avg latency, accepted, avg hops)
-/// with `parity_cfg()` on `sf:q=5`, uniform traffic, to six decimals.
-/// Originally captured from the single-flit engine immediately
-/// **before** the wormhole refactor (the wormhole code path must
-/// degenerate *exactly* at `packet_size = 1`); re-captured from the
-/// sharded engine at `threads = 1` at the shard-RNG transition (see
-/// the module docs). The six-decimal bar is unchanged: same per-shard
-/// RNG call sequence, same occupancy values, bit-identical results.
+/// captured from the single-flit engine immediately **before** the
+/// wormhole refactor, `parity_cfg()` on `sf:q=5`, uniform traffic, to
+/// six decimals. The wormhole code path must degenerate *exactly* at
+/// `packet_size = 1`: same RNG call sequence, same occupancy values,
+/// bit-identical results.
 const PRE_WORMHOLE_6DP: &[(&str, f64, f64, f64, f64)] = &[
-    ("MIN", 0.1, 7.449740, 0.099900, 1.825766),
-    ("MIN", 0.3, 7.901346, 0.300856, 1.826623),
-    ("MIN", 0.5, 8.850728, 0.502019, 1.825945),
-    ("VAL", 0.1, 14.952432, 0.100013, 3.619202),
-    ("VAL", 0.3, 17.492678, 0.298506, 3.626862),
-    ("VAL", 0.5, 226.904661, 0.405137, 3.623079),
-    ("UGAL-L", 0.1, 8.485680, 0.100081, 2.078867),
-    ("UGAL-L", 0.3, 9.554195, 0.300787, 2.198216),
-    ("UGAL-L", 0.5, 10.408192, 0.499213, 2.156267),
-    ("UGAL-G", 0.1, 9.711958, 0.101069, 2.372430),
-    ("UGAL-G", 0.3, 9.471102, 0.301794, 2.175996),
-    ("UGAL-G", 0.5, 10.083277, 0.500437, 2.070972),
-    ("ANCA", 0.1, 7.443795, 0.099488, 1.825475),
-    ("ANCA", 0.3, 7.896367, 0.300406, 1.828526),
-    ("ANCA", 0.5, 8.883771, 0.500100, 1.830318),
+    ("MIN", 0.1, 7.468813, 0.099269, 1.831590),
+    ("MIN", 0.3, 7.896257, 0.300419, 1.829341),
+    ("MIN", 0.5, 8.841631, 0.500494, 1.828173),
+    ("VAL", 0.1, 14.933872, 0.099369, 3.612824),
+    ("VAL", 0.3, 17.629093, 0.301787, 3.624365),
+    ("VAL", 0.5, 200.037457, 0.410737, 3.627611),
+    ("UGAL-L", 0.1, 8.505701, 0.100144, 2.082861),
+    ("UGAL-L", 0.3, 9.543049, 0.298269, 2.197735),
+    ("UGAL-L", 0.5, 10.390863, 0.502219, 2.148584),
+    ("UGAL-G", 0.1, 9.657796, 0.099450, 2.359591),
+    ("UGAL-G", 0.3, 9.428159, 0.298406, 2.170175),
+    ("UGAL-G", 0.5, 10.061011, 0.499431, 2.069556),
+    ("ANCA", 0.1, 7.477989, 0.099106, 1.833628),
+    ("ANCA", 0.3, 7.894476, 0.298475, 1.828803),
+    ("ANCA", 0.5, 8.823595, 0.499525, 1.829383),
 ];
 
 /// Six-decimal equality: the capture precision of the pinned tables.
@@ -132,20 +127,19 @@ fn packet_size_1_is_bit_identical_to_the_pre_wormhole_engine() {
     }
 }
 
-/// (routing label, offered flit load, avg latency, accepted) from the
-/// wormhole engine at `packet_size = 4`, `parity_cfg()` on `sf:q=5`,
-/// uniform traffic, to six decimals; re-captured at the shard-RNG
-/// transition (see the module docs). Pinned so future engine work
-/// cannot silently change the multi-flit physics.
+/// (routing label, offered flit load, avg latency, accepted) captured
+/// from the wormhole engine at `packet_size = 4`, `parity_cfg()` on
+/// `sf:q=5`, uniform traffic, to six decimals. Pinned so future engine
+/// work cannot silently change the multi-flit physics.
 const WORMHOLE_PKT4_6DP: &[(&str, f64, f64, f64)] = &[
-    ("MIN", 0.1, 11.234356, 0.100544),
-    ("MIN", 0.3, 14.372947, 0.302719),
-    ("MIN", 0.5, 21.349385, 0.500719),
-    ("MIN", 0.7, 105.177386, 0.643275),
-    ("UGAL-L", 0.1, 12.504274, 0.099300),
-    ("UGAL-L", 0.3, 18.391374, 0.298131),
-    ("UGAL-L", 0.5, 33.741044, 0.500375),
-    ("UGAL-L", 0.7, 266.778239, 0.539813),
+    ("MIN", 0.1, 11.305102, 0.099869),
+    ("MIN", 0.3, 14.244411, 0.298606),
+    ("MIN", 0.5, 21.388065, 0.497462),
+    ("MIN", 0.7, 102.214268, 0.645644),
+    ("UGAL-L", 0.1, 12.294370, 0.098962),
+    ("UGAL-L", 0.3, 18.224009, 0.295981),
+    ("UGAL-L", 0.5, 32.583543, 0.499456),
+    ("UGAL-L", 0.7, 268.682354, 0.539950),
 ];
 
 #[test]
