@@ -45,7 +45,7 @@ use crate::experiment::Record;
 use crate::plan::JobSet;
 use crate::sink::RecordSink;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -134,10 +134,11 @@ impl Scheduler {
 
     /// Runs every job of `set`, streaming records to `sink` in job-id
     /// order (see the [module docs](self)). Prepares the set if the
-    /// caller has not. On a job failure, workers stop claiming further
-    /// jobs, the lowest failing job's error is returned once in-flight
-    /// jobs drain, and records of complete jobs *preceding* that id
-    /// keep streaming — the completed prefix survives in every sink.
+    /// caller has not. On a job failure, workers skip every job at or
+    /// above the lowest failing id but still run the jobs below it, the
+    /// lowest failing job's error is returned once in-flight jobs
+    /// drain, and the records of every job *preceding* that id stream —
+    /// the completed prefix survives in every sink, whatever the timing.
     pub fn run(
         &self,
         set: &mut JobSet,
@@ -228,10 +229,11 @@ impl Scheduler {
                 })
                 .collect();
             let steal_count = AtomicUsize::new(0);
-            // Raised on the first failure: workers stop *claiming* new
-            // jobs (in-flight simulations still finish and report), so
-            // a failing sweep does not burn hours on doomed work.
-            let abort = AtomicBool::new(false);
+            // The lowest failing job id (0 after a sink failure):
+            // workers skip every job at or above it, so a failing sweep
+            // does not burn hours on doomed work, but still run every
+            // job below it, whose records the completed prefix needs.
+            let skip_from = AtomicUsize::new(usize::MAX);
             let (tx, rx) = mpsc::channel();
             // Lowest failing job id and its error; records of complete
             // jobs *below* that id still stream (the completed prefix
@@ -244,12 +246,9 @@ impl Scheduler {
                     let tx = tx.clone();
                     let queues = &queues;
                     let steal_count = &steal_count;
-                    let abort = &abort;
+                    let skip_from = &skip_from;
                     let set: &JobSet = set;
                     scope.spawn(move || loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
                         // Own deque first (front), then steal from the
                         // back of the first non-empty sibling.
                         let mut claimed = queues[w].lock().expect("queue poisoned").pop_front();
@@ -264,6 +263,9 @@ impl Scheduler {
                             }
                         }
                         let Some(id) = claimed else { break };
+                        if id >= skip_from.load(Ordering::Relaxed) {
+                            continue;
+                        }
                         let result = set.run_job(&set.jobs()[id]);
                         if tx.send((id, result)).is_err() {
                             break;
@@ -281,7 +283,7 @@ impl Scheduler {
                     emitted: &mut usize,
                     job_err: &Option<(usize, SfError)>,
                     sink_err: &mut Option<SfError>,
-                    abort: &AtomicBool,
+                    skip_from: &AtomicUsize,
                 ) {
                     'emit: while sink_err.is_none()
                         && job_err.as_ref().is_none_or(|(eid, _)| *next < *eid)
@@ -292,7 +294,7 @@ impl Scheduler {
                         for r in &records {
                             if let Err(e) = sink.record(r) {
                                 *sink_err = Some(e);
-                                abort.store(true, Ordering::Relaxed);
+                                skip_from.store(0, Ordering::Relaxed);
                                 break 'emit;
                             }
                             *emitted += 1;
@@ -313,7 +315,7 @@ impl Scheduler {
                     &mut emitted,
                     &job_err,
                     &mut sink_err,
-                    &abort,
+                    &skip_from,
                 );
                 for (id, result) in rx {
                     match result {
@@ -334,11 +336,11 @@ impl Scheduler {
                                 &mut emitted,
                                 &job_err,
                                 &mut sink_err,
-                                &abort,
+                                &skip_from,
                             );
                         }
                         Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
+                            skip_from.fetch_min(id, Ordering::Relaxed);
                             if job_err.as_ref().is_none_or(|(eid, _)| id < *eid) {
                                 job_err = Some((id, e));
                             }
@@ -355,7 +357,7 @@ impl Scheduler {
                     &mut emitted,
                     &job_err,
                     &mut sink_err,
-                    &abort,
+                    &skip_from,
                 );
             });
             steals = steal_count.load(Ordering::Relaxed);
@@ -521,6 +523,49 @@ mod tests {
         assert!(matches!(err, SfError::Traffic(_)), "{err}");
         assert_eq!(sink.records().len(), 1, "job 0's record must survive");
         assert_eq!(sink.records()[0].spec, "sf:q=5");
+    }
+
+    #[test]
+    fn a_failing_run_still_runs_every_job_below_the_failing_id() {
+        // Worker 0 is dealt jobs 0, 2 and 4, worker 1 jobs 1 and 3.
+        // Worker 1 reaches the failing job 3 while worker 0 is still
+        // in the slow job 0; job 2 has not been claimed yet but
+        // precedes the failure, so it must still run and stream.
+        let plan = ExperimentPlan::from_toml_str(
+            r#"
+            [figure]
+            name = "prefix"
+            [defaults.sim]
+            warmup = 150
+            measure = 300
+            drain = 1000
+            [[sweep]]
+            topo = "sf:q=5"
+            loads = [0.5]
+            sim = { warmup = 1000, measure = 3000 }
+            [[sweep]]
+            topo = "sf:q=5"
+            loads = [0.0]
+            [[sweep]]
+            topo = "sf:q=5"
+            loads = [0.1]
+            [[sweep]]
+            topo = "dln:nr=4,y=2"
+            traffic = "worst"
+            loads = [0.1]
+            [[sweep]]
+            topo = "sf:q=5"
+            loads = [0.1]
+            "#,
+        )
+        .unwrap();
+        let mut set = plan.expand().unwrap();
+        assert_eq!(set.jobs().len(), 5);
+        let mut sink = MemorySink::new();
+        let err = Scheduler::new(2).run(&mut set, &mut sink).unwrap_err();
+        assert!(matches!(err, SfError::Traffic(_)), "{err}");
+        let loads: Vec<f64> = sink.records().iter().map(|r| r.offered).collect();
+        assert_eq!(loads, [0.5, 0.0, 0.1], "jobs 0, 1 and 2, in order");
     }
 
     #[test]
