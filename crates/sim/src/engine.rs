@@ -2557,10 +2557,9 @@ mod tests {
     fn one_flit_vcs_and_zero_staging_match_the_growable_queues() {
         // Ring capacities come from the plan. One-flit VCs
         // (buf_per_port below num_vcs) and zero-depth staging must run
-        // exactly as the growable queues did. The pinned values were
-        // captured from the engine before input buffers and staging
-        // became rings, and re-captured when engine epoch 3 moved the
-        // draws from per-shard RNG streams to one stream.
+        // exactly as the growable queues did: at engine epoch 2 the
+        // pinned values matched the engine before input buffers and
+        // staging became rings; these are their epoch-3 captures.
         let (net, tables) = small_sf();
         let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
         let tiny = SimConfig {
