@@ -11,8 +11,8 @@
 pub struct LatencyStats {
     count: u64,
     sum: u64,
-    /// `hist[v]` counts the latencies of exactly `v` cycles; its last
-    /// entry is the maximum.
+    /// `hist[v]` counts the latencies of exactly `v` cycles; its length
+    /// is one past the largest latency recorded.
     hist: Vec<u64>,
 }
 
