@@ -2,7 +2,7 @@
 //!
 //! The container this workspace builds in has no crates.io access, so
 //! this crate implements the TOML subset the experiment-file loader
-//! (`slimfly::plan`) reads and writes:
+//! (`slimfly::plan`) reads:
 //!
 //! * key/value pairs with bare or quoted keys, including dotted keys;
 //! * basic (`"…"` with escapes) and literal (`'…'`) strings;
@@ -14,19 +14,19 @@
 //!   into its **last** element, per the TOML spec);
 //! * `#` comments.
 //!
-//! Not implemented (the plan schema never produces them): dates/times,
-//! multi-line strings, and non-string keys. Unlike the real crate there
-//! is no serde integration — parsing yields a [`Value`] tree that
-//! callers walk by hand, and [`Value::to_toml_string`] renders a tree
-//! back to a document.
+//! Not implemented (plans never use them): dates/times, multi-line
+//! strings, and non-string keys. Unlike the real crate there is no
+//! serde integration and no writer: parsing yields a [`Value`] tree
+//! that callers walk by hand.
 //!
 //! The sibling [`json`] module parses JSON into the same [`Value`]
-//! tree, so a loader accepts both formats through one interpreter.
+//! tree; the benchmark reads `BENCHMARK.json` and its own result files
+//! with it.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// An ordered map of keys to values (BTreeMap: deterministic render
+/// An ordered map of keys to values (BTreeMap: deterministic iteration
 /// order independent of insertion order).
 pub type Map = BTreeMap<String, Value>;
 
@@ -101,135 +101,6 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_table().and_then(|t| t.get(key))
     }
-
-    /// Renders a top-level table as a TOML document: scalar and array
-    /// entries first, then `[sub.tables]`, then `[[arrays.of.tables]]`,
-    /// recursively. Panics if `self` is not a table (only tables are
-    /// TOML documents).
-    pub fn to_toml_string(&self) -> String {
-        let table = self
-            .as_table()
-            .expect("only tables render as TOML documents");
-        let mut out = String::new();
-        render_table(table, &mut Vec::new(), &mut out);
-        out
-    }
-}
-
-/// What a table entry renders as at document level.
-fn is_subtable(v: &Value) -> bool {
-    matches!(v, Value::Table(_))
-}
-
-fn is_table_array(v: &Value) -> bool {
-    match v {
-        Value::Array(items) => !items.is_empty() && items.iter().all(is_subtable),
-        _ => false,
-    }
-}
-
-fn render_table(table: &Map, path: &mut Vec<String>, out: &mut String) {
-    for (k, v) in table {
-        if !is_subtable(v) && !is_table_array(v) {
-            out.push_str(&format!("{} = {}\n", render_key(k), render_inline(v)));
-        }
-    }
-    for (k, v) in table {
-        if let Value::Table(sub) = v {
-            path.push(k.clone());
-            out.push_str(&format!("\n[{}]\n", render_path(path)));
-            render_table(sub, path, out);
-            path.pop();
-        }
-    }
-    for (k, v) in table {
-        if is_table_array(v) {
-            if let Value::Array(items) = v {
-                path.push(k.clone());
-                for item in items {
-                    if let Value::Table(sub) = item {
-                        out.push_str(&format!("\n[[{}]]\n", render_path(path)));
-                        render_table(sub, path, out);
-                    }
-                }
-                path.pop();
-            }
-        }
-    }
-}
-
-fn render_path(path: &[String]) -> String {
-    path.iter()
-        .map(|k| render_key(k))
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-fn render_key(k: &str) -> String {
-    let bare = !k.is_empty()
-        && k.bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-');
-    if bare {
-        k.to_string()
-    } else {
-        render_string(k)
-    }
-}
-
-fn render_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders a non-table value (or an inline table inside an array).
-fn render_inline(v: &Value) -> String {
-    match v {
-        Value::String(s) => render_string(s),
-        Value::Integer(i) => i.to_string(),
-        Value::Float(f) => render_float(*f),
-        Value::Boolean(b) => b.to_string(),
-        Value::Array(items) => {
-            let inner: Vec<String> = items.iter().map(render_inline).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Value::Table(t) => {
-            let inner: Vec<String> = t
-                .iter()
-                .map(|(k, v)| format!("{} = {}", render_key(k), render_inline(v)))
-                .collect();
-            format!("{{ {} }}", inner.join(", "))
-        }
-    }
-}
-
-/// Formats a float so it re-parses as a float (shortest round-trip
-/// representation, forced to carry a `.`, exponent, `inf` or `nan`).
-fn render_float(f: f64) -> String {
-    if f.is_nan() {
-        return "nan".into();
-    }
-    if f.is_infinite() {
-        return if f < 0.0 { "-inf".into() } else { "inf".into() };
-    }
-    let s = format!("{f}");
-    if s.bytes().all(|b| b.is_ascii_digit() || b == b'-') {
-        format!("{s}.0")
-    } else {
-        s
-    }
 }
 
 /// A parse failure, with the 1-based line it occurred on.
@@ -251,9 +122,9 @@ impl std::error::Error for TomlError {}
 
 /// Deepest nesting of arrays and tables either parser accepts: every
 /// `[`/`{` and every table a dotted key or header opens is one level.
-/// Both parsers recurse once per level, and so do `Drop` and the
-/// renderer, so an unbounded depth would let hostile input overflow
-/// the stack. Plans nest four levels at most.
+/// Both parsers recurse once per level, and so does `Drop`, so an
+/// unbounded depth would let hostile input overflow the stack. Plans
+/// nest four levels at most.
 const MAX_DEPTH: usize = 128;
 
 /// Fails with a typed error when a container would sit at nesting
@@ -950,41 +821,6 @@ mod tests {
         );
         assert_eq!(sweeps[1].get("topo").unwrap().as_str(), Some("df:p=3"));
         assert!(sweeps[1].get("sim").is_none());
-    }
-
-    #[test]
-    fn render_round_trips() {
-        let doc = r#"
-            name = "fig-8 \"quoted\""
-            loads = [0.1, 1.0, 2.5e-3]
-            n = 7
-
-            [figure]
-            title = "a, b"
-
-            [[sweep]]
-            topo = "sf:q=7"
-            warm = false
-
-            [[sweep]]
-            topo = "df:p=3"
-
-            [sweep.sim]
-            warmup = 5
-        "#;
-        let v = from_str(doc).unwrap();
-        let rendered = Value::to_toml_string(&v);
-        let reparsed = from_str(&rendered).unwrap();
-        assert_eq!(v, reparsed, "render:\n{rendered}");
-    }
-
-    #[test]
-    fn floats_survive_render() {
-        // A whole-number float must not collapse into an integer.
-        let mut t = Map::new();
-        t.insert("x".into(), Value::Float(1.0));
-        let s = Value::Table(t.clone()).to_toml_string();
-        assert_eq!(from_str(&s).unwrap().get("x").unwrap(), &Value::Float(1.0));
     }
 
     #[test]

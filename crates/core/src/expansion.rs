@@ -10,7 +10,7 @@
 //! (by filling spare router ports) before the bound falls more than
 //! `tolerance` below the balanced configuration's.
 
-use sf_flow::uniform_channel_loads;
+use sf_flow::{min_loads, Demand, EdgeIndex};
 use sf_topo::SlimFly;
 
 /// One step of the growth curve.
@@ -34,9 +34,9 @@ pub fn growth_curve(sf: &SlimFly, p_max: u32) -> Vec<GrowthStep> {
     let mut base = f64::NAN;
     for p in p0..=p_max.max(p0) {
         let net = sf.network_with_concentration(p);
-        let sat = uniform_channel_loads(&net)
+        let sat = min_loads(&net, &EdgeIndex::new(&net.graph), &Demand::uniform(&net))
             .expect("an intact Slim Fly is connected")
-            .saturation_bound();
+            .saturation();
         if p == p0 {
             base = sat;
         }

@@ -128,8 +128,8 @@ pub mod prelude {
     pub use crate::zoo::{self, SlimFlyConfig};
     pub use sf_cost::{CostBreakdown, CostModel};
     pub use sf_flow::{
-        average_hops_uniform, evaluate, max_min_rates, min_loads, uniform_channel_loads, Demand,
-        EdgeIndex, FlowError, FlowPoint, FlowSet, RoutingLoads,
+        average_hops_uniform, evaluate, max_min_rates, min_loads, Demand, EdgeIndex, FlowError,
+        FlowPoint, FlowSet, RoutingLoads,
     };
     pub use sf_graph::{metrics, partition, Graph};
     pub use sf_routing::{

@@ -3,9 +3,8 @@
 //! A plan is the checked-in, runnable description of a whole paper
 //! figure — a list of sweeps, each a cross-product of topologies ×
 //! routings × one traffic pattern × offered loads under one simulator
-//! configuration. Plans parse from TOML or JSON experiment files
-//! ([`ExperimentPlan::from_path`]), print back to canonical TOML
-//! ([`ExperimentPlan::to_toml_string`]), and expand to a flat,
+//! configuration. Plans parse from TOML experiment files
+//! ([`ExperimentPlan::from_path`]) and expand to a flat,
 //! deterministic [`JobSet`] ([`ExperimentPlan::expand`]) that the
 //! [`Scheduler`](crate::schedule::Scheduler) executes on parallel
 //! workers. The fluent [`Experiment`](crate::Experiment) builder is a
@@ -38,7 +37,6 @@
 //! backend = "flow"                  # simulation tier for this sweep
 //! backends = ["cycle", "flow"]      # matrix sugar: one sweep per tier
 //! packet_sizes = [1, 4, 16]         # matrix sugar: one sweep per size
-//! concentrations = [4, 6]           # matrix sugar: one sweep per p
 //! fault_fractions = [0.0, 0.02]     # matrix sugar: one sweep per kill fraction
 //!
 //! [sweep.faults]                    # boot-time fault injection
@@ -52,20 +50,16 @@
 //! packet_size = 4                   # flits per packet (wormhole)
 //! ```
 //!
-//! **Matrix sugar**: `backends = [...]`, `fault_fractions = [...]`,
-//! `packet_sizes = [...]` and/or `concentrations = [...]` expand one
-//! `[[sweep]]` template into the cross product of sweeps (backends
-//! outermost, then fault fractions, concentrations, packet sizes
-//! innermost, each in file order) at parse time —
-//! `packet_sizes = [1, 4, 16]` is exactly three copies of the sweep
-//! differing only in `sim.packet_size`, and `concentrations = [4, 6]`
-//! rewrites every topology spec via
-//! [`TopologySpec::with_concentration`]. `fault_fractions` copies the
-//! sweep per fraction, overriding `faults.links` (other [`FaultPlan`]
-//! fields — `routers`, `seed`, `mode` — come from the sweep's `faults`
-//! table, or its defaults). The canonical rendering
-//! ([`ExperimentPlan::to_toml_string`]) is always the fully-expanded
-//! form, so plan ⇄ TOML round trips are exact.
+//! **Matrix sugar**: `backends = [...]`, `fault_fractions = [...]`
+//! and/or `packet_sizes = [...]` expand one `[[sweep]]` template into
+//! the cross product of sweeps (backends outermost, then fault
+//! fractions, packet sizes innermost, each in file order) at parse
+//! time — `packet_sizes = [1, 4, 16]` is exactly three copies of the
+//! sweep differing only in `sim.packet_size`. `fault_fractions` copies
+//! the sweep per fraction, overriding `faults.links` (other
+//! [`FaultPlan`] fields — `routers`, `seed`, `mode` — come from the
+//! sweep's `faults` table, or its defaults). A parsed plan holds only
+//! the expanded sweeps.
 //!
 //! # Fault injection
 //!
@@ -96,9 +90,7 @@
 //! and the `val:cap3` ablation have no flow lowering and are rejected
 //! at [`ExperimentPlan::expand`] with a typed [`SfError::Flow`].
 //!
-//! The same structure as a JSON object (`{"figure": {...}, "sweep":
-//! [...]}`) parses through [`ExperimentPlan::from_json_str`]. Leaf
-//! values reuse the workspace string grammars: topologies are
+//! Leaf values reuse the workspace string grammars: topologies are
 //! [`TopologySpec`] strings, routings [`RoutingSpec`] strings, traffic
 //! a [`TrafficSpec`] name.
 //!
@@ -129,7 +121,7 @@ use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::OnceLock;
-use toml::{Map, Value};
+use toml::Value;
 
 /// The simulation tier a sweep runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -252,21 +244,6 @@ impl FaultPlan {
         }
         Ok(fp)
     }
-
-    fn to_value(self) -> Value {
-        let mut t = Map::new();
-        t.insert("links".into(), Value::Float(self.links));
-        t.insert("routers".into(), Value::Float(self.routers));
-        t.insert(
-            "seed".into(),
-            match i64::try_from(self.seed) {
-                Ok(i) => Value::Integer(i),
-                Err(_) => Value::String(self.seed.to_string()),
-            },
-        );
-        t.insert("mode".into(), Value::String(self.mode.to_string()));
-        Value::Table(t)
-    }
 }
 
 /// Parses a fault fraction: a number in \[0, 1\].
@@ -276,8 +253,8 @@ fn parse_fraction(v: &Value, key: &str) -> Result<f64, SfError> {
         .ok_or_else(|| plan_err(&format!("{key} must be a number in [0, 1]")))
 }
 
-/// A declarative, serializable experiment: what a `figures/*.toml`
-/// file describes and the fluent builder lowers to.
+/// A declarative experiment: what a `figures/*.toml` file describes
+/// and the fluent builder lowers to.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentPlan {
     /// Short identifier (`fig8`); used in reports and logs.
@@ -335,22 +312,14 @@ impl ExperimentPlan {
         Self::from_value(&value)
     }
 
-    /// Parses a JSON experiment file (same schema as the TOML form).
-    pub fn from_json_str(text: &str) -> Result<Self, SfError> {
-        let value = toml::json::from_str(text).map_err(|e| SfError::Plan(e.to_string()))?;
-        Self::from_value(&value)
-    }
-
-    /// Loads a plan from a `.toml` or `.json` file (dispatching on the
-    /// extension).
+    /// Loads a plan from a `.toml` file.
     pub fn from_path(path: &Path) -> Result<Self, SfError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SfError::Plan(format!("cannot read {}: {e}", path.display())))?;
         let parsed = match path.extension().and_then(|e| e.to_str()) {
             Some("toml") => Self::from_toml_str(&text),
-            Some("json") => Self::from_json_str(&text),
             other => Err(SfError::Plan(format!(
-                "unsupported experiment-file extension {other:?} (expected .toml or .json)"
+                "unsupported experiment-file extension {other:?} (expected .toml)"
             ))),
         };
         parsed.map_err(|e| match e {
@@ -416,58 +385,6 @@ impl ExperimentPlan {
             title,
             sweeps,
         })
-    }
-
-    /// Renders the plan as a canonical TOML document (fully resolved:
-    /// no `[defaults]`, every sweep carries its complete `sim` table).
-    /// `from_toml_str` of the result reproduces the plan exactly.
-    pub fn to_toml_string(&self) -> String {
-        let mut root = Map::new();
-        let mut figure = Map::new();
-        figure.insert("name".into(), Value::String(self.name.clone()));
-        if let Some(t) = &self.title {
-            figure.insert("title".into(), Value::String(t.clone()));
-        }
-        root.insert("figure".into(), Value::Table(figure));
-        let sweeps = self
-            .sweeps
-            .iter()
-            .map(|s| {
-                let mut t = Map::new();
-                t.insert(
-                    "topos".into(),
-                    Value::Array(
-                        s.topos
-                            .iter()
-                            .map(|x| Value::String(x.to_string()))
-                            .collect(),
-                    ),
-                );
-                t.insert(
-                    "routing".into(),
-                    Value::Array(
-                        s.routings
-                            .iter()
-                            .map(|x| Value::String(x.to_string()))
-                            .collect(),
-                    ),
-                );
-                t.insert("traffic".into(), Value::String(s.traffic.to_string()));
-                t.insert("backend".into(), Value::String(s.backend.to_string()));
-                t.insert(
-                    "loads".into(),
-                    Value::Array(s.loads.iter().map(|&l| Value::Float(l)).collect()),
-                );
-                t.insert("warm_start".into(), Value::Boolean(s.warm_start));
-                if let Some(fp) = &s.faults {
-                    t.insert("faults".into(), fp.to_value());
-                }
-                t.insert("sim".into(), sim_to_value(&s.sim));
-                Value::Table(t)
-            })
-            .collect();
-        root.insert("sweep".into(), Value::Array(sweeps));
-        Value::Table(root).to_toml_string()
     }
 
     /// Expands the plan to its flat, deterministic [`JobSet`]: sweeps
@@ -721,12 +638,10 @@ impl SweepDefaults {
 }
 
 impl SweepPlan {
-    /// Interprets one `[[sweep]]` table. Matrix sugar — `packet_sizes =
-    /// [...]` and/or `concentrations = [...]` — expands the single
-    /// template into one sweep per combination (concentrations outer,
-    /// packet sizes inner, both in file order), so the plan that comes
-    /// back from [`ExperimentPlan::to_toml_string`] is always the
-    /// fully-expanded canonical form.
+    /// Interprets one `[[sweep]]` table. Matrix sugar — `backends`,
+    /// `fault_fractions` and `packet_sizes` — expands the single
+    /// template into one sweep per combination (in that order, outermost
+    /// first, each axis in file order).
     fn from_value(v: &Value, defaults: &SweepDefaults) -> Result<Vec<Self>, SfError> {
         let t = v
             .as_table()
@@ -744,7 +659,6 @@ impl SweepPlan {
                     | "backends"
                     | "warm_start"
                     | "packet_sizes"
-                    | "concentrations"
                     | "faults"
                     | "fault_fractions"
             ) {
@@ -820,8 +734,8 @@ impl SweepPlan {
         };
 
         // Matrix sugar: expand the template over the requested axes
-        // (backends outermost, then fault fractions, concentrations,
-        // packet sizes innermost).
+        // (backends outermost, then fault fractions, packet sizes
+        // innermost).
         let backends_axis = match v.get("backends") {
             None => None,
             Some(a) => {
@@ -843,15 +757,7 @@ impl SweepPlan {
             None => None,
             Some(a) => Some(parse_positive_ints(a, "packet_sizes")?),
         };
-        let conc_axis = match v.get("concentrations") {
-            None => None,
-            Some(a) => Some(parse_positive_ints(a, "concentrations")?),
-        };
-        if backends_axis.is_none()
-            && sizes_axis.is_none()
-            && conc_axis.is_none()
-            && v.get("fault_fractions").is_none()
-        {
+        if backends_axis.is_none() && sizes_axis.is_none() && v.get("fault_fractions").is_none() {
             return Ok(vec![template]);
         }
         // `None` entries mean "axis absent: keep the template value".
@@ -871,22 +777,12 @@ impl SweepPlan {
                     let base = template.faults.unwrap_or_default();
                     with_fault.faults = Some(FaultPlan { links: f, ..base });
                 }
-                for &conc in conc_axis.as_deref().unwrap_or(&[0]) {
-                    let mut with_conc = with_fault.clone();
-                    if conc != 0 {
-                        with_conc.topos = template
-                            .topos
-                            .iter()
-                            .map(|t| t.with_concentration(conc as u32))
-                            .collect::<Result<Vec<_>, _>>()?;
+                for &ps in sizes_axis.as_deref().unwrap_or(&[0]) {
+                    let mut sweep = with_fault.clone();
+                    if ps != 0 {
+                        sweep.sim.packet_size = ps as usize;
                     }
-                    for &ps in sizes_axis.as_deref().unwrap_or(&[0]) {
-                        let mut sweep = with_conc.clone();
-                        if ps != 0 {
-                            sweep.sim.packet_size = ps as usize;
-                        }
-                        out.push(sweep);
-                    }
+                    out.push(sweep);
                 }
             }
         }
@@ -894,10 +790,10 @@ impl SweepPlan {
     }
 }
 
-/// Parses a non-empty array of positive integers (the matrix-sugar
-/// axes; 0 is rejected so the `0 = axis absent` sentinel above can
+/// Parses a non-empty array of positive integers (the `packet_sizes`
+/// axis; 0 is rejected so the `0 = axis absent` sentinel above can
 /// never collide with a real value, and entries are capped at
-/// `u32::MAX` so the concentration cast can never truncate —
+/// `u32::MAX` so the `usize` cast is exact on every target —
 /// out-of-range packet sizes are then caught by the expand-time
 /// `MAX_PACKET_SIZE` check with a precise message).
 fn parse_positive_ints(v: &Value, key: &str) -> Result<Vec<i64>, SfError> {
@@ -1010,7 +906,7 @@ fn apply_sim(cfg: &mut SimConfig, v: &Value) -> Result<(), SfError> {
             "drain" => cfg.drain = as_u32()?,
             "seed" => {
                 // Seeds are u64; values above i64::MAX don't fit a TOML
-                // integer and travel as strings (see `sim_to_value`).
+                // integer and travel as strings.
                 cfg.seed = match val {
                     Value::String(s) => s.parse::<u64>().ok(),
                     _ => val.as_int().filter(|&i| i >= 0).map(|i| i as u64),
@@ -1068,48 +964,6 @@ fn check_sim_bounds(cfg: &SimConfig) -> Result<(), SfError> {
         }
     }
     Ok(())
-}
-
-fn sim_to_value(cfg: &SimConfig) -> Value {
-    let mut t = Map::new();
-    t.insert("num_vcs".into(), Value::Integer(cfg.num_vcs as i64));
-    t.insert("packet_size".into(), Value::Integer(cfg.packet_size as i64));
-    t.insert(
-        "buf_per_port".into(),
-        Value::Integer(cfg.buf_per_port as i64),
-    );
-    t.insert(
-        "channel_latency".into(),
-        Value::Integer(cfg.channel_latency as i64),
-    );
-    t.insert(
-        "router_delay".into(),
-        Value::Integer(cfg.router_delay as i64),
-    );
-    t.insert(
-        "credit_delay".into(),
-        Value::Integer(cfg.credit_delay as i64),
-    );
-    t.insert(
-        "output_speedup".into(),
-        Value::Integer(cfg.output_speedup as i64),
-    );
-    t.insert(
-        "output_queue_cap".into(),
-        Value::Integer(cfg.output_queue_cap as i64),
-    );
-    t.insert("warmup".into(), Value::Integer(cfg.warmup as i64));
-    t.insert("measure".into(), Value::Integer(cfg.measure as i64));
-    t.insert("drain".into(), Value::Integer(cfg.drain as i64));
-    t.insert(
-        "seed".into(),
-        match i64::try_from(cfg.seed) {
-            Ok(i) => Value::Integer(i),
-            // Too big for a TOML integer: string form, re-parsed as u64.
-            Err(_) => Value::String(cfg.seed.to_string()),
-        },
-    );
-    Value::Table(t)
 }
 
 /// One schedulable unit: a chain of offered loads on a fixed
@@ -1625,38 +1479,30 @@ mod tests {
     }
 
     #[test]
-    fn toml_round_trip_preserves_plan() {
-        let plan = ExperimentPlan::from_toml_str(FIG).unwrap();
-        let rendered = plan.to_toml_string();
-        let reparsed = ExperimentPlan::from_toml_str(&rendered).unwrap();
-        assert_eq!(plan, reparsed, "rendered:\n{rendered}");
-    }
-
-    #[test]
     fn seeds_above_i64_max_round_trip() {
-        let mut plan = ExperimentPlan::from_toml_str(FIG).unwrap();
-        plan.sweeps[0].sim.seed = u64::MAX;
-        let rendered = plan.to_toml_string();
-        let reparsed = ExperimentPlan::from_toml_str(&rendered).unwrap();
-        assert_eq!(plan, reparsed, "rendered:\n{rendered}");
-        // Negative integer seeds are still a typed schema error.
-        let err = ExperimentPlan::from_toml_str(
-            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\nseed = -1",
+        // A TOML integer stops at i64::MAX, so larger u64 seeds are
+        // written as decimal strings and parse back to the same value.
+        let plan = ExperimentPlan::from_toml_str(
+            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n\
+             [sweep.sim]\nseed = \"18446744073709551615\"\n\
+             [sweep.faults]\nlinks = 0.02\nseed = \"18446744073709551615\"",
         )
-        .unwrap_err();
-        assert!(matches!(err, SfError::Plan(_)), "{err}");
-    }
-
-    #[test]
-    fn json_form_parses_identically() {
-        let json = r#"{
-            "figure": {"name": "smoke"},
-            "sweep": [{"topo": "sf:q=5", "routing": ["min"], "loads": [0.1], "sim": {"warmup": 100}}]
-        }"#;
-        let plan = ExperimentPlan::from_json_str(json).unwrap();
-        assert_eq!(plan.name, "smoke");
-        assert_eq!(plan.sweeps[0].sim.warmup, 100);
-        assert_eq!(plan.sweeps[0].loads, vec![0.1]);
+        .unwrap();
+        assert_eq!(plan.sweeps[0].sim.seed, u64::MAX);
+        assert_eq!(plan.sweeps[0].faults.unwrap().seed, u64::MAX);
+        // Negative, non-numeric and out-of-range seeds are typed schema
+        // errors in both tables.
+        for table in ["sim", "faults"] {
+            for seed in ["-1", "\"-1\"", "\"seven\"", "\"18446744073709551616\""] {
+                let err = ExperimentPlan::from_toml_str(&format!(
+                    "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n\
+                     [sweep.{table}]\nseed = {seed}"
+                ))
+                .unwrap_err();
+                assert!(matches!(err, SfError::Plan(_)), "{table} {seed}: {err}");
+                assert!(err.to_string().contains("seed"), "{table} {seed}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -1835,9 +1681,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.sweeps[0].sim.packet_size, 4);
-        let rendered = plan.to_toml_string();
-        assert!(rendered.contains("packet_size = 4"), "{rendered}");
-        assert_eq!(ExperimentPlan::from_toml_str(&rendered).unwrap(), plan);
         // Zero is a typed expansion error (matching the builder path).
         let bad = ExperimentPlan::from_toml_str(
             "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\npacket_size = 0",
@@ -1863,43 +1706,20 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![1, 4, 16]
         );
-        // Everything else is the shared template.
-        for s in &plan.sweeps {
-            assert_eq!(s.topos, vec![TopologySpec::slimfly(5)]);
-            assert_eq!(s.loads, vec![0.1]);
-        }
-        // The canonical render is the fully-expanded form and
-        // round-trips exactly.
-        let rendered = plan.to_toml_string();
-        assert_eq!(ExperimentPlan::from_toml_str(&rendered).unwrap(), plan);
-        assert!(!rendered.contains("packet_sizes"), "{rendered}");
-    }
-
-    #[test]
-    fn concentrations_matrix_rewrites_topologies() {
-        let plan = ExperimentPlan::from_toml_str(
-            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n\
-             concentrations = [2, 4]\npacket_sizes = [1, 4]",
-        )
-        .unwrap();
-        // Concentrations outer, packet sizes inner.
-        assert_eq!(plan.sweeps.len(), 4);
-        let shapes: Vec<(String, usize)> = plan
-            .sweeps
+        // Everything else is the shared template: the sugar is exactly
+        // the three sweeps written out.
+        let explicit: String = [1, 4, 16]
             .iter()
-            .map(|s| (s.topos[0].to_string(), s.sim.packet_size))
+            .map(|ps| {
+                format!(
+                    "[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n[sweep.sim]\npacket_size = {ps}\n"
+                )
+            })
             .collect();
         assert_eq!(
-            shapes,
-            vec![
-                ("sf:q=5,p=2".to_string(), 1),
-                ("sf:q=5,p=2".to_string(), 4),
-                ("sf:q=5,p=4".to_string(), 1),
-                ("sf:q=5,p=4".to_string(), 4),
-            ]
+            ExperimentPlan::from_toml_str(&format!("[figure]\nname = \"x\"\n{explicit}")).unwrap(),
+            plan
         );
-        let rendered = plan.to_toml_string();
-        assert_eq!(ExperimentPlan::from_toml_str(&rendered).unwrap(), plan);
     }
 
     #[test]
@@ -1909,19 +1729,22 @@ mod tests {
             "packet_sizes = []",
             "packet_sizes = [0]",
             "packet_sizes = \"4\"",
-            "concentrations = [0]",
             // Beyond u32: rejected at parse, never truncated.
-            "concentrations = [4294967300]",
+            "packet_sizes = [4294967300]",
         ] {
             let err = ExperimentPlan::from_toml_str(&format!("{base}{extra}")).unwrap_err();
             assert!(matches!(err, SfError::Plan(_)), "{extra} → {err}");
         }
-        // Families with structural concentration reject the axis.
-        let err = ExperimentPlan::from_toml_str(
-            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"hc:d=4\"\nconcentrations = [2]",
-        )
-        .unwrap_err();
-        assert!(matches!(err, SfError::InvalidParam { .. }), "{err}");
+        // There is no concentration axis: a concentration is part of
+        // the topology spec (`sf:q=5,p=4`).
+        let err =
+            ExperimentPlan::from_toml_str(&format!("{base}concentrations = [2]")).unwrap_err();
+        assert!(matches!(err, SfError::Plan(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("unknown sweep key \"concentrations\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1936,9 +1759,13 @@ mod tests {
         assert_eq!(fp.routers, 0.0);
         assert_eq!(fp.seed, 7, "seed defaults to 7");
         assert_eq!(fp.mode, FaultMode::Adversarial);
-        let rendered = plan.to_toml_string();
-        assert!(rendered.contains("links = 0.02"), "{rendered}");
-        assert_eq!(ExperimentPlan::from_toml_str(&rendered).unwrap(), plan);
+        // The defaults are the values a full table spells out.
+        let explicit = ExperimentPlan::from_toml_str(
+            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n\
+             [sweep.faults]\nlinks = 0.02\nrouters = 0.0\nseed = 7\nmode = \"adversarial\"",
+        )
+        .unwrap();
+        assert_eq!(explicit, plan);
         // Bad keys and values are typed plan errors.
         for bad in [
             "[sweep.faults]\nwat = 1",
@@ -1997,10 +1824,6 @@ mod tests {
             assert_eq!(f.seed, 9);
             assert_eq!(f.mode, FaultMode::Adversarial);
         }
-        // The canonical render is the expanded form and round-trips.
-        let rendered = plan.to_toml_string();
-        assert!(!rendered.contains("fault_fractions"), "{rendered}");
-        assert_eq!(ExperimentPlan::from_toml_str(&rendered).unwrap(), plan);
         // Bad axes are typed errors.
         for bad in [
             "fault_fractions = []",
@@ -2161,8 +1984,14 @@ mod tests {
         .unwrap();
         assert_eq!(plan.sweeps[0].backend, Backend::Flow);
         assert_eq!(plan.sweeps[1].backend, Backend::Cycle);
-        let rendered = plan.to_toml_string();
-        assert_eq!(ExperimentPlan::from_toml_str(&rendered).unwrap(), plan);
+        // A default backend is the same plan as one spelled per sweep.
+        let explicit = ExperimentPlan::from_toml_str(
+            "[figure]\nname = \"x\"\n\
+             [[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\nbackend = \"flow\"\n\
+             [[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.2]\nbackend = \"cycle\"",
+        )
+        .unwrap();
+        assert_eq!(explicit, plan);
 
         let err = ExperimentPlan::from_toml_str(
             "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nbackend = \"quantum\"",
@@ -2193,8 +2022,6 @@ mod tests {
                 (Backend::Flow, 4),
             ]
         );
-        let rendered = plan.to_toml_string();
-        assert_eq!(ExperimentPlan::from_toml_str(&rendered).unwrap(), plan);
 
         // backend and backends on one sweep contradict each other.
         let err = ExperimentPlan::from_toml_str(

@@ -199,43 +199,6 @@ impl TopologySpec {
         }
     }
 
-    /// Returns this spec with the endpoint concentration set to `p` —
-    /// the hook behind the plan-level `concentrations = [...]` matrix
-    /// sugar. Families whose concentration is structural (fat trees,
-    /// tori, hypercubes, Long Hop, DLN) reject the override with a
-    /// typed error instead of silently ignoring it.
-    pub fn with_concentration(&self, p: u32) -> Result<TopologySpec, SfError> {
-        if p == 0 {
-            return Err(self.invalid("concentration p must be ≥ 1"));
-        }
-        match self {
-            TopologySpec::SlimFly { q, .. } => Ok(TopologySpec::SlimFly { q: *q, p: Some(p) }),
-            TopologySpec::Dragonfly { a, h, groups, .. } => Ok(TopologySpec::Dragonfly {
-                a: *a,
-                h: *h,
-                p,
-                groups: *groups,
-            }),
-            TopologySpec::FlattenedButterfly { c, dims, .. } => {
-                Ok(TopologySpec::FlattenedButterfly {
-                    c: *c,
-                    dims: *dims,
-                    p: Some(p),
-                })
-            }
-            TopologySpec::Bdf { u, .. } => Ok(TopologySpec::Bdf { u: *u, p }),
-            TopologySpec::FatTree3 { .. }
-            | TopologySpec::Torus { .. }
-            | TopologySpec::Hypercube { .. }
-            | TopologySpec::LongHop { .. }
-            | TopologySpec::RandomDln { .. } => Err(self.invalid(format!(
-                "the {} family derives its concentration from the construction; \
-                 it cannot be swept via `concentrations`",
-                self.family()
-            ))),
-        }
-    }
-
     /// Builds the concrete [`Network`] — the single constructor registry
     /// for every topology family in `sf-topo`.
     pub fn build(&self) -> Result<Network, SfError> {

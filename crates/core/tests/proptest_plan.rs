@@ -1,10 +1,9 @@
 //! Property tests for the experiment-plan layer: a generated
-//! [`ExperimentPlan`] must survive the parse → expand → serialize
-//! cycle — `from_toml_str(to_toml_string(p))` reproduces `p` exactly,
-//! and the re-parsed plan expands to the identical [`JobSet`] (same
-//! jobs, same ids, same deduplicated topology list). This is the
-//! config-file contract: a plan printed into `figures/*.toml` is the
-//! same experiment when read back.
+//! [`ExperimentPlan`], written out as TOML by the test-local
+//! [`write_plan`], must parse back to exactly the same plan and expand
+//! to the identical [`JobSet`] (same jobs, same ids, same deduplicated
+//! topology list). This is the config-file contract: a plan spelled
+//! out in `figures/*.toml` is the experiment the parser reads.
 
 use proptest::prelude::*;
 use slimfly::plan::ExperimentPlan;
@@ -169,15 +168,78 @@ fn any_plan() -> impl Strategy<Value = ExperimentPlan> {
         })
 }
 
+/// Writes `plan` as a TOML experiment file with every sweep spelled
+/// out (no `[defaults]`, no matrix sugar). Strings are quoted with
+/// `{:?}`: the generators above produce printable ASCII only, whose
+/// Debug escapes (`\"`, `\\`) are TOML's. Floats print in Rust's
+/// shortest round-trip form, and seeds as decimal strings, the form
+/// that holds any `u64`. The `FaultPlan` and `SimConfig` patterns are
+/// exhaustive, so a new field cannot be left unwritten.
+fn write_plan(plan: &ExperimentPlan) -> String {
+    let quoted = |items: Vec<String>| {
+        let items: Vec<String> = items.iter().map(|x| format!("{x:?}")).collect();
+        format!("[{}]", items.join(", "))
+    };
+    let mut out = format!("[figure]\nname = {:?}\n", plan.name);
+    if let Some(title) = &plan.title {
+        out += &format!("title = {title:?}\n");
+    }
+    for s in &plan.sweeps {
+        let topos = quoted(s.topos.iter().map(|t| t.to_string()).collect());
+        let routings = quoted(s.routings.iter().map(|r| r.to_string()).collect());
+        let loads: Vec<String> = s.loads.iter().map(|l| format!("{l:?}")).collect();
+        let (traffic, backend, warm_start) = (s.traffic, s.backend, s.warm_start);
+        out += &format!(
+            "\n[[sweep]]\ntopos = {topos}\nrouting = {routings}\ntraffic = \"{traffic}\"\n\
+             backend = \"{backend}\"\nloads = [{}]\nwarm_start = {warm_start}\n",
+            loads.join(", ")
+        );
+        if let Some(FaultPlan {
+            links,
+            routers,
+            seed,
+            mode,
+        }) = s.faults
+        {
+            out += &format!(
+                "[sweep.faults]\nlinks = {links:?}\nrouters = {routers:?}\nseed = \"{seed}\"\n\
+                 mode = \"{mode}\"\n"
+            );
+        }
+        let SimConfig {
+            num_vcs,
+            packet_size,
+            buf_per_port,
+            channel_latency,
+            router_delay,
+            credit_delay,
+            output_speedup,
+            output_queue_cap,
+            warmup,
+            measure,
+            drain,
+            seed,
+        } = s.sim;
+        out += &format!(
+            "[sweep.sim]\nnum_vcs = {num_vcs}\npacket_size = {packet_size}\n\
+             buf_per_port = {buf_per_port}\nchannel_latency = {channel_latency}\n\
+             router_delay = {router_delay}\ncredit_delay = {credit_delay}\n\
+             output_speedup = {output_speedup}\noutput_queue_cap = {output_queue_cap}\n\
+             warmup = {warmup}\nmeasure = {measure}\ndrain = {drain}\nseed = \"{seed}\"\n"
+        );
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn plan_toml_round_trip(plan in any_plan()) {
-        let rendered = plan.to_toml_string();
-        let reparsed = ExperimentPlan::from_toml_str(&rendered)
-            .unwrap_or_else(|e| panic!("re-parse failed: {e}\n{rendered}"));
-        prop_assert_eq!(&plan, &reparsed, "rendered:\n{}", rendered);
+    fn written_plans_parse_back_exactly(plan in any_plan()) {
+        let written = write_plan(&plan);
+        let reparsed = ExperimentPlan::from_toml_str(&written)
+            .unwrap_or_else(|e| panic!("parse failed: {e}\n{written}"));
+        prop_assert_eq!(&plan, &reparsed, "written:\n{}", written);
 
         // Expansion commutes with serialization: identical job lists.
         let a = plan.expand().unwrap();
@@ -191,16 +253,12 @@ proptest! {
     #[test]
     fn matrix_sugar_round_trips_and_expands_deterministically(
         sizes in prop::collection::vec(1i64..64, 1..4),
-        with_concs in any::<bool>(),
-        concs_raw in prop::collection::vec(1i64..6, 1..4),
         loads in prop::collection::vec(0u32..41, 1..4),
     ) {
-        let concs = with_concs.then_some(concs_raw);
-        // A sweep template with `packet_sizes = [...]` (and optionally
-        // `concentrations = [...]`) must expand into the cross product
-        // in declaration order, and the canonical render — which is
-        // always the fully-expanded form — must parse back to the
-        // identical plan with the identical JobSet.
+        // A sweep template with `packet_sizes = [...]` must expand into
+        // one sweep per size in declaration order, and the expanded
+        // sweeps written out in full must parse back to the identical
+        // plan with the identical JobSet.
         let loads: Vec<f64> = loads.into_iter().map(|l| l as f64 * 0.025).collect();
         let loads_str = loads
             .iter()
@@ -212,34 +270,22 @@ proptest! {
             .map(|s| s.to_string())
             .collect::<Vec<_>>()
             .join(", ");
-        let conc_line = match &concs {
-            None => String::new(),
-            Some(cs) => format!(
-                "concentrations = [{}]\n",
-                cs.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(", ")
-            ),
-        };
         let doc = format!(
             "[figure]\nname = \"matrix\"\n[[sweep]]\ntopo = \"sf:q=5\"\n\
-             loads = [{loads_str}]\npacket_sizes = [{sizes_str}]\n{conc_line}"
+             loads = [{loads_str}]\npacket_sizes = [{sizes_str}]\n"
         );
         let plan = ExperimentPlan::from_toml_str(&doc).unwrap();
-        let n_conc = concs.as_ref().map(|c| c.len()).unwrap_or(1);
-        prop_assert_eq!(plan.sweeps.len(), sizes.len() * n_conc);
-        for (i, sweep) in plan.sweeps.iter().enumerate() {
-            prop_assert_eq!(sweep.sim.packet_size, sizes[i % sizes.len()] as usize);
+        prop_assert_eq!(plan.sweeps.len(), sizes.len());
+        for (sweep, &size) in plan.sweeps.iter().zip(&sizes) {
+            prop_assert_eq!(sweep.sim.packet_size, size as usize);
             prop_assert_eq!(&sweep.loads, &loads);
-            if let Some(cs) = &concs {
-                let expect: TopologySpec =
-                    format!("sf:q=5,p={}", cs[i / sizes.len()]).parse().unwrap();
-                prop_assert_eq!(&sweep.topos, &vec![expect]);
-            }
+            prop_assert_eq!(&sweep.topos, &vec![TopologySpec::slimfly(5)]);
         }
-        // plan ⇄ TOML round trip of the expanded form.
-        let rendered = plan.to_toml_string();
-        let reparsed = ExperimentPlan::from_toml_str(&rendered)
-            .unwrap_or_else(|e| panic!("re-parse failed: {e}\n{rendered}"));
-        prop_assert_eq!(&plan, &reparsed, "rendered:\n{}", rendered);
+        // The expanded form, written out, is the same plan.
+        let written = write_plan(&plan);
+        let reparsed = ExperimentPlan::from_toml_str(&written)
+            .unwrap_or_else(|e| panic!("parse failed: {e}\n{written}"));
+        prop_assert_eq!(&plan, &reparsed, "written:\n{}", written);
         let a = plan.expand().unwrap();
         let b = reparsed.expand().unwrap();
         prop_assert_eq!(a.jobs(), b.jobs());

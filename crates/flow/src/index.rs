@@ -5,7 +5,7 @@
 //! that walks `graph.neighbors(u)` addresses channel `base(u) + j`
 //! with **no lookup at all**. Point queries ([`EdgeIndex::id`]) fall
 //! back to a binary search over the (sorted) neighbor slice and are
-//! only used off the hot path (layer translation, canonical remaps).
+//! only used off the hot path (layer translation).
 
 use sf_graph::Graph;
 
@@ -94,18 +94,6 @@ impl EdgeIndex {
         }
         rev
     }
-
-    /// Maps every CSR channel id to its slot in the canonical
-    /// `2·e + dir` layout over `edges` (the public
-    /// [`ChannelLoads`](crate::ChannelLoads) convention).
-    pub fn canonical_slots(&self, edges: &[(u32, u32)]) -> Vec<u32> {
-        let mut slot = vec![0u32; self.to.len()];
-        for (e, &(u, v)) in edges.iter().enumerate() {
-            slot[self.id(u, v) as usize] = 2 * e as u32;
-            slot[self.id(v, u) as usize] = 2 * e as u32 + 1;
-        }
-        slot
-    }
 }
 
 #[cfg(test)]
@@ -156,22 +144,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn canonical_slots_are_a_permutation() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let idx = EdgeIndex::new(&g);
-        let edges = g.edge_list();
-        let slots = idx.canonical_slots(&edges);
-        let mut seen = vec![false; slots.len()];
-        for &s in &slots {
-            assert!(!seen[s as usize]);
-            seen[s as usize] = true;
-        }
-        // Spot check the direction convention: edge (0,1) → 2e is 0→1.
-        let e = edges.iter().position(|&p| p == (0, 1)).unwrap() as u32;
-        assert_eq!(slots[idx.id(0, 1) as usize], 2 * e);
-        assert_eq!(slots[idx.id(1, 0) as usize], 2 * e + 1);
     }
 }

@@ -5,13 +5,12 @@
 //!
 //! * endpoint-weighted **average hop counts** under uniform traffic with
 //!   minimal routing (Fig 1);
-//! * **channel loads** under minimal ECMP routing for an arbitrary
-//!   traffic matrix, and the implied saturation-throughput bound
-//!   (1 / max channel load);
 //! * **routing lowerings** ([`min_loads`], [`valiant_loads`],
 //!   [`ugal_mix`], [`fatpaths_loads`]) that reduce the same
 //!   `RoutingSpec` grammar the cycle engine uses to per-channel loads
-//!   and — on small networks — per-flow path sets;
+//!   for any [`Demand`] matrix, with the implied saturation throughput
+//!   ([`RoutingLoads::saturation`], 1 / max channel load), and — on
+//!   small networks — per-flow path sets;
 //! * an exact **max-min fair-share solver** ([`max_min_rates`],
 //!   progressive filling) and a fluid clamp for at-scale runs, both
 //!   reached through [`evaluate`];
@@ -75,92 +74,6 @@ pub fn average_hops_uniform(net: &Network) -> f64 {
     total as f64 / (n * (n - 1.0))
 }
 
-/// Expected load on every directed channel under minimal ECMP routing
-/// for a router-level traffic matrix.
-///
-/// `demand(src_r, dst_r)` gives the traffic rate between router pairs
-/// (flits/cycle). Returns a map from directed edge index to load, where
-/// directed edges are enumerated as `2·e` (u→v) and `2·e+1` (v→u) over
-/// the canonical edge list.
-pub struct ChannelLoads {
-    /// Canonical undirected edge list (u < v).
-    pub edges: Vec<(u32, u32)>,
-    /// load\[2e\] = u→v, load\[2e+1\] = v→u.
-    pub load: Vec<f64>,
-}
-
-impl ChannelLoads {
-    /// Maximum channel load.
-    pub fn max(&self) -> f64 {
-        self.load.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean channel load.
-    pub fn mean(&self) -> f64 {
-        if self.load.is_empty() {
-            0.0
-        } else {
-            self.load.iter().sum::<f64>() / self.load.len() as f64
-        }
-    }
-
-    /// Saturation throughput bound: with per-endpoint injection rate λ
-    /// scaling all demands, the network saturates at λ* = 1 / max load
-    /// (loads computed at λ = 1).
-    pub fn saturation_bound(&self) -> f64 {
-        let m = self.max();
-        if m <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / m
-        }
-    }
-}
-
-/// Computes minimal-ECMP channel loads for a demand function over
-/// router pairs. Flow from `s` to `d` splits equally over all minimal
-/// next hops at every router (the standard ECMP fluid model). Runs on
-/// the same kernel as [`min_loads`] ([`min_loads_dense`]), so demand
-/// between routers that cannot reach each other is an
-/// [`FlowError::UnroutableDemand`], never silently dropped.
-pub fn channel_loads<F>(net: &Network, demand: F) -> Result<ChannelLoads, FlowError>
-where
-    F: Fn(u32, u32) -> f64 + Sync,
-{
-    let g = &net.graph;
-    let idx = EdgeIndex::new(g);
-    let csr = min_loads_dense(g, &idx, |d, buf| {
-        let mut total = 0.0;
-        for (s, slot) in buf.iter_mut().enumerate() {
-            let s = s as u32;
-            *slot = if s == d { 0.0 } else { demand(s, d) };
-            total += *slot;
-        }
-        total
-    })?;
-    // Permute CSR ids into the canonical 2e + dir layout.
-    let edges = g.edge_list();
-    let mut load = vec![0.0f64; csr.len()];
-    for (&x, &slot) in csr.iter().zip(&idx.canonical_slots(&edges)) {
-        load[slot as usize] = x;
-    }
-    Ok(ChannelLoads { edges, load })
-}
-
-/// Uniform-traffic channel loads at per-endpoint injection rate 1: every
-/// endpoint sends 1 flit/cycle spread evenly over all other endpoints.
-pub fn uniform_channel_loads(net: &Network) -> Result<ChannelLoads, FlowError> {
-    let n = net.num_endpoints() as f64;
-    let conc: Vec<f64> = net.concentration.iter().map(|&c| c as f64).collect();
-    channel_loads(net, move |s, d| {
-        if s == d {
-            0.0
-        } else {
-            conc[s as usize] * conc[d as usize] / (n - 1.0)
-        }
-    })
-}
-
 /// The paper's §II-B2 channel-load formula for a Slim Fly:
 /// `l = (2Nr − k' − 2)·p² / k'` — the average number of *routes* through
 /// each of the `k'·Nr` directed channels under all-to-all minimal
@@ -180,6 +93,11 @@ pub fn balanced_concentration(nr: f64, k_prime: f64) -> f64 {
 mod tests {
     use super::*;
     use sf_topo::SlimFly;
+
+    /// Minimal-ECMP loads of uniform traffic at unit injection.
+    fn uniform_loads(net: &Network) -> Result<RoutingLoads, FlowError> {
+        min_loads(net, &EdgeIndex::new(&net.graph), &Demand::uniform(net))
+    }
 
     #[test]
     fn avg_hops_bounded_by_diameter() {
@@ -242,10 +160,10 @@ mod tests {
     fn uniform_loads_symmetric_on_vertex_transitive() {
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
-        let loads = uniform_channel_loads(&net).unwrap();
+        let loads = uniform_loads(&net).unwrap();
         // Hoffman–Singleton SF: all channels within a tight band.
-        let max = loads.max();
-        let mean = loads.mean();
+        let max = loads.max_load;
+        let mean = loads.mean_load();
         assert!(max > 0.0);
         assert!(
             max / mean < 1.6,
@@ -260,8 +178,7 @@ mod tests {
         // saturation bound should be close to 1 flit/endpoint/cycle.
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
-        let loads = uniform_channel_loads(&net).unwrap();
-        let sat = loads.saturation_bound();
+        let sat = uniform_loads(&net).unwrap().saturation();
         assert!(
             sat > 0.7,
             "balanced SF should sustain ≥ 70% uniform load analytically, got {sat}"
@@ -273,8 +190,8 @@ mod tests {
         let sf = SlimFly::new(5).unwrap();
         let balanced = sf.network();
         let over = sf.network_with_concentration(sf.balanced_concentration() + 2);
-        let sat_b = uniform_channel_loads(&balanced).unwrap().saturation_bound();
-        let sat_o = uniform_channel_loads(&over).unwrap().saturation_bound();
+        let sat_b = uniform_loads(&balanced).unwrap().saturation();
+        let sat_o = uniform_loads(&over).unwrap().saturation();
         assert!(sat_o < sat_b, "oversubscribed {sat_o} < balanced {sat_b}");
     }
 
@@ -284,7 +201,7 @@ mod tests {
         // model: rate-normalized they must agree closely on SF(q=5).
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
-        let loads = uniform_channel_loads(&net).unwrap();
+        let loads = uniform_loads(&net).unwrap();
         let routes = slimfly_channel_load(
             net.num_routers() as f64,
             sf.network_radix() as f64,
@@ -292,7 +209,7 @@ mod tests {
         );
         let n = net.num_endpoints() as f64;
         let formula_rate = routes / (n - 1.0);
-        let mean = loads.mean();
+        let mean = loads.mean_load();
         assert!(
             (mean - formula_rate).abs() / formula_rate < 0.05,
             "formula {formula_rate} vs model mean {mean}"
@@ -337,17 +254,21 @@ mod tests {
         }
         let (u, v) = pair.unwrap();
         let p = net.concentration[u as usize] as f64;
-        let loads = channel_loads(&net, |s, d| {
-            if s == u && d == v {
-                p // all p endpoint flows
+        let idx = EdgeIndex::new(&net.graph);
+        let load = min_loads_dense(&net.graph, &idx, |d, buf| {
+            buf.fill(0.0);
+            if d == v {
+                buf[u as usize] = p; // all p endpoint flows
+                p
             } else {
                 0.0
             }
         })
         .unwrap();
         // Unique middle (girth 5) ⇒ the middle link carries all p flows.
-        assert!((loads.max() - p).abs() < 1e-9);
-        assert!((loads.saturation_bound() - 1.0 / p).abs() < 1e-9);
+        let max = load.iter().copied().fold(0.0, f64::max);
+        assert!((max - p).abs() < 1e-9);
+        assert!((1.0 / max - 1.0 / p).abs() < 1e-9);
     }
 
     #[test]
@@ -360,7 +281,7 @@ mod tests {
             sf_topo::TopologyKind::Other,
         );
         assert_eq!(
-            uniform_channel_loads(&net).err(),
+            uniform_loads(&net).err(),
             Some(FlowError::UnroutableDemand { src: 2, dst: 0 })
         );
     }

@@ -16,13 +16,12 @@
 //! * [`fatpaths_loads`] — FatPaths layers: minimal ECMP within each
 //!   layer subgraph, averaged over layers.
 //!
-//! All of them, and the legacy [`channel_loads`](crate::channel_loads),
-//! run on one minimal-ECMP kernel, [`min_loads_dense`]. Each destination
-//! takes one of three paths: a dense common-neighbour count when all its
-//! demand lies within two hops, a sparse source-driven count over a
-//! sparse [`Demand`]'s source list under the same condition, or a general
-//! BFS that records every router's minimal next hops and propagates
-//! demand from far to near over them. The kernel's rustdoc states the
+//! All of them run on one minimal-ECMP kernel, [`min_loads_dense`].
+//! Each destination takes one of three paths: a dense common-neighbour
+//! count when all its demand lies within two hops, a sparse
+//! source-driven count over a sparse [`Demand`]'s source list under the
+//! same condition, or a general BFS that records every router's minimal
+//! next hops and propagates demand from far to near over them. The kernel's rustdoc states the
 //! summation-order contract under which a sparse and a dense column of
 //! the same demand give the same loads, bit for bit.
 //!

@@ -176,7 +176,9 @@ fn zoo_configs_are_balanced_by_flow_model() {
             continue; // toy sizes
         }
         let net = c.build().network();
-        let sat = uniform_channel_loads(&net).unwrap().saturation_bound();
+        let sat = min_loads(&net, &EdgeIndex::new(&net.graph), &Demand::uniform(&net))
+            .unwrap()
+            .saturation();
         assert!(
             sat > 0.65,
             "q={} saturation bound {sat} too low for a balanced config",
