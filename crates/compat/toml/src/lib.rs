@@ -178,9 +178,11 @@ pub fn from_str(text: &str) -> Result<Value, TomlError> {
             }
             p.end_of_line()?;
             if array {
-                let t = navigate(&mut root, &path[..path.len() - 1], stmt_line)?;
-                let entry = t
-                    .entry(path.last().unwrap().clone())
+                let (last, parents) = path
+                    .split_last()
+                    .expect("a key path has at least one segment");
+                let entry = navigate(&mut root, parents, stmt_line)?
+                    .entry(last.clone())
                     .or_insert_with(|| Value::Array(Vec::new()));
                 match entry {
                     Value::Array(items) => items.push(Value::Table(Map::new())),
@@ -249,8 +251,10 @@ fn insert_dotted(
     value: Value,
     line: usize,
 ) -> Result<(), TomlError> {
-    let target = navigate(table, &path[..path.len() - 1], line)?;
-    let key = path.last().unwrap();
+    let (key, parents) = path
+        .split_last()
+        .expect("a key path has at least one segment");
+    let target = navigate(table, parents, line)?;
     if target.insert(key.clone(), value).is_some() {
         return Err(TomlError {
             line,
@@ -523,8 +527,10 @@ impl<'a> Parser<'a> {
                     _ => {}
                 }
                 let clean: String = tok.chars().filter(|&c| c != '_').collect();
-                if !clean.contains(['.', 'e', 'E', 'n', 'i']) && clean.parse::<i64>().is_ok() {
-                    return Ok(Value::Integer(clean.parse().unwrap()));
+                if !clean.contains(['.', 'e', 'E', 'n', 'i']) {
+                    if let Ok(i) = clean.parse::<i64>() {
+                        return Ok(Value::Integer(i));
+                    }
                 }
                 match clean.as_str() {
                     "inf" | "+inf" => return Ok(Value::Float(f64::INFINITY)),

@@ -7,9 +7,9 @@
 //! reads inside simulation state, and library-code `unwrap()` whose
 //! panic message depends on incidental state. This crate is a
 //! self-contained, dependency-free token scanner that rejects all
-//! three across the library crates
+//! three across the library crates and the plan parser
 //! ([`DETERMINISM_CRATES`]: `core`, `flow`, `routing`, `sim`,
-//! `verify`).
+//! `verify`, `compat/toml`).
 //!
 //! The scanner is deliberately *syntactic*, not semantic: it strips
 //! comments, string and char literals (so prose mentioning
@@ -30,11 +30,13 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Library crates bound by the determinism contract (their `src/`
-/// trees are scanned). `bench`, `topo`, `graph` and the compat shims
-/// are exempt: they either run before the simulation starts or are
-/// vendored stand-ins.
-pub const DETERMINISM_CRATES: &[&str] = &["core", "flow", "routing", "sim", "verify"];
+/// Crates bound by the determinism contract, as paths under `crates/`
+/// (their `src/` trees are scanned). `compat/toml` is the plan parser:
+/// every record depends on what it reads, and it reads user input.
+/// `bench`, `topo`, `graph` and the other compat shims are exempt: they
+/// either run before the simulation starts or are vendored stand-ins.
+pub const DETERMINISM_CRATES: &[&str] =
+    &["core", "flow", "routing", "sim", "verify", "compat/toml"];
 
 /// The three lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
