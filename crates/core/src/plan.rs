@@ -312,18 +312,28 @@ impl ExperimentPlan {
         Self::from_value(&value)
     }
 
-    /// Loads a plan from a `.toml` file.
+    /// Loads a plan from a `.toml` file. Any other extension is a
+    /// typed error before the file is read.
     pub fn from_path(path: &Path) -> Result<Self, SfError> {
+        let at = |msg: String| SfError::Plan(format!("{}: {msg}", path.display()));
+        match path.extension() {
+            Some(ext) if ext == "toml" => {}
+            Some(ext) => {
+                return Err(at(format!(
+                    "unsupported experiment-file extension .{} (expected .toml)",
+                    ext.to_string_lossy()
+                )))
+            }
+            None => {
+                return Err(at(
+                    "experiment file has no extension (expected .toml)".into()
+                ))
+            }
+        }
         let text = std::fs::read_to_string(path)
             .map_err(|e| SfError::Plan(format!("cannot read {}: {e}", path.display())))?;
-        let parsed = match path.extension().and_then(|e| e.to_str()) {
-            Some("toml") => Self::from_toml_str(&text),
-            other => Err(SfError::Plan(format!(
-                "unsupported experiment-file extension {other:?} (expected .toml)"
-            ))),
-        };
-        parsed.map_err(|e| match e {
-            SfError::Plan(msg) => SfError::Plan(format!("{}: {msg}", path.display())),
+        Self::from_toml_str(&text).map_err(|e| match e {
+            SfError::Plan(msg) => at(msg),
             e => e,
         })
     }
@@ -421,9 +431,9 @@ impl ExperimentPlan {
                     sweep.sim.packet_size
                 )));
             }
-            // Parse already bounds the queues and the run window;
-            // re-check here so hand-built plans and the builder get the
-            // same typed error.
+            // Parse already bounds the engine's sizes, delays and run
+            // window; re-check here so hand-built plans and the builder
+            // get the same typed error.
             check_sim_bounds(&sweep.sim)?;
             // Matrix sugar multiplies [[sweep]] blocks at parse time,
             // so this index may not match a file ordinal — say so.
@@ -919,10 +929,11 @@ fn apply_sim(cfg: &mut SimConfig, v: &Value) -> Result<(), SfError> {
     Ok(())
 }
 
-/// The cycle engine allocates its input-buffer and staging rings up
-/// front, stores VC ids in a byte and counts cycles in a `u32`, so
-/// queue sizes, the VC count and the run window are bounded before any
-/// job is prepared.
+/// The cycle engine allocates its input-buffer and staging rings and
+/// its delay buckets up front, stores VC ids in a byte and counts
+/// cycles and allocation iterations in a `u32`, so queue sizes, the VC
+/// count, the speedup, the delays and the run window are bounded before
+/// any job is prepared.
 fn check_sim_bounds(cfg: &SimConfig) -> Result<(), SfError> {
     let window = [cfg.warmup, cfg.measure, cfg.drain];
     if window
@@ -937,29 +948,54 @@ fn check_sim_bounds(cfg: &SimConfig) -> Result<(), SfError> {
             u32::MAX
         )));
     }
+    if cfg.measure == 0 {
+        return Err(plan_err(
+            "sim.measure must be at least 1 cycle (throughput and link utilization are \
+             rates over the measurement window)",
+        ));
+    }
+    let max_delay = sf_sim::MAX_DELAY as u64;
     for (key, value, max, unit) in [
         (
-            "num_vcs",
-            cfg.num_vcs,
-            sf_sim::MAX_NUM_VCS,
+            "sim.num_vcs",
+            cfg.num_vcs as u64,
+            sf_sim::MAX_NUM_VCS as u64,
             "virtual channels",
         ),
         (
-            "buf_per_port",
-            cfg.buf_per_port,
-            sf_sim::MAX_BUF_PER_PORT,
+            "sim.buf_per_port",
+            cfg.buf_per_port as u64,
+            sf_sim::MAX_BUF_PER_PORT as u64,
             "flits",
         ),
         (
-            "output_queue_cap",
-            cfg.output_queue_cap,
-            sf_sim::MAX_OUTPUT_QUEUE_CAP,
+            "sim.output_queue_cap",
+            cfg.output_queue_cap as u64,
+            sf_sim::MAX_OUTPUT_QUEUE_CAP as u64,
             "flits",
+        ),
+        (
+            "sim.output_speedup",
+            cfg.output_speedup as u64,
+            sf_sim::MAX_OUTPUT_SPEEDUP as u64,
+            "allocation iterations",
+        ),
+        (
+            "sim.router_delay + sim.channel_latency",
+            cfg.router_delay as u64 + cfg.channel_latency as u64,
+            max_delay,
+            "cycles",
+        ),
+        (
+            "sim.credit_delay",
+            cfg.credit_delay as u64,
+            max_delay,
+            "cycles",
         ),
     ] {
         if value > max {
             return Err(plan_err(&format!(
-                "sim.{key} = {value} exceeds the cycle engine's bound of {max} {unit}"
+                "{key} = {value} exceeds the cycle engine's bound of {max} {unit}"
             )));
         }
     }
@@ -1377,7 +1413,7 @@ fn cached_loads(
 /// without bound and the estimate is `NaN`.
 fn flow_latency(p: &sf_flow::FlowPoint, sim: &SimConfig) -> (f64, f64) {
     let ps = sim.packet_size as f64;
-    let per_hop = (sim.channel_latency + sim.router_delay) as f64;
+    let per_hop = sim.channel_latency as f64 + sim.router_delay as f64;
     let base = 1.0 + p.avg_hops * per_hop + (ps - 1.0);
     let wq = |rho: f64| -> f64 {
         if rho >= 1.0 - 1e-12 {
@@ -1620,7 +1656,7 @@ mod tests {
         // A sweep may override the defaults back under the bound.
         ExperimentPlan::from_toml_str(&doc(
             "warmup = 4294967295",
-            "warmup = 4294967285\nmeasure = 0\ndrain = 10",
+            "warmup = 4294967284\nmeasure = 1\ndrain = 10",
         ))
         .unwrap()
         .expand()
@@ -1633,6 +1669,90 @@ mod tests {
         let err = plan.expand().unwrap_err();
         assert!(matches!(err, SfError::Plan(_)), "{err}");
         assert!(err.to_string().contains("clock bound"), "{err}");
+    }
+
+    #[test]
+    fn delays_speedups_and_empty_windows_past_the_engine_are_typed_errors() {
+        let doc = |sim: &str| {
+            format!(
+                "[figure]\nname = \"x\"\n[defaults.sim]\nwarmup = 50\nmeasure = 100\n\
+                 drain = 200\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n[sweep.sim]\n{sim}"
+            )
+        };
+        for (sim, needle) in [
+            // A u32 sum would wrap to a one-cycle hop.
+            (
+                "channel_latency = 4294967295\nrouter_delay = 1",
+                "sim.router_delay + sim.channel_latency = 4294967296 exceeds the cycle \
+                 engine's bound of 4096 cycles",
+            ),
+            // Delays that fit a u32 still size up-front delay buckets.
+            (
+                "channel_latency = 2000000000",
+                "sim.router_delay + sim.channel_latency = 2000000003 exceeds",
+            ),
+            (
+                "credit_delay = 2000000000",
+                "sim.credit_delay = 2000000000 exceeds",
+            ),
+            // A u32 cast would turn 2^32 iterations into none.
+            (
+                "output_speedup = 4294967296",
+                "sim.output_speedup = 4294967296 exceeds the cycle engine's bound of 4096",
+            ),
+            // Throughput and utilization are rates over the window.
+            ("measure = 0", "sim.measure must be at least 1 cycle"),
+        ] {
+            let err = ExperimentPlan::from_toml_str(&doc(sim)).unwrap_err();
+            assert!(matches!(err, SfError::Plan(_)), "{sim} → {err}");
+            assert!(err.to_string().contains(needle), "{sim} → {err}");
+        }
+        // The bounds themselves run through the engine; hand-built
+        // plans one past them get the same typed error at expansion.
+        let plan = ExperimentPlan::from_toml_str(&doc(&format!(
+            "router_delay = {}\nchannel_latency = 0\ncredit_delay = {}\n\
+             output_speedup = {}\nmeasure = 1",
+            sf_sim::MAX_DELAY,
+            sf_sim::MAX_DELAY,
+            sf_sim::MAX_OUTPUT_SPEEDUP
+        )))
+        .unwrap();
+        let mut set = plan.expand().unwrap();
+        set.prepare().unwrap();
+        assert_eq!(set.run_job(&set.jobs()[0]).unwrap().len(), 1);
+        for over in [
+            |c: &mut SimConfig| c.channel_latency = 1,
+            |c: &mut SimConfig| c.credit_delay += 1,
+            |c: &mut SimConfig| c.output_speedup += 1,
+            |c: &mut SimConfig| c.measure = 0,
+        ] {
+            let mut bad = plan.clone();
+            over(&mut bad.sweeps[0].sim);
+            let err = bad.expand().unwrap_err();
+            assert!(matches!(err, SfError::Plan(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn unsupported_extensions_are_named() {
+        for (path, needle) in [
+            (
+                "plan.yaml",
+                "plan.yaml: unsupported experiment-file extension .yaml",
+            ),
+            (
+                "plan.json",
+                "plan.json: unsupported experiment-file extension .json",
+            ),
+            ("plan", "plan: experiment file has no extension"),
+        ] {
+            let err = ExperimentPlan::from_path(Path::new(path)).unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, SfError::Plan(_)), "{msg}");
+            assert!(msg.contains(needle), "{msg}");
+            assert!(msg.contains("(expected .toml)"), "{msg}");
+            assert!(!msg.contains("Some(") && !msg.contains("None"), "{msg}");
+        }
     }
 
     #[test]

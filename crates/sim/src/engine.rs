@@ -30,8 +30,9 @@
 //!   each, of capacity `vc_cap` and `output_queue_cap`. Credits bound
 //!   every input buffer and the allocator bounds every staging queue,
 //!   so no ring ever grows; plan expansion bounds both sizes
-//!   ([`MAX_BUF_PER_PORT`], [`MAX_OUTPUT_QUEUE_CAP`]) before anything
-//!   is allocated. Measured against one growable queue of 60-byte
+//!   ([`MAX_BUF_PER_PORT`], [`MAX_OUTPUT_QUEUE_CAP`]) and the delays
+//!   that size the delay buckets ([`MAX_DELAY`]) before anything is
+//!   allocated. Measured against one growable queue of 60-byte
 //!   flits per buffer on the benchmark's `q19_uniform` workload
 //!   (`sf:q=19`, 2-vCPU host), slab and rings cut median peak RSS from
 //!   84 to 51 MB and median engine time per flit from 3.7 to 3.2 µs
@@ -219,14 +220,16 @@ pub struct SimConfig {
     /// swept in Fig 8a). At most [`MAX_BUF_PER_PORT`].
     pub buf_per_port: usize,
     /// Channel traversal latency in cycles (paper: 1).
+    /// `router_delay + channel_latency` is at most [`MAX_DELAY`].
     pub channel_latency: u32,
     /// Lumped per-hop router pipeline delay: switch allocation + VC
     /// allocation + crossbar, 1 cycle each (paper: 3 × 1).
     pub router_delay: u32,
-    /// Credit processing delay (paper: 2).
+    /// Credit processing delay (paper: 2). At most [`MAX_DELAY`].
     pub credit_delay: u32,
     /// Internal speedup: flits a single output may accept from the
-    /// crossbar per cycle (paper: 2).
+    /// crossbar per cycle (paper: 2). At most [`MAX_OUTPUT_SPEEDUP`];
+    /// `0` runs no allocation iteration, so no flit is ever granted.
     pub output_speedup: usize,
     /// Output staging queue depth (absorbs the speedup burst). At most
     /// [`MAX_OUTPUT_QUEUE_CAP`]; `0` stages nothing, so no flit is ever
@@ -234,7 +237,8 @@ pub struct SimConfig {
     pub output_queue_cap: usize,
     /// Warm-up cycles before measurement.
     pub warmup: u32,
-    /// Measurement window in cycles.
+    /// Measurement window in cycles (≥ 1: accepted throughput and link
+    /// utilization are rates over it).
     pub measure: u32,
     /// Extra drain cycles allowed after the window.
     pub drain: u32,
@@ -286,6 +290,18 @@ pub const MAX_BUF_PER_PORT: usize = 4096;
 /// queue never holds more flits than its link has downstream credits
 /// (`num_vcs` × the per-VC buffer).
 pub const MAX_OUTPUT_QUEUE_CAP: usize = 4096;
+
+/// Upper bound on [`SimConfig::output_speedup`]: the allocator counts
+/// its iterations and each output's grants in `u32`, so the bound keeps
+/// those counts exact (and is 2048× the paper's speedup of 2).
+pub const MAX_OUTPUT_SPEEDUP: usize = 4096;
+
+/// Upper bound, in cycles, on the per-hop flit delay
+/// `router_delay + channel_latency` and on `credit_delay`. The engine
+/// allocates one delay bucket per cycle of each delay up front, so the
+/// delays are bounded before anything is allocated: 4096 cycles is
+/// 1024× the paper's per-hop delay of 4.
+pub const MAX_DELAY: u32 = 4096;
 
 /// The engine's **output epoch**: a monotone counter bumped every time
 /// the engine's output for a fixed (plan, seed) changes — i.e. at
@@ -1041,6 +1057,25 @@ impl<'a> Simulator<'a> {
             "output_queue_cap must be at most {MAX_OUTPUT_QUEUE_CAP}, got {}",
             cfg.output_queue_cap
         );
+        assert!(
+            cfg.output_speedup <= MAX_OUTPUT_SPEEDUP,
+            "output_speedup must be at most {MAX_OUTPUT_SPEEDUP}, got {}",
+            cfg.output_speedup
+        );
+        assert!(
+            cfg.router_delay
+                .checked_add(cfg.channel_latency)
+                .is_some_and(|d| d <= MAX_DELAY),
+            "router_delay + channel_latency must be at most {MAX_DELAY} cycles, got {} + {}",
+            cfg.router_delay,
+            cfg.channel_latency
+        );
+        assert!(
+            cfg.credit_delay <= MAX_DELAY,
+            "credit_delay must be at most {MAX_DELAY} cycles, got {}",
+            cfg.credit_delay
+        );
+        assert!(cfg.measure >= 1, "measure must be at least 1 cycle");
         let window = [cfg.warmup, cfg.measure, cfg.drain];
         assert!(
             window
@@ -1921,7 +1956,7 @@ impl<'a> Simulator<'a> {
         let m = &self.m;
         let active = self.pattern.num_active().max(1) as f64;
         let drained = m.sample_ejected >= m.sample_generated;
-        let mcycles = self.cfg.measure.max(1) as f64;
+        let mcycles = self.cfg.measure as f64;
         let mut max_util = 0.0f64;
         let mut sum_util = 0.0f64;
         for &c in &self.link_flits {
@@ -1940,7 +1975,7 @@ impl<'a> Simulator<'a> {
             } else {
                 m.head_lat_sum as f64 / m.head_ejected as f64
             },
-            accepted: m.window_ejected as f64 / (active * self.cfg.measure as f64),
+            accepted: m.window_ejected as f64 / (active * mcycles),
             ejected: m.total_ejected,
             ejected_flits: m.total_ejected_flits,
             saturated: !drained,
@@ -2386,6 +2421,48 @@ mod tests {
         let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
         let mut cfg = quick_cfg(24);
         cfg.warmup = u32::MAX;
+        let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "router_delay + channel_latency must be at most 4096 cycles")]
+    fn per_hop_delay_past_the_bound_is_rejected() {
+        // The u32 sum would wrap to a one-cycle hop.
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let mut cfg = quick_cfg(24);
+        (cfg.channel_latency, cfg.router_delay) = (u32::MAX, 1);
+        let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "credit_delay must be at most 4096 cycles")]
+    fn credit_delay_past_the_bound_is_rejected() {
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let mut cfg = quick_cfg(24);
+        cfg.credit_delay = MAX_DELAY + 1;
+        let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "output_speedup must be at most 4096")]
+    fn speedup_past_the_bound_is_rejected() {
+        // 2^32 iterations would cast to zero and grant nothing.
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let mut cfg = quick_cfg(24);
+        cfg.output_speedup = u32::MAX as usize + 1;
+        let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "measure must be at least 1 cycle")]
+    fn empty_measurement_window_is_rejected() {
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let mut cfg = quick_cfg(24);
+        cfg.measure = 0;
         let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
     }
 
