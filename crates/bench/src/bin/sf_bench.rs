@@ -2,7 +2,7 @@
 //! data, not binaries.
 //!
 //! Usage:
-//!   `sf-bench run <file.toml|file.json> [--workers N]
+//!   `sf-bench run <file.toml> [--workers N]
 //!                 [--out PATH] [--format csv|jsonl] [--report PATH]
 //!                 [--cache DIR | --no-cache]
 //!                 [--check-builder] [--quiet]`
@@ -26,8 +26,8 @@
 //! the `SF_CACHE_DIR` environment variable supplies a default, and
 //! `--no-cache` disables caching even when the variable is set. Each
 //! job is keyed by a stable hash of everything its records depend on —
-//! the canonical plan rendering (topology + fault plan, routing,
-//! traffic, backend, loads, warm-start, sim config)
+//! the cache's own canonical key material for the job (topology + fault
+//! plan, routing, traffic, backend, loads, warm-start, sim config)
 //! plus the seed and the engine epoch — so hits replay stored records
 //! byte-identically to a cold run, while misses simulate and write
 //! through. Re-submitting a figure with one new load point simulates
@@ -76,7 +76,7 @@ fn main() {
         Some("survive") => cmd_survive(args),
         Some("cache") => cmd_cache(args),
         _ => Err(SfError::Cli(
-            "usage: sf-bench <run|validate|verify|survive|cache> <file.toml|file.json> ...".into(),
+            "usage: sf-bench <run|validate|verify|survive|cache> <file.toml> ...".into(),
         )),
     })
 }

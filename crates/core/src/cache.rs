@@ -3,11 +3,12 @@
 //! Records are a **pure function of (plan, seed)**: the determinism
 //! lint (`sf-lint`) bans unordered iteration and wall-clock reads in
 //! every simulation crate, and the cycle engine draws every random
-//! number from seeded streams laid out by the topology alone
-//! ([`sf_sim::ENGINE_EPOCH`]'s module). That guarantee makes results *cacheable*: a [`Job`]'s
-//! records can be keyed by a stable hash over everything the output
-//! provably depends on, stored once, and replayed on any later run of
-//! the same job — byte-identical to a cold simulation.
+//! number from one stream seeded with the run's seed
+//! ([`sf_sim::ENGINE_EPOCH`]'s module). That guarantee makes results
+//! *cacheable*: a [`Job`]'s records can be keyed by a stable hash over
+//! everything the output provably depends on, stored once, and replayed
+//! on any later run of the same job — byte-identical to a cold
+//! simulation.
 //!
 //! # What the key covers
 //!

@@ -50,7 +50,7 @@ pub enum SfError {
     /// A command-line flag could not be interpreted (`sf-bench`'s shared
     /// `SweepArgs` parser).
     Cli(String),
-    /// An experiment file (TOML/JSON plan) could not be parsed or
+    /// An experiment file (a TOML plan) could not be parsed or
     /// interpreted against the plan schema.
     Plan(String),
     /// Writing records to a sink failed.

@@ -72,7 +72,7 @@
 //!
 //! * [`spec`] — [`TopologySpec`], the declarative constructor registry;
 //! * [`experiment`] — the fluent [`Experiment`] builder and [`Record`]s;
-//! * [`plan`] — [`ExperimentPlan`]: whole figures as TOML/JSON data,
+//! * [`plan`] — [`ExperimentPlan`]: whole figures as TOML data,
 //!   expanded to a deterministic [`JobSet`];
 //! * [`schedule`] — the work-stealing [`Scheduler`] executing job sets
 //!   on persistent workers;

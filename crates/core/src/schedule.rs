@@ -21,9 +21,13 @@
 //!
 //! # Thread budget
 //!
-//! The scheduler is the only parallel layer: every simulation runs on
-//! the one worker thread that claimed its job, so `workers` is the
-//! whole thread budget of a run.
+//! `workers` bounds the jobs in flight, not the threads of a run. Every
+//! simulation runs on the one worker thread that claimed its job, but
+//! lazily built shared state fans out on the offline `rayon` stand-in's
+//! threads (`RAYON_NUM_THREADS`, else the host's parallelism) inside
+//! whichever worker builds it first: routing tables, FatPaths layers
+//! and flow lowerings. [`JobSet::prepare`] builds the networks the same
+//! way before any worker starts.
 //!
 //! ```no_run
 //! use slimfly::prelude::*;
@@ -391,7 +395,8 @@ pub struct ScheduleReport {
     pub jobs: usize,
     /// Records streamed to the sink.
     pub records: usize,
-    /// Worker threads actually used (capped at the job count).
+    /// Worker threads actually used: capped at the jobs left to
+    /// simulate after cache hits (at least 1).
     pub workers: usize,
     /// Successful steals between worker deques (0 on sequential runs).
     pub steals: usize,
