@@ -1587,6 +1587,25 @@ mod tests {
                  num_vcs = 300\nbuf_per_port = 1200",
                 "sim.num_vcs = 300 exceeds the cycle engine's bound of 256 virtual channels",
             ),
+            // Delays size delay buckets allocated up front, and a u32
+            // sum of them would wrap to a one-cycle hop.
+            (
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\n\
+                 channel_latency = 4294967295\nrouter_delay = 1",
+                "sim.router_delay + sim.channel_latency = 4294967296 exceeds the cycle \
+                 engine's bound of 4096 cycles",
+            ),
+            (
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\n\
+                 credit_delay = 2000000000",
+                "sim.credit_delay = 2000000000 exceeds",
+            ),
+            // A u32 cast would turn 2^32 allocation iterations into none.
+            (
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\n\
+                 output_speedup = 4294967296",
+                "sim.output_speedup = 4294967296 exceeds the cycle engine's bound of 4096",
+            ),
         ];
         for (doc, needle) in cases {
             let err = ExperimentPlan::from_toml_str(doc).unwrap_err();
@@ -1621,11 +1640,18 @@ mod tests {
         plan.sweeps[0].sim.num_vcs = sf_sim::MAX_NUM_VCS;
         plan.sweeps[0].sim.buf_per_port = sf_sim::MAX_BUF_PER_PORT;
         plan.sweeps[0].sim.output_queue_cap = sf_sim::MAX_OUTPUT_QUEUE_CAP;
+        plan.sweeps[0].sim.output_speedup = sf_sim::MAX_OUTPUT_SPEEDUP;
+        plan.sweeps[0].sim.router_delay = sf_sim::MAX_DELAY;
+        plan.sweeps[0].sim.channel_latency = 0;
+        plan.sweeps[0].sim.credit_delay = sf_sim::MAX_DELAY;
         plan.expand().unwrap();
         for over in [
             |c: &mut SimConfig| c.num_vcs = sf_sim::MAX_NUM_VCS + 1,
             |c: &mut SimConfig| c.buf_per_port = sf_sim::MAX_BUF_PER_PORT + 1,
             |c: &mut SimConfig| c.output_queue_cap = usize::MAX,
+            |c: &mut SimConfig| c.output_speedup += 1,
+            |c: &mut SimConfig| c.channel_latency = u32::MAX,
+            |c: &mut SimConfig| c.credit_delay += 1,
         ] {
             let mut bad = plan.clone();
             over(&mut bad.sweeps[0].sim);
@@ -1669,68 +1695,38 @@ mod tests {
         let err = plan.expand().unwrap_err();
         assert!(matches!(err, SfError::Plan(_)), "{err}");
         assert!(err.to_string().contains("clock bound"), "{err}");
+        // An empty measurement window is refused at parse and at
+        // expansion: throughput and link utilization are rates over it.
+        let err = ExperimentPlan::from_toml_str(&doc("", "measure = 0")).unwrap_err();
+        assert!(matches!(err, SfError::Plan(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("sim.measure must be at least 1 cycle"),
+            "{err}"
+        );
+        plan.sweeps[0].sim.warmup = 0;
+        plan.sweeps[0].sim.measure = 0;
+        let err = plan.expand().unwrap_err();
+        assert!(matches!(err, SfError::Plan(_)), "{err}");
+        assert!(err.to_string().contains("sim.measure"), "{err}");
     }
 
     #[test]
-    fn delays_speedups_and_empty_windows_past_the_engine_are_typed_errors() {
-        let doc = |sim: &str| {
-            format!(
-                "[figure]\nname = \"x\"\n[defaults.sim]\nwarmup = 50\nmeasure = 100\n\
-                 drain = 200\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n[sweep.sim]\n{sim}"
-            )
-        };
-        for (sim, needle) in [
-            // A u32 sum would wrap to a one-cycle hop.
-            (
-                "channel_latency = 4294967295\nrouter_delay = 1",
-                "sim.router_delay + sim.channel_latency = 4294967296 exceeds the cycle \
-                 engine's bound of 4096 cycles",
-            ),
-            // Delays that fit a u32 still size up-front delay buckets.
-            (
-                "channel_latency = 2000000000",
-                "sim.router_delay + sim.channel_latency = 2000000003 exceeds",
-            ),
-            (
-                "credit_delay = 2000000000",
-                "sim.credit_delay = 2000000000 exceeds",
-            ),
-            // A u32 cast would turn 2^32 iterations into none.
-            (
-                "output_speedup = 4294967296",
-                "sim.output_speedup = 4294967296 exceeds the cycle engine's bound of 4096",
-            ),
-            // Throughput and utilization are rates over the window.
-            ("measure = 0", "sim.measure must be at least 1 cycle"),
-        ] {
-            let err = ExperimentPlan::from_toml_str(&doc(sim)).unwrap_err();
-            assert!(matches!(err, SfError::Plan(_)), "{sim} → {err}");
-            assert!(err.to_string().contains(needle), "{sim} → {err}");
-        }
-        // The bounds themselves run through the engine; hand-built
-        // plans one past them get the same typed error at expansion.
-        let plan = ExperimentPlan::from_toml_str(&doc(&format!(
-            "router_delay = {}\nchannel_latency = 0\ncredit_delay = {}\n\
-             output_speedup = {}\nmeasure = 1",
+    fn the_engine_runs_at_the_plan_delay_and_speedup_bounds() {
+        // Parse and `Simulator::new` share the bounds: a sweep at them
+        // runs instead of tripping an engine assertion.
+        let plan = ExperimentPlan::from_toml_str(&format!(
+            "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\n\
+             [sweep.sim]\nwarmup = 50\nmeasure = 1\ndrain = 200\nrouter_delay = {}\n\
+             channel_latency = 0\ncredit_delay = {}\noutput_speedup = {}",
             sf_sim::MAX_DELAY,
             sf_sim::MAX_DELAY,
             sf_sim::MAX_OUTPUT_SPEEDUP
-        )))
+        ))
         .unwrap();
         let mut set = plan.expand().unwrap();
         set.prepare().unwrap();
         assert_eq!(set.run_job(&set.jobs()[0]).unwrap().len(), 1);
-        for over in [
-            |c: &mut SimConfig| c.channel_latency = 1,
-            |c: &mut SimConfig| c.credit_delay += 1,
-            |c: &mut SimConfig| c.output_speedup += 1,
-            |c: &mut SimConfig| c.measure = 0,
-        ] {
-            let mut bad = plan.clone();
-            over(&mut bad.sweeps[0].sim);
-            let err = bad.expand().unwrap_err();
-            assert!(matches!(err, SfError::Plan(_)), "{err}");
-        }
     }
 
     #[test]
