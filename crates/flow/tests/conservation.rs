@@ -157,6 +157,8 @@ proptest! {
             let tables = RoutingTables::new(&net.graph);
             if let Ok(fp) = fatpaths_loads(&net, &idx, &dem, &tables, 2) {
                 assert_aggregate_conservation("fatpaths", &net, &idx, &dem, &fp);
+                let set = fp.flows.as_ref().expect("exact tier");
+                assert_flowset_conservation("fatpaths", nr, &idx, set);
             }
 
             // All generated topologies sit at or below EXACT_MAX_ROUTERS,

@@ -1035,6 +1035,58 @@ mod tests {
         assert!(TrafficPattern::worst_case_hypercube(&torus).is_err());
     }
 
+    /// `dest` samples exactly the distribution `dest_mix` reports: a
+    /// fixed pattern's draw is its single pair (or `None` when the list
+    /// is empty), and every random draw lies in the support.
+    #[test]
+    fn dest_agrees_with_dest_mix() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for n in [0u32, 2, 3, 7, 8, 200] {
+            for (p, random) in [
+                (TrafficPattern::uniform(n), true),
+                (TrafficPattern::shuffle(n), false),
+                (TrafficPattern::bit_reversal(n), false),
+                (TrafficPattern::bit_complement(n), false),
+                (TrafficPattern::shift(n), true),
+            ] {
+                let what = format!("{} over {n}", p.name());
+                for s in 0..n {
+                    let draws: Vec<Option<u32>> = (0..16).map(|_| p.dest(s, &mut rng)).collect();
+                    match p.dest_mix(s) {
+                        DestMix::Inactive => assert!(draws.iter().all(Option::is_none), "{what}"),
+                        DestMix::Uniform => {
+                            assert!(random, "{what}");
+                            for d in draws {
+                                let d = d.expect("uniform draws always land");
+                                assert!(d < n && d != s, "{what}: {s} → {d}");
+                            }
+                        }
+                        DestMix::Pairs(pairs) if !random => {
+                            let expect = match pairs[..] {
+                                [] => None,
+                                [(d, w)] if w == 1.0 => Some(d),
+                                _ => panic!("{what}: {s} has pairs {pairs:?}"),
+                            };
+                            assert!(draws.iter().all(|&d| d == expect), "{what}: {s}");
+                        }
+                        DestMix::Pairs(pairs) => {
+                            let mass: f64 = pairs.iter().map(|&(_, w)| w).sum();
+                            for d in draws {
+                                match d {
+                                    Some(d) => assert!(
+                                        pairs.iter().any(|&(pd, _)| pd == d),
+                                        "{what}: {s} → {d} outside {pairs:?}"
+                                    ),
+                                    None => assert!(mass < 1.0, "{what}: {s} lost mass"),
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn permutation_activity_counts() {
         let p = TrafficPattern::permutation(vec![1, 0, u32::MAX], "t");

@@ -475,6 +475,20 @@ mod tests {
     }
 
     #[test]
+    fn slimfly_valiant_witness_is_pinned() {
+        let g = sf_topo::SlimFly::new(5).unwrap().router_graph();
+        let t = RoutingTables::new(&g);
+        let spec = RoutingSpec::Valiant { cap3: false };
+        match verify_combo("sf-q5", &g, &t, &spec, 2, 1).unwrap_err() {
+            VerifyError::Deadlock { witness, .. } => assert_eq!(
+                render_witness(&witness),
+                "(1→0 vc1) → (0→1 vc1) → (1→0 vc1)"
+            ),
+            other => panic!("expected Deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn slimfly_min_is_certified_monotone_or_cdg() {
         let g = sf_topo::SlimFly::new(5).unwrap().router_graph();
         let t = RoutingTables::new(&g);

@@ -455,4 +455,28 @@ mod tests {
         let fp = wormhole_cdg(&g, &t, &RoutingSpec::FatPaths { layers: 3 }, 4).unwrap();
         assert!(fp.max_hops >= 2);
     }
+
+    /// `(channels, edges)` of the wormhole CDG, captured before the
+    /// minimal family and the Valiant legs shared one pair enumerator.
+    #[test]
+    fn cdg_sizes_are_pinned() {
+        let size = |g: &Graph, spec: RoutingSpec, vcs: usize| {
+            let w = wormhole_cdg(g, &RoutingTables::new(g), &spec, vcs).unwrap();
+            (w.cdg.num_channels(), w.cdg.num_edges())
+        };
+        let sf = sf_topo::SlimFly::new(5).unwrap().router_graph();
+        for (spec, edges) in [
+            (RoutingSpec::Min, 6300),
+            (RoutingSpec::Valiant { cap3: false }, 7350),
+            (RoutingSpec::UgalL { candidates: 4 }, 7350),
+            (RoutingSpec::Ecmp, 6300),
+            (RoutingSpec::FatPaths { layers: 2 }, 6300),
+        ] {
+            assert_eq!(size(&sf, spec, 4), (1400, edges), "{spec:?}");
+        }
+        let df = sf_topo::dragonfly::Dragonfly::balanced(2).router_graph();
+        assert_eq!(size(&df, RoutingSpec::Min, 3), (540, 1008));
+        let hc = sf_topo::hypercube::Hypercube::new(6).router_graph();
+        assert_eq!(size(&hc, RoutingSpec::Min, 7), (2688, 11520));
+    }
 }
