@@ -31,8 +31,7 @@ pub use model::{
     RoutingLoads,
 };
 pub use solve::{
-    average_flowsets, evaluate, max_min_rates, min_flowset, mix_flowsets, valiant_flowset, Flow,
-    FlowPoint, FlowSet, SolveResult, EXACT_MAX_ROUTERS,
+    evaluate, max_min_rates, Flow, FlowPoint, FlowSet, SolveResult, EXACT_MAX_ROUTERS,
 };
 
 use rayon::prelude::*;

@@ -501,7 +501,7 @@ pub fn ugal_mix(min: &RoutingLoads, val: &RoutingLoads) -> RoutingLoads {
     let max_load = load.iter().copied().fold(0.0, f64::max);
     let avg_hops = alpha * min.avg_hops + (1.0 - alpha) * val.avg_hops;
     let flows = match (&min.flows, &val.flows) {
-        (Some(a), Some(b)) => Some(solve::mix_flowsets(a, b, alpha)),
+        (Some(a), Some(b)) => Some(solve::combine_flowsets(&[(a, alpha), (b, 1.0 - alpha)])),
         _ => None,
     };
     RoutingLoads {
@@ -566,7 +566,8 @@ pub fn fatpaths_loads(
     }
     let mut rl = RoutingLoads::finalize(load, demand);
     if exact {
-        rl.flows = Some(solve::average_flowsets(layer_sets));
+        let layers: Vec<_> = layer_sets.iter().map(|set| (set, lw)).collect();
+        rl.flows = Some(solve::combine_flowsets(&layers));
     }
     Ok(rl)
 }

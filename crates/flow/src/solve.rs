@@ -7,6 +7,12 @@
 //! [`max_min_rates`] runs progressive filling over the set; [`evaluate`]
 //! turns either tier — exact flow sets or fluid channel loads — into an
 //! accepted-throughput / utilization point.
+//!
+//! The lowerings in [`crate::model`] build their sets here on one
+//! minimal-ECMP walk per destination (MIN, each FatPaths layer, and
+//! both Valiant legs) and one sparse weighted sum, `combine_flowsets`,
+//! which mixes UGAL's MIN and VAL sets with weights `(α, 1 − α)` and
+//! averages FatPaths layers with weight `1/L`.
 
 use crate::index::EdgeIndex;
 use crate::model::{Demand, RoutingLoads};
@@ -76,69 +82,120 @@ pub struct FlowPoint {
     pub saturated: bool,
 }
 
-/// Materializes the minimal-ECMP flow set: for each demand pair the
-/// support is the equal-split DAG over all minimal paths.
-pub fn min_flowset(g: &Graph, idx: &EdgeIndex, demand: &Demand) -> FlowSet {
-    let nr = g.num_vertices();
-    let mut flows = Vec::new();
-    let mut dem = vec![0.0f64; nr];
-    let mut frac = vec![0.0f64; nr];
-    let mut touched: Vec<u32> = Vec::new();
-    for d in 0..nr as u32 {
-        let total = demand.fill_dest(d, &mut dem);
-        if total <= 0.0 {
-            continue;
+/// Equal-split minimal-ECMP supports toward one destination at a time.
+/// [`MinWalk::root`] runs the BFS from the destination; each
+/// [`MinWalk::support`] call then walks routers from far to near,
+/// splitting a unit flow equally over every router's minimal next hops.
+struct MinWalk<'a> {
+    g: &'a Graph,
+    idx: &'a EdgeIndex,
+    dst: u32,
+    dist: Vec<u32>,
+    /// Routers by decreasing distance from `dst`.
+    order: Vec<u32>,
+    /// Fraction of the walked flow reaching each router; all zero
+    /// between walks.
+    frac: Vec<f64>,
+    /// Routers whose `frac` the current walk set.
+    touched: Vec<u32>,
+}
+
+impl<'a> MinWalk<'a> {
+    fn new(g: &'a Graph, idx: &'a EdgeIndex) -> Self {
+        MinWalk {
+            g,
+            idx,
+            dst: 0,
+            dist: Vec::new(),
+            order: Vec::new(),
+            frac: vec![0.0; g.num_vertices()],
+            touched: Vec::new(),
         }
-        let dist = metrics::bfs_distances(g, d);
-        let mut order: Vec<u32> = (0..nr as u32).collect();
-        order.sort_unstable_by_key(|&u| std::cmp::Reverse(dist[u as usize]));
-        for s in 0..nr as u32 {
-            let w = dem[s as usize];
-            if w <= 0.0 || dist[s as usize] == metrics::UNREACHABLE {
+    }
+
+    /// Re-roots the walk at destination `d`.
+    fn root(&mut self, d: u32) {
+        self.dst = d;
+        self.dist = metrics::bfs_distances(self.g, d);
+        self.order = (0..self.g.num_vertices() as u32).collect();
+        let dist = &self.dist;
+        self.order
+            .sort_unstable_by_key(|&u| std::cmp::Reverse(dist[u as usize]));
+    }
+
+    /// Whether `s` reaches the current destination.
+    fn reaches(&self, s: u32) -> bool {
+        self.dist[s as usize] != metrics::UNREACHABLE
+    }
+
+    /// The support of a unit flow from `s`, a router that
+    /// [reaches](MinWalk::reaches) the destination, in walk order.
+    fn support(&mut self, s: u32) -> Vec<(u32, f64)> {
+        let MinWalk {
+            g,
+            idx,
+            dst: d,
+            dist,
+            order,
+            frac,
+            touched,
+        } = self;
+        let d = *d;
+        let mut support = Vec::new();
+        frac[s as usize] = 1.0;
+        touched.push(s);
+        for &u in order.iter() {
+            let f = frac[u as usize];
+            if u == d || f <= 0.0 {
                 continue;
             }
-            let mut support = Vec::new();
-            frac[s as usize] = 1.0;
-            touched.push(s);
-            for &u in &order {
-                if u == d {
-                    continue;
-                }
-                let f = frac[u as usize];
-                if f <= 0.0 {
-                    continue;
-                }
-                let du = dist[u as usize];
-                let nbrs = g.neighbors(u);
-                let mut n_min = 0u32;
-                for &v in nbrs {
-                    if dist[v as usize] == du - 1 {
-                        n_min += 1;
+            let du = dist[u as usize];
+            let nbrs = g.neighbors(u);
+            let n_min = nbrs.iter().filter(|&&v| dist[v as usize] == du - 1).count();
+            let share = f / n_min as f64;
+            let ubase = idx.base(u);
+            for (j, &v) in nbrs.iter().enumerate() {
+                if dist[v as usize] == du - 1 {
+                    support.push((ubase + j as u32, share));
+                    if frac[v as usize] == 0.0 && v != d {
+                        touched.push(v);
                     }
-                }
-                let share = f / n_min as f64;
-                let ubase = idx.base(u);
-                for (j, &v) in nbrs.iter().enumerate() {
-                    if dist[v as usize] == du - 1 {
-                        support.push((ubase + j as u32, share));
-                        if frac[v as usize] == 0.0 && v != d {
-                            touched.push(v);
-                        }
-                        frac[v as usize] += share;
-                    }
+                    frac[v as usize] += share;
                 }
             }
-            for &u in &touched {
-                frac[u as usize] = 0.0;
+        }
+        for &u in touched.iter() {
+            frac[u as usize] = 0.0;
+        }
+        frac[d as usize] = 0.0;
+        touched.clear();
+        support
+    }
+}
+
+/// Materializes the minimal-ECMP flow set: for each demand pair the
+/// support is the equal-split DAG over all minimal paths.
+pub(crate) fn min_flowset(g: &Graph, idx: &EdgeIndex, demand: &Demand) -> FlowSet {
+    let nr = g.num_vertices();
+    let mut walk = MinWalk::new(g, idx);
+    let mut dem = vec![0.0f64; nr];
+    let mut flows = Vec::new();
+    for d in 0..nr as u32 {
+        if demand.fill_dest(d, &mut dem) <= 0.0 {
+            continue;
+        }
+        walk.root(d);
+        for s in 0..nr as u32 {
+            let w = dem[s as usize];
+            if w > 0.0 && walk.reaches(s) {
+                let support = walk.support(s);
+                flows.push(Flow {
+                    src: s,
+                    dst: d,
+                    w,
+                    support,
+                });
             }
-            frac[d as usize] = 0.0;
-            touched.clear();
-            flows.push(Flow {
-                src: s,
-                dst: d,
-                w,
-                support,
-            });
         }
     }
     FlowSet {
@@ -149,95 +206,35 @@ pub fn min_flowset(g: &Graph, idx: &EdgeIndex, demand: &Demand) -> FlowSet {
 
 /// Materializes the Valiant flow set: each flow's support averages the
 /// two-phase paths `s → m → d` over every intermediate `m ∉ {s, d}`.
-pub fn valiant_flowset(g: &Graph, idx: &EdgeIndex, demand: &Demand) -> FlowSet {
+pub(crate) fn valiant_flowset(g: &Graph, idx: &EdgeIndex, demand: &Demand) -> FlowSet {
     let nr = g.num_vertices();
-    let nc = idx.num_channels();
     if nr <= 2 {
         return min_flowset(g, idx, demand);
     }
     // All ordered-pair minimal supports (intermediates need every pair,
     // not just pairs with demand).
+    let mut walk = MinWalk::new(g, idx);
     let mut sup: Vec<Vec<(u32, f64)>> = vec![Vec::new(); nr * nr];
-    let mut frac = vec![0.0f64; nr];
-    let mut touched: Vec<u32> = Vec::new();
     for d in 0..nr as u32 {
-        let dist = metrics::bfs_distances(g, d);
-        let mut order: Vec<u32> = (0..nr as u32).collect();
-        order.sort_unstable_by_key(|&u| std::cmp::Reverse(dist[u as usize]));
+        walk.root(d);
         for s in 0..nr as u32 {
-            if s == d || dist[s as usize] == metrics::UNREACHABLE {
-                continue;
+            if s != d && walk.reaches(s) {
+                sup[s as usize * nr + d as usize] = walk.support(s);
             }
-            let mut support = Vec::new();
-            frac[s as usize] = 1.0;
-            touched.push(s);
-            for &u in &order {
-                if u == d {
-                    continue;
-                }
-                let f = frac[u as usize];
-                if f <= 0.0 {
-                    continue;
-                }
-                let du = dist[u as usize];
-                let nbrs = g.neighbors(u);
-                let mut n_min = 0u32;
-                for &v in nbrs {
-                    if dist[v as usize] == du - 1 {
-                        n_min += 1;
-                    }
-                }
-                let share = f / n_min as f64;
-                let ubase = idx.base(u);
-                for (j, &v) in nbrs.iter().enumerate() {
-                    if dist[v as usize] == du - 1 {
-                        support.push((ubase + j as u32, share));
-                        if frac[v as usize] == 0.0 && v != d {
-                            touched.push(v);
-                        }
-                        frac[v as usize] += share;
-                    }
-                }
-            }
-            for &u in &touched {
-                frac[u as usize] = 0.0;
-            }
-            frac[d as usize] = 0.0;
-            touched.clear();
-            sup[s as usize * nr + d as usize] = support;
         }
     }
     let inv = 1.0 / (nr as f64 - 2.0);
-    let mut acc = vec![0.0f64; nc];
+    let mut acc = vec![0.0f64; idx.num_channels()];
     let mut flows = Vec::new();
+    let leg = |a: u32, b: u32| sup[a as usize * nr + b as usize].as_slice();
     demand.for_each_pair(|s, d, w| {
-        let mut channels: Vec<u32> = Vec::new();
-        for m in 0..nr as u32 {
-            if m == s || m == d {
-                continue;
-            }
-            for &(c, f) in &sup[s as usize * nr + m as usize] {
-                if acc[c as usize] == 0.0 {
-                    channels.push(c);
-                }
-                acc[c as usize] += f;
-            }
-            for &(c, f) in &sup[m as usize * nr + d as usize] {
-                if acc[c as usize] == 0.0 {
-                    channels.push(c);
-                }
-                acc[c as usize] += f;
-            }
+        let legs = (0..nr as u32)
+            .filter(|&m| m != s && m != d)
+            .flat_map(|m| [(leg(s, m), 1.0), (leg(m, d), 1.0)]);
+        let mut support = weighted_sum(&mut acc, legs);
+        for entry in &mut support {
+            entry.1 *= inv;
         }
-        channels.sort_unstable();
-        let support: Vec<(u32, f64)> = channels
-            .iter()
-            .map(|&c| {
-                let v = acc[c as usize] * inv;
-                acc[c as usize] = 0.0;
-                (c, v)
-            })
-            .collect();
         flows.push(Flow {
             src: s,
             dst: d,
@@ -247,101 +244,67 @@ pub fn valiant_flowset(g: &Graph, idx: &EdgeIndex, demand: &Demand) -> FlowSet {
     });
     FlowSet {
         flows,
-        num_channels: nc,
+        num_channels: idx.num_channels(),
     }
 }
 
-/// Mixes two position-aligned flow sets (same demand, same canonical
-/// pair order): support = α·a + (1−α)·b per flow.
-pub fn mix_flowsets(a: &FlowSet, b: &FlowSet, alpha: f64) -> FlowSet {
-    debug_assert_eq!(a.flows.len(), b.flows.len());
-    debug_assert_eq!(a.num_channels, b.num_channels);
-    let mut acc = vec![0.0f64; a.num_channels];
-    let flows = a
+/// Combines position-aligned flow sets (same demand, same canonical
+/// pair order) into one whose supports are `Σ weight · support` over
+/// `parts`. UGAL mixes MIN and VAL with weights `(α, 1 − α)`; FatPaths
+/// averages its layers with weight `1/L` each.
+pub(crate) fn combine_flowsets(parts: &[(&FlowSet, f64)]) -> FlowSet {
+    let (first, _) = parts[0];
+    debug_assert!(parts.iter().all(|(set, _)| {
+        set.num_channels == first.num_channels && set.flows.len() == first.flows.len()
+    }));
+    let mut acc = vec![0.0f64; first.num_channels];
+    let flows = first
         .flows
         .iter()
-        .zip(&b.flows)
-        .map(|(fa, fb)| {
-            debug_assert_eq!((fa.src, fa.dst), (fb.src, fb.dst));
-            let mut channels: Vec<u32> = Vec::new();
-            for &(c, f) in &fa.support {
-                if acc[c as usize] == 0.0 {
-                    channels.push(c);
-                }
-                acc[c as usize] += alpha * f;
-            }
-            for &(c, f) in &fb.support {
-                if acc[c as usize] == 0.0 {
-                    channels.push(c);
-                }
-                acc[c as usize] += (1.0 - alpha) * f;
-            }
-            channels.sort_unstable();
-            channels.dedup();
-            let support: Vec<(u32, f64)> = channels
-                .iter()
-                .map(|&c| {
-                    let v = acc[c as usize];
-                    acc[c as usize] = 0.0;
-                    (c, v)
-                })
-                .collect();
+        .enumerate()
+        .map(|(fi, proto)| {
+            let terms = parts.iter().map(|&(set, weight)| {
+                let flow = &set.flows[fi];
+                debug_assert_eq!((flow.src, flow.dst), (proto.src, proto.dst));
+                (flow.support.as_slice(), weight)
+            });
             Flow {
-                src: fa.src,
-                dst: fa.dst,
-                w: fa.w,
-                support,
+                src: proto.src,
+                dst: proto.dst,
+                w: proto.w,
+                support: weighted_sum(&mut acc, terms),
             }
         })
         .collect();
     FlowSet {
         flows,
-        num_channels: a.num_channels,
+        num_channels: first.num_channels,
     }
 }
 
-/// Averages position-aligned flow sets with equal weight 1/L (the
-/// FatPaths layer combination).
-pub fn average_flowsets(sets: Vec<FlowSet>) -> FlowSet {
-    let nl = sets.len();
-    assert!(nl > 0);
-    let nc = sets[0].num_channels;
-    let lw = 1.0 / nl as f64;
-    let nf = sets[0].flows.len();
-    let mut acc = vec![0.0f64; nc];
-    let mut flows = Vec::with_capacity(nf);
-    for fi in 0..nf {
-        let mut channels: Vec<u32> = Vec::new();
-        for set in &sets {
-            for &(c, f) in &set.flows[fi].support {
-                if acc[c as usize] == 0.0 {
-                    channels.push(c);
-                }
-                acc[c as usize] += lw * f;
+/// The sparse sum `Σ weight · support` over `terms`, sorted by channel.
+/// Each weight multiplies before it accumulates. `acc` is all-zero
+/// scratch over the channel space and is left all-zero.
+fn weighted_sum<'s>(
+    acc: &mut [f64],
+    terms: impl IntoIterator<Item = (&'s [(u32, f64)], f64)>,
+) -> Vec<(u32, f64)> {
+    let mut channels: Vec<u32> = Vec::new();
+    for (support, weight) in terms {
+        for &(c, f) in support {
+            if acc[c as usize] == 0.0 {
+                channels.push(c);
             }
+            acc[c as usize] += weight * f;
         }
-        channels.sort_unstable();
-        channels.dedup();
-        let support: Vec<(u32, f64)> = channels
-            .iter()
-            .map(|&c| {
-                let v = acc[c as usize];
-                acc[c as usize] = 0.0;
-                (c, v)
-            })
-            .collect();
-        let proto = &sets[0].flows[fi];
-        flows.push(Flow {
-            src: proto.src,
-            dst: proto.dst,
-            w: proto.w,
-            support,
-        });
     }
-    FlowSet {
-        flows,
-        num_channels: nc,
-    }
+    // A zero-weight term can leave a channel at zero and push it again.
+    channels.sort_unstable();
+    channels.dedup();
+    channels
+        .iter()
+        .map(|&c| (c, std::mem::take(&mut acc[c as usize])))
+        .collect()
 }
 
 /// Max-min fair-share rate allocation by progressive filling.
