@@ -6,7 +6,9 @@
 //!   sparse solvers, AMR);
 //! * **bit permutations** (§V-B) — shuffle, bit reversal, bit complement
 //!   (stencils and collectives); only the nearest power-of-two endpoint
-//!   population is active, as in the paper;
+//!   population is active, as in the paper. Like the worst cases, they
+//!   are destination tables built at construction, so sampling and the
+//!   flow model's distribution read the same entry;
 //! * **shift** (§V-B) — each source talks to its ±N/2 counterpart;
 //! * **worst case** (§V-C) — per-topology adversarial permutations:
 //!   Slim Fly (colliding 2-hop paths through a shared middle router,
@@ -34,22 +36,20 @@ pub struct TrafficPattern {
     kind: Kind,
     /// Total endpoints in the network.
     n_total: u32,
-    /// Active endpoints (power of two for bit patterns, else n_total).
+    /// Active endpoints: all of them for uniform, the even part for
+    /// shift, the table's active sources for permutations.
     n_active: u32,
-    /// Explicit permutation table for worst-case patterns.
-    perm: Option<Vec<u32>>,
     /// Display name.
     name: String,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 enum Kind {
     Uniform,
-    Shuffle,
-    BitReversal,
-    BitComplement,
     Shift,
-    Permutation,
+    /// `table[s]` is `s`'s destination; `u32::MAX` marks an inactive
+    /// source, and a source mapped to itself is active but silent.
+    Permutation(Vec<u32>),
 }
 
 /// The largest power of two ≤ n, as used for the active-endpoint subset.
@@ -62,15 +62,17 @@ pub fn active_power_of_two(n: u32) -> u32 {
 }
 
 impl TrafficPattern {
-    fn new_bitwise(kind: Kind, name: &str, n_total: u32) -> Self {
+    /// A bit permutation of the `b`-bit addresses of the
+    /// [power-of-two subset](active_power_of_two): endpoint `s` of the
+    /// subset sends to `f(s, b)`, and the endpoints above it are silent.
+    fn bit_permutation(name: &str, n_total: u32, f: impl Fn(u32, u32) -> u32) -> Self {
         let n_active = active_power_of_two(n_total);
-        TrafficPattern {
-            kind,
-            n_total,
-            n_active,
-            perm: None,
-            name: name.to_string(),
+        let b = n_active.trailing_zeros();
+        let mut table = vec![u32::MAX; n_total as usize];
+        for (s, slot) in table.iter_mut().take(n_active as usize).enumerate() {
+            *slot = f(s as u32, b);
         }
+        Self::permutation(table, name)
     }
 
     /// Uniform random traffic: every active endpoint picks destinations
@@ -80,24 +82,28 @@ impl TrafficPattern {
             kind: Kind::Uniform,
             n_total,
             n_active: n_total,
-            perm: None,
             name: "uniform".into(),
         }
     }
 
-    /// Shuffle: `d_i = s_(i−1 mod b)` (rotate address bits left).
+    /// Shuffle: `d_i = s_(i−1 mod b)` (rotate address bits left). With
+    /// one endpoint there are no address bits and it maps to itself.
     pub fn shuffle(n_total: u32) -> Self {
-        Self::new_bitwise(Kind::Shuffle, "shuffle", n_total)
+        Self::bit_permutation("shuffle", n_total, |s, b| {
+            ((s << 1) | (s >> b.saturating_sub(1))) & ((1 << b) - 1)
+        })
     }
 
     /// Bit reversal: `d_i = s_(b−i−1)`.
     pub fn bit_reversal(n_total: u32) -> Self {
-        Self::new_bitwise(Kind::BitReversal, "bitrev", n_total)
+        Self::bit_permutation("bitrev", n_total, |s, b| {
+            s.reverse_bits().checked_shr(32 - b).unwrap_or(0)
+        })
     }
 
     /// Bit complement: `d_i = ¬s_i`.
     pub fn bit_complement(n_total: u32) -> Self {
-        Self::new_bitwise(Kind::BitComplement, "bitcomp", n_total)
+        Self::bit_permutation("bitcomp", n_total, |s, b| !s & ((1 << b) - 1))
     }
 
     /// Shift: destination is the source's counterpart in the other half
@@ -108,7 +114,6 @@ impl TrafficPattern {
             kind: Kind::Shift,
             n_total,
             n_active: n_total & !1, // need an even count
-            perm: None,
             name: "shift".into(),
         }
     }
@@ -118,10 +123,9 @@ impl TrafficPattern {
     pub fn permutation(perm: Vec<u32>, name: &str) -> Self {
         let n = perm.len() as u32;
         TrafficPattern {
-            kind: Kind::Permutation,
             n_total: n,
             n_active: perm.iter().filter(|&&d| d != u32::MAX).count() as u32,
-            perm: Some(perm),
+            kind: Kind::Permutation(perm),
             name: name.to_string(),
         }
     }
@@ -131,18 +135,19 @@ impl TrafficPattern {
     /// routers in id order; pair each unpaired router with an unpaired
     /// distance-2 partner, preferring partners with the fewest shared
     /// minimal middles (1 in girth-5 MMS graphs and in projective-plane
-    /// polarity graphs, where two lines meet in one point).
+    /// polarity graphs, where two lines meet in one point). Unmatched
+    /// routers are their own partners.
     fn pair_distance2(net: &Network, tables: &RoutingTables) -> Vec<u32> {
         let nr = net.num_routers() as u32;
-        let mut partner = vec![u32::MAX; nr as usize];
+        let mut partner: Vec<u32> = (0..nr).collect();
         for r in 0..nr {
-            if partner[r as usize] != u32::MAX {
+            if partner[r as usize] != r {
                 continue;
             }
             // Candidate partners at distance 2, fewest common middles.
             let mut best: Option<(usize, u32)> = None;
             for s in 0..nr {
-                if s == r || partner[s as usize] != u32::MAX || tables.distance(r, s) != 2 {
+                if s == r || partner[s as usize] != s || tables.distance(r, s) != 2 {
                     continue;
                 }
                 let middles = net
@@ -166,35 +171,13 @@ impl TrafficPattern {
         partner
     }
 
-    /// Builds the endpoint permutation of a router-matching adversary:
-    /// endpoints are paired index-to-index across matched routers (a
-    /// symmetric permutation — endpoint-safe by construction); routers
-    /// left unmatched stay silent.
-    fn from_router_matching(net: &Network, partner: &[u32], name: &str) -> Self {
-        let mut perm = vec![u32::MAX; net.num_endpoints()];
-        for r in 0..net.num_routers() as u32 {
-            let s = partner[r as usize];
-            if s == u32::MAX {
-                continue;
-            }
-            let re = net.endpoints_of_router(r);
-            let se = net.endpoints_of_router(s);
-            for (a, b) in re.zip(se) {
-                perm[a as usize] = b;
-            }
-        }
-        let mut p = TrafficPattern::permutation(perm, name);
-        p.n_total = net.num_endpoints() as u32;
-        p
-    }
-
     /// The Slim Fly worst case (§V-C, Fig 9): routers are paired so that
     /// each pair is at distance 2 with minimal paths funneled through a
     /// single middle router; the p endpoint flows of each router then
     /// collide on one link, capping MIN throughput near `1/(p+1)`.
     pub fn worst_case_slimfly(net: &Network, tables: &RoutingTables) -> Self {
         let partner = Self::pair_distance2(net, tables);
-        Self::from_router_matching(net, &partner, "worst-sf")
+        Self::router_permutation(net, "worst-sf", |r| partner[r as usize])
     }
 
     /// The BDF worst case: the Slim Fly Fig 9 adversary transplanted to
@@ -212,7 +195,7 @@ impl TrafficPattern {
             });
         }
         let partner = Self::pair_distance2(net, tables);
-        let p = Self::from_router_matching(net, &partner, "worst-bdf");
+        let p = Self::router_permutation(net, "worst-bdf", |r| partner[r as usize]);
         if p.num_active() == 0 {
             // Degenerate planes with no distance-2 pairs (nothing to
             // adversarially collide).
@@ -241,15 +224,15 @@ impl TrafficPattern {
             });
         }
         let nr = net.num_routers() as u32;
-        let mut partner = vec![u32::MAX; nr as usize];
+        let mut partner: Vec<u32> = (0..nr).collect();
         let mut max_dist = 0u8;
         for r in 0..nr {
-            if partner[r as usize] != u32::MAX {
+            if partner[r as usize] != r {
                 continue;
             }
             let mut best: Option<(u8, u32)> = None;
             for s in 0..nr {
-                if s == r || partner[s as usize] != u32::MAX {
+                if s == r || partner[s as usize] != s {
                     continue;
                 }
                 let d = tables.distance(r, s);
@@ -270,7 +253,9 @@ impl TrafficPattern {
                 topology: net.name.clone(),
             });
         }
-        Ok(Self::from_router_matching(net, &partner, "worst-dln"))
+        Ok(Self::router_permutation(net, "worst-dln", |r| {
+            partner[r as usize]
+        }))
     }
 
     /// The Dragonfly worst case (Kim et al. §4.2): every endpoint in
@@ -506,14 +491,19 @@ impl TrafficPattern {
 
     /// Whether `src` participates in the pattern.
     pub fn is_active(&self, src: u32) -> bool {
-        match self.kind {
+        match &self.kind {
             Kind::Uniform => true,
-            Kind::Permutation => self
-                .perm
-                .as_ref()
-                .is_some_and(|p| p[src as usize] != u32::MAX),
-            _ => src < self.n_active,
+            Kind::Shift => src < self.n_active,
+            Kind::Permutation(table) => table.get(src as usize).is_some_and(|&d| d != u32::MAX),
         }
+    }
+
+    /// Shift's two equally likely destinations for an active `src`: its
+    /// counterpart in the other half, then its index in the lower half.
+    fn shift_targets(&self, src: u32) -> [u32; 2] {
+        let half = self.n_active / 2;
+        let low = src % half;
+        [low + half, low]
     }
 
     /// Draws a destination for `src`; `None` if the source is inactive
@@ -522,8 +512,7 @@ impl TrafficPattern {
         if !self.is_active(src) {
             return None;
         }
-        let b = self.n_active.trailing_zeros(); // address bits (power of 2)
-        let d = match self.kind {
+        let d = match &self.kind {
             Kind::Uniform => {
                 if self.n_total < 2 {
                     return None;
@@ -534,37 +523,17 @@ impl TrafficPattern {
                 }
                 d
             }
-            Kind::Shuffle => {
-                // d_i = s_(i−1) : rotate left by one bit.
-                let s = src;
-                ((s << 1) | (s >> (b - 1))) & (self.n_active - 1)
-            }
-            Kind::BitReversal => {
-                let mut d = 0u32;
-                for i in 0..b {
-                    if src & (1 << i) != 0 {
-                        d |= 1 << (b - 1 - i);
-                    }
-                }
-                d
-            }
-            Kind::BitComplement => !src & (self.n_active - 1),
             Kind::Shift => {
-                let half = self.n_active / 2;
-                let low = src % half;
+                let [partner, low] = self.shift_targets(src);
                 if rng.gen_bool(0.5) {
-                    low + half
+                    partner
                 } else {
                     low
                 }
             }
-            Kind::Permutation => self.perm.as_ref().unwrap()[src as usize],
+            Kind::Permutation(table) => table[src as usize],
         };
-        if d == src || d >= self.n_total {
-            None
-        } else {
-            Some(d)
-        }
+        (d != src && d < self.n_total).then_some(d)
     }
 
     /// The exact destination distribution [`TrafficPattern::dest`]
@@ -576,49 +545,18 @@ impl TrafficPattern {
         if !self.is_active(src) {
             return DestMix::Inactive;
         }
-        let b = self.n_active.trailing_zeros();
-        let keep = |d: u32| d != src && d < self.n_total;
-        match self.kind {
-            Kind::Uniform => {
-                if self.n_total < 2 {
-                    DestMix::Inactive
-                } else {
-                    DestMix::Uniform
-                }
-            }
-            Kind::Shuffle => {
-                let d = ((src << 1) | (src >> (b - 1))) & (self.n_active - 1);
-                DestMix::Pairs(if keep(d) { vec![(d, 1.0)] } else { Vec::new() })
-            }
-            Kind::BitReversal => {
-                let mut d = 0u32;
-                for i in 0..b {
-                    if src & (1 << i) != 0 {
-                        d |= 1 << (b - 1 - i);
-                    }
-                }
-                DestMix::Pairs(if keep(d) { vec![(d, 1.0)] } else { Vec::new() })
-            }
-            Kind::BitComplement => {
-                let d = !src & (self.n_active - 1);
-                DestMix::Pairs(if keep(d) { vec![(d, 1.0)] } else { Vec::new() })
-            }
-            Kind::Shift => {
-                let half = self.n_active / 2;
-                let low = src % half;
-                let mut pairs = Vec::new();
-                for d in [low + half, low] {
-                    if keep(d) {
-                        pairs.push((d, 0.5));
-                    }
-                }
-                DestMix::Pairs(pairs)
-            }
-            Kind::Permutation => {
-                let d = self.perm.as_ref().unwrap()[src as usize];
-                DestMix::Pairs(if keep(d) { vec![(d, 1.0)] } else { Vec::new() })
-            }
-        }
+        let pairs = match &self.kind {
+            Kind::Uniform if self.n_total < 2 => return DestMix::Inactive,
+            Kind::Uniform => return DestMix::Uniform,
+            Kind::Shift => self.shift_targets(src).map(|d| (d, 0.5)).to_vec(),
+            Kind::Permutation(table) => vec![(table[src as usize], 1.0)],
+        };
+        DestMix::Pairs(
+            pairs
+                .into_iter()
+                .filter(|&(d, _)| d != src && d < self.n_total)
+                .collect(),
+        )
     }
 }
 
@@ -1041,7 +979,7 @@ mod tests {
     #[test]
     fn dest_agrees_with_dest_mix() {
         let mut rng = StdRng::seed_from_u64(22);
-        for n in [0u32, 2, 3, 7, 8, 200] {
+        for n in [0u32, 1, 2, 3, 7, 8, 200] {
             for (p, random) in [
                 (TrafficPattern::uniform(n), true),
                 (TrafficPattern::shuffle(n), false),
@@ -1064,7 +1002,7 @@ mod tests {
                         DestMix::Pairs(pairs) if !random => {
                             let expect = match pairs[..] {
                                 [] => None,
-                                [(d, w)] if w == 1.0 => Some(d),
+                                [(d, 1.0)] => Some(d),
                                 _ => panic!("{what}: {s} has pairs {pairs:?}"),
                             };
                             assert!(draws.iter().all(|&d| d == expect), "{what}: {s}");
