@@ -293,74 +293,57 @@ pub fn verify_combo(
     check_path_capacity(topo, spec, diameter)?;
     let bound = scheme_hop_bound(spec, diameter);
 
-    // Fast path for large networks: if the scheme hop bound fits the
-    // VC budget, no packet ever clamps and VCs strictly increase hop
-    // over hop — acyclic with no graph construction.
-    if n > CDG_MAX_ROUTERS {
-        if let Some(b) = bound {
-            if b <= num_vcs {
-                return Ok(ComboCertificate {
-                    topo: topo.into(),
-                    routing,
-                    num_vcs,
-                    packet_size,
-                    routers: n,
-                    pairs,
-                    diameter,
-                    max_hops: b,
-                    status: DeadlockStatus::MonotoneVcs { max_hops: b },
-                });
-            }
+    let (max_hops, status) = if n > CDG_MAX_ROUTERS {
+        // Fast path for large networks: if the scheme hop bound fits the
+        // VC budget, no packet ever clamps and VCs strictly increase hop
+        // over hop — acyclic with no graph construction.
+        match bound {
+            Some(b) if b <= num_vcs => (b, DeadlockStatus::MonotoneVcs { max_hops: b }),
+            _ => (
+                bound.unwrap_or(0),
+                DeadlockStatus::Unchecked {
+                    reason: format!(
+                        "{n} routers exceed the {CDG_MAX_ROUTERS}-router CDG limit and the \
+                         hop bound {} exceeds the {num_vcs}-VC budget",
+                        bound.map_or("?".into(), |b| b.to_string())
+                    ),
+                },
+            ),
         }
-        return Ok(ComboCertificate {
-            topo: topo.into(),
-            routing,
-            num_vcs,
-            packet_size,
-            routers: n,
-            pairs,
-            diameter,
-            max_hops: bound.unwrap_or(0),
-            status: DeadlockStatus::Unchecked {
-                reason: format!(
-                    "{n} routers exceed the {CDG_MAX_ROUTERS}-router CDG limit and the \
-                     hop bound {} exceeds the {num_vcs}-VC budget",
-                    bound.map_or("?".into(), |b| b.to_string())
-                ),
-            },
-        });
-    }
-
-    // Small enough: always build and check the explicit wormhole CDG
-    // (richer certificate, and the only proof when clamping is
-    // reachable).
-    let w = wormhole_cdg(g, tables, spec, num_vcs).map_err(|e| VerifyError::Scheme {
-        routing: spec.label(),
-        reason: e.to_string(),
-    })?;
-    if let Some(witness) = w.cdg.find_cycle() {
-        return Err(VerifyError::Deadlock {
-            topo: topo.into(),
+    } else {
+        // Small enough: always build and check the explicit wormhole CDG
+        // (richer certificate, and the only proof when clamping is
+        // reachable).
+        let w = wormhole_cdg(g, tables, spec, num_vcs).map_err(|e| VerifyError::Scheme {
             routing: spec.label(),
-            num_vcs,
-            packet_size,
-            witness,
-        });
-    }
+            reason: e.to_string(),
+        })?;
+        if let Some(witness) = w.cdg.find_cycle() {
+            return Err(VerifyError::Deadlock {
+                topo: topo.into(),
+                routing,
+                num_vcs,
+                packet_size,
+                witness,
+            });
+        }
+        let status = DeadlockStatus::CdgAcyclic {
+            channels: w.cdg.num_channels(),
+            edges: w.cdg.num_edges(),
+            clamped: w.clamped,
+        };
+        (w.max_hops, status)
+    };
     Ok(ComboCertificate {
         topo: topo.into(),
-        routing: spec.label(),
+        routing,
         num_vcs,
         packet_size,
         routers: n,
         pairs,
         diameter,
-        max_hops: w.max_hops,
-        status: DeadlockStatus::CdgAcyclic {
-            channels: w.cdg.num_channels(),
-            edges: w.cdg.num_edges(),
-            clamped: w.clamped,
-        },
+        max_hops,
+        status,
     })
 }
 

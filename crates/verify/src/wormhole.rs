@@ -143,6 +143,14 @@ pub fn scheme_hop_bound(spec: &RoutingSpec, diameter: usize) -> Option<usize> {
     }
 }
 
+/// The largest VC base the engine draws for a packet declaring
+/// `declared` hops, and whether a `hops`-hop path from that base clamps
+/// at the top VC (`num_vcs − 1`).
+fn vc_bases(num_vcs: usize, declared: usize, hops: usize) -> (usize, bool) {
+    let max_base = vc_base_slack(num_vcs, declared);
+    (max_base, max_base + hops - 1 > num_vcs - 1)
+}
+
 /// Adds the consecutive-channel dependencies of **every** minimal path
 /// of every ordered pair, for every VC base the engine may draw.
 /// `declared_cap` models adaptive injection (`Ecmp`): the VC-base
@@ -158,67 +166,19 @@ fn add_min_family(
 ) -> bool {
     let n = t.num_routers() as u32;
     let mut clamped = false;
-    let mut preds: Vec<u32> = Vec::new();
-    let mut succs: Vec<u32> = Vec::new();
     for s in 0..n {
-        let rs = t.row(s);
         for d in 0..n {
-            if d == s {
-                continue;
-            }
-            let dist = rs[d as usize];
-            if dist == UNREACHABLE || dist < 2 {
+            let dist = t.distance(s, d);
+            if d == s || dist == UNREACHABLE || dist < 2 {
                 // Unreachable pairs are reported by the totality check;
                 // single-hop paths have no consecutive channels.
                 continue;
             }
-            let rd = t.row(d);
             let dd = dist as usize;
             let declared = declared_cap.map_or(dd, |c| dd.min(c));
-            let max_base = vc_base_slack(num_vcs, declared);
-            if max_base + dd - 1 > num_vcs - 1 {
-                clamped = true;
-            }
-            // Interior DAG vertices v at hop layer i (0 < i < dist):
-            // each (pred u, succ w) pair witnesses consecutive channels
-            // (u→v at hop i−1, v→w at hop i) of some minimal path.
-            for v in 0..n {
-                let i = rs[v as usize];
-                if i == 0 || i >= dist || rd[v as usize] == UNREACHABLE {
-                    continue;
-                }
-                if i as u16 + rd[v as usize] as u16 != dist as u16 {
-                    continue;
-                }
-                preds.clear();
-                succs.clear();
-                for &u in g.neighbors(v) {
-                    if rs[u as usize] as u16 + 1 == i as u16
-                        && rd[u as usize] != UNREACHABLE
-                        && rs[u as usize] as u16 + rd[u as usize] as u16 == dist as u16
-                    {
-                        preds.push(u);
-                    }
-                    if rs[u as usize] as u16 == i as u16 + 1
-                        && rd[u as usize] != UNREACHABLE
-                        && rs[u as usize] as u16 + rd[u as usize] as u16 == dist as u16
-                    {
-                        succs.push(u);
-                    }
-                }
-                let hop = i as usize; // channel v→w is hop i, u→v is hop i−1
-                for &u in &preds {
-                    for &w in &succs {
-                        for b in 0..=max_base {
-                            let b = b as u8;
-                            cdg.add_edge(
-                                (u, v, hop_vc(num_vcs, b, hop - 1) as u8),
-                                (v, w, hop_vc(num_vcs, b, hop) as u8),
-                            );
-                        }
-                    }
-                }
-            }
+            let (max_base, c) = vc_bases(num_vcs, declared, dd);
+            clamped |= c;
+            add_min_dag_pairs(cdg, g, t, s, d, num_vcs, max_base, 0);
         }
     }
     clamped
@@ -265,11 +225,10 @@ fn add_valiant_family(
             if s == m || rm[s as usize] == UNREACHABLE || d1 < 2 {
                 continue;
             }
-            for &d2 in &lens {
-                if d1 + d2 > cap {
-                    continue;
-                }
-                clamped |= add_min_dag_pairs(cdg, g, t, s, m, num_vcs, d1 + d2, 0);
+            for &d2 in lens.iter().filter(|&&d2| d1 + d2 <= cap) {
+                let (max_base, c) = vc_bases(num_vcs, d1 + d2, d1 + d2);
+                clamped |= c;
+                add_min_dag_pairs(cdg, g, t, s, m, num_vcs, max_base, 0);
             }
         }
         // Leg 2: minimal DAG of (m, d) at offset d1.
@@ -278,11 +237,10 @@ fn add_valiant_family(
             if d == m || rm[d as usize] == UNREACHABLE || d2 < 2 {
                 continue;
             }
-            for &d1 in &lens {
-                if d1 + d2 > cap {
-                    continue;
-                }
-                clamped |= add_min_dag_pairs(cdg, g, t, m, d, num_vcs, d1 + d2, d1);
+            for &d1 in lens.iter().filter(|&&d1| d1 + d2 <= cap) {
+                let (max_base, c) = vc_bases(num_vcs, d1 + d2, d1 + d2);
+                clamped |= c;
+                add_min_dag_pairs(cdg, g, t, m, d, num_vcs, max_base, d1);
             }
         }
         // Junction turn at m: the last channel of any leg 1 (x → m at
@@ -290,15 +248,9 @@ fn add_valiant_family(
         // hop d1). Includes the link-reversal x → m → x, which is a
         // legal Valiant detour and the canonical deadlock seed.
         for &d1 in &lens {
-            for &d2 in &lens {
-                if d1 + d2 > cap {
-                    continue;
-                }
-                let h = d1 + d2;
-                let max_base = vc_base_slack(num_vcs, h);
-                if max_base + h - 1 > num_vcs - 1 {
-                    clamped = true;
-                }
+            for &d2 in lens.iter().filter(|&&d2| d1 + d2 <= cap) {
+                let (max_base, c) = vc_bases(num_vcs, d1 + d2, d1 + d2);
+                clamped |= c;
                 for &x in g.neighbors(m) {
                     for &y in g.neighbors(m) {
                         for b in 0..=max_base {
@@ -317,9 +269,11 @@ fn add_valiant_family(
 }
 
 /// Adds the consecutive-channel pairs of the minimal DAG of one
-/// ordered pair `(s, d)` placed at hop `offset` of a `total`-hop path
-/// (the engine draws `vc_base` from the total length). Returns whether
-/// any (base, hop) pair clamps.
+/// ordered pair `(s, d)` at distance ≥ 2, placed at hop `offset` of a
+/// path whose VC base ranges over `0..=max_base`. Each interior vertex
+/// `v` at hop layer `i` pairs every DAG predecessor `u` with every DAG
+/// successor `w` (channels `u→v` at hop `offset + i − 1` and `v→w` at
+/// hop `offset + i`), scanning `v`'s neighbours in place.
 #[allow(clippy::too_many_arguments)]
 fn add_min_dag_pairs(
     cdg: &mut ChannelDependencyGraph,
@@ -328,39 +282,27 @@ fn add_min_dag_pairs(
     s: u32,
     d: u32,
     num_vcs: usize,
-    total: usize,
+    max_base: usize,
     offset: usize,
-) -> bool {
+) {
     let rs = t.row(s);
     let rd = t.row(d);
-    let dist = rs[d as usize];
-    debug_assert!(dist != UNREACHABLE && dist >= 2);
-    let max_base = vc_base_slack(num_vcs, total.max(1));
-    let clamped = max_base + total.saturating_sub(1) > num_vcs - 1;
-    let n = t.num_routers() as u32;
-    for v in 0..n {
-        let i = rs[v as usize];
-        if i == 0 || i >= dist || rd[v as usize] == UNREACHABLE {
+    let dist = rs[d as usize] as u16;
+    debug_assert!(rs[d as usize] != UNREACHABLE && dist >= 2);
+    // Whether x lies on a minimal s → d path at hop layer `layer`.
+    let on_dag = |x: u32, layer: u16| {
+        rs[x as usize] as u16 == layer
+            && rd[x as usize] != UNREACHABLE
+            && layer + rd[x as usize] as u16 == dist
+    };
+    for v in 0..t.num_routers() as u32 {
+        let i = rs[v as usize] as u16;
+        if i == 0 || i >= dist || !on_dag(v, i) {
             continue;
         }
-        if i as u16 + rd[v as usize] as u16 != dist as u16 {
-            continue;
-        }
-        for &u in g.neighbors(v) {
-            if !(rs[u as usize] as u16 + 1 == i as u16
-                && rd[u as usize] != UNREACHABLE
-                && rs[u as usize] as u16 + rd[u as usize] as u16 == dist as u16)
-            {
-                continue;
-            }
-            for &w in g.neighbors(v) {
-                if !(rs[w as usize] as u16 == i as u16 + 1
-                    && rd[w as usize] != UNREACHABLE
-                    && rs[w as usize] as u16 + rd[w as usize] as u16 == dist as u16)
-                {
-                    continue;
-                }
-                let hop = offset + i as usize;
+        let hop = offset + i as usize;
+        for &u in g.neighbors(v).iter().filter(|&&u| on_dag(u, i - 1)) {
+            for &w in g.neighbors(v).iter().filter(|&&w| on_dag(w, i + 1)) {
                 for b in 0..=max_base {
                     let b = b as u8;
                     cdg.add_edge(
@@ -371,7 +313,6 @@ fn add_min_dag_pairs(
             }
         }
     }
-    clamped
 }
 
 #[cfg(test)]
