@@ -317,32 +317,46 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skips whitespace, newlines and comments.
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r') => {
-                    self.bump();
-                }
-                Some(b'#') => {
-                    while !matches!(self.peek(), None | Some(b'\n')) {
-                        self.bump();
-                    }
-                }
-                _ => break,
+    /// Skips spaces, tabs and line breaks (JSON's whitespace).
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.bump();
+        }
+    }
+
+    /// Skips a `#` comment, if one starts here, up to its line break.
+    fn skip_comment(&mut self) {
+        if self.peek() == Some(b'#') {
+            while !matches!(self.peek(), None | Some(b'\n')) {
+                self.bump();
             }
         }
+    }
+
+    /// Skips whitespace, newlines and comments.
+    fn skip_trivia(&mut self) {
+        self.skip_ws();
+        while self.peek() == Some(b'#') {
+            self.skip_comment();
+            self.skip_ws();
+        }
+    }
+
+    /// Consumes bytes up to the first of `stops` (or the end of input)
+    /// and returns them.
+    fn bare_token(&mut self, stops: &[u8]) -> String {
+        let start = self.i;
+        while self.peek().is_some_and(|b| !stops.contains(&b)) {
+            self.bump();
+        }
+        String::from_utf8_lossy(&self.s[start..self.i]).into_owned()
     }
 
     /// Consumes trailing whitespace and an optional comment, then
     /// requires end of line (or end of input).
     fn end_of_line(&mut self) -> Result<(), TomlError> {
         self.skip_inline_ws();
-        if self.peek() == Some(b'#') {
-            while !matches!(self.peek(), None | Some(b'\n')) {
-                self.bump();
-            }
-        }
+        self.skip_comment();
         match self.peek() {
             None => Ok(()),
             Some(b'\n') => {
@@ -361,7 +375,7 @@ impl<'a> Parser<'a> {
     fn parse_key(&mut self) -> Result<String, TomlError> {
         self.skip_inline_ws();
         match self.peek() {
-            Some(b'"') => self.parse_basic_string(),
+            Some(b'"') => self.parse_basic_string(false),
             Some(b'\'') => self.parse_literal_string(),
             _ => {
                 let start = self.i;
@@ -393,12 +407,16 @@ impl<'a> Parser<'a> {
         Ok(path)
     }
 
-    fn parse_basic_string(&mut self) -> Result<String, TomlError> {
+    /// A double-quoted string. JSON strings (`json`) also take the
+    /// escapes `\/`, `\b` and `\f` and raw line breaks; TOML basic
+    /// strings reject them.
+    fn parse_basic_string(&mut self, json: bool) -> Result<String, TomlError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.bump() {
-                None | Some(b'\n') => return Err(self.err("unterminated string".into())),
+                None => return Err(self.err("unterminated string".into())),
+                Some(b'\n') if !json => return Err(self.err("unterminated string".into())),
                 Some(b'"') => return Ok(out),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => out.push('"'),
@@ -406,6 +424,9 @@ impl<'a> Parser<'a> {
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
+                    Some(b'/') if json => out.push('/'),
+                    Some(b'b') if json => out.push('\u{8}'),
+                    Some(b'f') if json => out.push('\u{c}'),
                     Some(b'u') => {
                         let mut code = 0u32;
                         for _ in 0..4 {
@@ -459,7 +480,7 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self, depth: usize) -> Result<Value, TomlError> {
         match self.peek() {
             None => Err(self.err("expected a value".into())),
-            Some(b'"') => Ok(Value::String(self.parse_basic_string()?)),
+            Some(b'"') => Ok(Value::String(self.parse_basic_string(false)?)),
             Some(b'\'') => Ok(Value::String(self.parse_literal_string()?)),
             Some(b'[') => {
                 check_depth(depth + 1, self.line)?;
@@ -514,13 +535,7 @@ impl<'a> Parser<'a> {
             }
             Some(_) => {
                 // Bare token: boolean, integer or float.
-                let start = self.i;
-                while matches!(self.peek(),
-                    Some(b) if !matches!(b, b',' | b']' | b'}' | b'#' | b'\n' | b'\r' | b' ' | b'\t'))
-                {
-                    self.bump();
-                }
-                let tok = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
+                let tok = self.bare_token(b",]}#\n\r \t");
                 match tok.as_str() {
                     "true" => return Ok(Value::Boolean(true)),
                     "false" => return Ok(Value::Boolean(false)),
@@ -557,87 +572,41 @@ fn utf8_len(first: u8) -> usize {
 }
 
 /// JSON parsing into the same [`Value`] tree (objects become tables;
-/// integral numbers without `.`/exponent become [`Value::Integer`]).
+/// integral numbers without `.`/exponent become [`Value::Integer`]),
+/// on the TOML parser's cursor and string scanner.
 pub mod json {
-    use super::{check_depth, found, utf8_len, Map, TomlError, Value};
+    use super::{check_depth, found, Map, Parser, TomlError, Value};
 
     /// Parses a JSON document (any top-level value).
     pub fn from_str(text: &str) -> Result<Value, TomlError> {
-        let mut p = P {
-            s: text.as_bytes(),
-            i: 0,
-            line: 1,
-        };
-        p.ws();
-        let v = p.value(0)?;
-        p.ws();
-        if p.i < p.s.len() {
+        let mut p = Parser::new(text);
+        let v = p.json_value(0)?;
+        p.skip_ws();
+        if !p.at_end() {
             return Err(p.err("trailing characters after JSON value".into()));
         }
         Ok(v)
     }
 
-    struct P<'a> {
-        s: &'a [u8],
-        i: usize,
-        line: usize,
-    }
-
-    impl<'a> P<'a> {
-        fn err(&self, msg: String) -> TomlError {
-            TomlError {
-                line: self.line,
-                msg,
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.s.get(self.i).copied()
-        }
-
-        fn bump(&mut self) -> Option<u8> {
-            let b = self.peek()?;
-            self.i += 1;
-            if b == b'\n' {
-                self.line += 1;
-            }
-            Some(b)
-        }
-
-        fn ws(&mut self) {
-            while matches!(
-                self.peek(),
-                Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r')
-            ) {
-                self.bump();
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), TomlError> {
-            match self.bump() {
-                Some(got) if got == b => Ok(()),
-                got => Err(self.err(format!("expected {:?}, found {}", b as char, found(got)))),
-            }
-        }
-
-        /// Parses one value enclosed by `depth` arrays and objects.
-        fn value(&mut self, depth: usize) -> Result<Value, TomlError> {
-            self.ws();
+    impl Parser<'_> {
+        /// Parses one JSON value enclosed by `depth` arrays and objects.
+        fn json_value(&mut self, depth: usize) -> Result<Value, TomlError> {
+            self.skip_ws();
             match self.peek() {
                 None => Err(self.err("expected a JSON value".into())),
-                Some(b'"') => Ok(Value::String(self.string()?)),
+                Some(b'"') => Ok(Value::String(self.parse_basic_string(true)?)),
                 Some(b'[') => {
                     check_depth(depth + 1, self.line)?;
                     self.bump();
                     let mut items = Vec::new();
-                    self.ws();
+                    self.skip_ws();
                     if self.peek() == Some(b']') {
                         self.bump();
                         return Ok(Value::Array(items));
                     }
                     loop {
-                        items.push(self.value(depth + 1)?);
-                        self.ws();
+                        items.push(self.json_value(depth + 1)?);
+                        self.skip_ws();
                         match self.bump() {
                             Some(b',') => {}
                             Some(b']') => return Ok(Value::Array(items)),
@@ -652,21 +621,21 @@ pub mod json {
                     check_depth(depth + 1, self.line)?;
                     self.bump();
                     let mut table = Map::new();
-                    self.ws();
+                    self.skip_ws();
                     if self.peek() == Some(b'}') {
                         self.bump();
                         return Ok(Value::Table(table));
                     }
                     loop {
-                        self.ws();
-                        let key = self.string()?;
-                        self.ws();
+                        self.skip_ws();
+                        let key = self.parse_basic_string(true)?;
+                        self.skip_ws();
                         self.expect(b':')?;
-                        let v = self.value(depth + 1)?;
+                        let v = self.json_value(depth + 1)?;
                         if table.insert(key.clone(), v).is_some() {
                             return Err(self.err(format!("duplicate key {key:?}")));
                         }
-                        self.ws();
+                        self.skip_ws();
                         match self.bump() {
                             Some(b',') => {}
                             Some(b'}') => return Ok(Value::Table(table)),
@@ -677,14 +646,8 @@ pub mod json {
                         }
                     }
                 }
-                Some(b't') | Some(b'f') | Some(b'n') | Some(_) => {
-                    let start = self.i;
-                    while matches!(self.peek(),
-                        Some(b) if !matches!(b, b',' | b']' | b'}' | b' ' | b'\t' | b'\n' | b'\r'))
-                    {
-                        self.bump();
-                    }
-                    let tok = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
+                Some(_) => {
+                    let tok = self.bare_token(b",]} \t\n\r");
                     match tok.as_str() {
                         "true" => return Ok(Value::Boolean(true)),
                         "false" => return Ok(Value::Boolean(false)),
@@ -699,56 +662,6 @@ pub mod json {
                     tok.parse::<f64>()
                         .map(Value::Float)
                         .map_err(|_| self.err(format!("cannot parse JSON token {tok:?}")))
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, TomlError> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bump() {
-                    None => return Err(self.err("unterminated string".into())),
-                    Some(b'"') => return Ok(out),
-                    Some(b'\\') => match self.bump() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = self
-                                    .bump()
-                                    .and_then(|b| (b as char).to_digit(16))
-                                    .ok_or_else(|| self.err("bad \\u escape".into()))?;
-                                code = code * 16 + d;
-                            }
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point".into()))?,
-                            );
-                        }
-                        other => {
-                            return Err(self.err(format!(
-                                "unsupported escape: backslash followed by {}",
-                                found(other)
-                            )))
-                        }
-                    },
-                    Some(b) if b < 0x80 => out.push(b as char),
-                    Some(b) => {
-                        let len = utf8_len(b);
-                        let start = self.i - 1;
-                        for _ in 1..len {
-                            self.bump();
-                        }
-                        out.push_str(&String::from_utf8_lossy(&self.s[start..self.i]));
-                    }
                 }
             }
         }
