@@ -449,32 +449,6 @@ impl Experiment {
     /// [`Scheduler::default_workers`]); records are ordered by job id,
     /// so the result is bit-identical to a sequential run.
     pub fn run(&self) -> Result<Vec<Record>, SfError> {
-        // Load/VC validation precedes spec parsing, matching the
-        // pre-plan builder's error precedence.
-        if self.loads.is_empty() {
-            return Err(SfError::Experiment("no offered loads configured".into()));
-        }
-        if let Some(&bad) = self
-            .loads
-            .iter()
-            .find(|l| !(0.0..=1.0).contains(*l) || l.is_nan())
-        {
-            return Err(SfError::Experiment(format!(
-                "offered load {bad} outside [0, 1]"
-            )));
-        }
-        if self.sim.num_vcs == 0 {
-            return Err(SfError::Experiment(
-                "num_vcs must be ≥ 1 (the simulator needs at least one virtual channel)".into(),
-            ));
-        }
-        if !(1..=sf_sim::MAX_PACKET_SIZE).contains(&self.sim.packet_size) {
-            return Err(SfError::Experiment(format!(
-                "packet_size must be in 1..={} flits, got {}",
-                sf_sim::MAX_PACKET_SIZE,
-                self.sim.packet_size
-            )));
-        }
         let mut set = self.to_plan()?.expand()?;
         let mut sink = MemorySink::new();
         Scheduler::default().run(&mut set, &mut sink)?;

@@ -102,49 +102,11 @@ impl RoutingTables {
             .filter(move |&v| need != UNREACHABLE && row[v as usize] + 1 == need)
     }
 
-    /// Number of distinct shortest paths from `u` to `d` (path
-    /// diversity; counts can overflow for huge graphs so saturate).
-    pub fn count_min_paths(&self, g: &Graph, u: u32, d: u32) -> u64 {
-        if u == d {
-            return 1;
-        }
-        let du = self.distance(u, d);
-        if du == UNREACHABLE {
-            return 0;
-        }
-        self.min_next_hops(g, u, d)
-            .map(|v| self.count_min_paths(g, v, d))
-            .fold(0u64, |a, b| a.saturating_add(b))
-    }
-
     /// Maximum finite distance (the diameter if connected), recorded at
     /// construction.
     #[inline]
     pub fn max_distance(&self) -> u8 {
         self.max_dist
-    }
-
-    /// Average inter-router distance over ordered pairs (u ≠ v).
-    pub fn average_distance(&self) -> f64 {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for u in 0..self.nr {
-            for v in 0..self.nr {
-                if u == v {
-                    continue;
-                }
-                let d = self.dist[u * self.nr + v];
-                if d != UNREACHABLE {
-                    sum += d as u64;
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
     }
 }
 
@@ -182,32 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn path_counting() {
-        let g = cycle(6);
-        let t = RoutingTables::new(&g);
-        assert_eq!(t.count_min_paths(&g, 0, 3), 2);
-        assert_eq!(t.count_min_paths(&g, 0, 2), 1);
-        assert_eq!(t.count_min_paths(&g, 0, 0), 1);
-        // 4-cycle grid-like diversity: K4 minus an edge.
-        let h = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let th = RoutingTables::new(&h);
-        assert_eq!(th.count_min_paths(&h, 0, 3), 2);
-    }
-
-    #[test]
     fn disconnected_marked_unreachable() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let t = RoutingTables::new(&g);
         assert_eq!(t.distance(0, 2), UNREACHABLE);
-        assert_eq!(t.count_min_paths(&g, 0, 2), 0);
         assert_eq!(t.min_next_hops(&g, 0, 2).count(), 0);
-    }
-
-    #[test]
-    fn average_distance_matches_metrics() {
-        let g = cycle(8);
-        let t = RoutingTables::new(&g);
-        let exact = metrics::average_distance(&g).unwrap();
-        assert!((t.average_distance() - exact).abs() < 1e-12);
     }
 }
