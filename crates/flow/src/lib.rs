@@ -10,7 +10,9 @@
 //!   `RoutingSpec` grammar the cycle engine uses to per-channel loads
 //!   for any [`Demand`] matrix, with the implied saturation throughput
 //!   ([`RoutingLoads::saturation`], 1 / max channel load), and — on
-//!   small networks — per-flow path sets;
+//!   small networks — per-flow path sets ([`FlowSet`]; UGAL's and
+//!   FatPaths' sets are weighted sums of MIN/VAL and per-layer sets,
+//!   formed by one crate-private `combine_flowsets`);
 //! * an exact **max-min fair-share solver** ([`max_min_rates`],
 //!   progressive filling) and a fluid clamp for at-scale runs, both
 //!   reached through [`evaluate`];

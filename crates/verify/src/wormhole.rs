@@ -397,8 +397,8 @@ mod tests {
         assert!(fp.max_hops >= 2);
     }
 
-    /// `(channels, edges)` of the wormhole CDG, captured before the
-    /// minimal family and the Valiant legs shared one pair enumerator.
+    /// `(channels, edges)` of the wormhole CDG for every family: the
+    /// minimal DAG enumerator they share must keep the edge set.
     #[test]
     fn cdg_sizes_are_pinned() {
         let size = |g: &Graph, spec: RoutingSpec, vcs: usize| {
