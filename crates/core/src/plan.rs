@@ -1493,6 +1493,16 @@ mod tests {
             "defaults.sim survives a sweep.sim override"
         );
         assert!(s1.warm_start);
+        // A sweep's own key replaces the default, even when it restores
+        // the built-in value.
+        let plan = ExperimentPlan::from_toml_str(
+            "[figure]\nname = \"x\"\n[defaults]\nwarm_start = true\n\
+             [[sweep]]\ntopo = \"sf:q=5\"\nwarm_start = false\n\
+             [[sweep]]\ntopo = \"sf:q=5\"",
+        )
+        .unwrap();
+        assert!(!plan.sweeps[0].warm_start);
+        assert!(plan.sweeps[1].warm_start);
     }
 
     #[test]
@@ -1569,6 +1579,13 @@ mod tests {
             (
                 "[figure]\nname = \"x\"\n[defaults.sim]\nthreads = 2\n[[sweep]]\ntopo = \"sf:q=5\"",
                 "unknown sim key \"threads\"",
+            ),
+            // Every [defaults] value is parsed, even one that every
+            // sweep overrides.
+            (
+                "[figure]\nname = \"x\"\n[defaults]\nloads = \"x\"\n\
+                 [[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]",
+                "loads must be an array of numbers",
             ),
             // Queue rings are allocated up front, so their sizes are
             // bounded before anything is built.
@@ -2138,6 +2155,16 @@ mod tests {
                 (Backend::Flow, 4),
             ]
         );
+
+        // A default backend does not contradict a sweep's backends
+        // axis: the axis replaces it.
+        let plan = ExperimentPlan::from_toml_str(
+            "[figure]\nname = \"x\"\n[defaults]\nbackend = \"flow\"\n\
+             [[sweep]]\ntopo = \"sf:q=5\"\nloads = [0.1]\nbackends = [\"cycle\"]",
+        )
+        .unwrap();
+        assert_eq!(plan.sweeps.len(), 1);
+        assert_eq!(plan.sweeps[0].backend, Backend::Cycle);
 
         // backend and backends on one sweep contradict each other.
         let err = ExperimentPlan::from_toml_str(

@@ -973,6 +973,43 @@ mod tests {
         assert!(TrafficPattern::worst_case_hypercube(&torus).is_err());
     }
 
+    /// Instances with no adversarial structure to exploit are typed
+    /// errors, never an all-silent pattern.
+    #[test]
+    fn worst_case_degenerate_instances_error() {
+        use sf_topo::{flatbutterfly::FlattenedButterfly, hypercube::Hypercube};
+        use sf_topo::{longhop::LongHop, random_dln::RandomDln};
+        for net in [
+            // A 4-router DLN with 2 shortcut rounds is the complete
+            // graph: every pair is a direct link.
+            RandomDln::new(4, 2, 1).network(),
+            // So is a 2-cube with the one long-hop mask 0b11.
+            LongHop {
+                d: 2,
+                masks: vec![0b11],
+                p: 1,
+            }
+            .network(),
+            // Address reversal is the identity below d = 2.
+            Hypercube::new(1).network(),
+            // A one-router row has no successor to collide on.
+            FlattenedButterfly {
+                c: 1,
+                dims: 2,
+                p: 1,
+            }
+            .network(),
+        ] {
+            let tables = RoutingTables::new(&net.graph);
+            let err = TrafficSpec::WorstCase.build(&net, &tables).unwrap_err();
+            assert!(
+                matches!(err, TrafficError::UnsupportedWorstCase { .. }),
+                "{}: {err}",
+                net.name
+            );
+        }
+    }
+
     /// `dest` samples exactly the distribution `dest_mix` reports: a
     /// fixed pattern's draw is its single pair (or `None` when the list
     /// is empty), and every random draw lies in the support.
