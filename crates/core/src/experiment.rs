@@ -269,28 +269,23 @@ enum RoutingChoice {
 pub struct Experiment {
     spec: SpecSource,
     routings: Vec<RoutingChoice>,
-    traffic: TrafficSpec,
-    loads: Vec<f64>,
-    sim: SimConfig,
-    backend: Backend,
-    warm_start: bool,
+    /// Traffic, loads, simulator, backend and warm start; its topologies
+    /// and routings are filled in by [`Experiment::to_plan`].
+    sweep: SweepPlan,
 }
 
 impl Experiment {
     /// Starts an experiment on the given topology — a parsed
     /// [`TopologySpec`] or a spec string (`Experiment::on("sf:q=19")`).
-    /// Defaults: MIN routing, uniform traffic, loads 0.1–0.9 in steps
-    /// of 0.1, the paper's §V simulator configuration. String parse
-    /// errors surface as typed errors when the experiment executes.
+    /// Defaults are a plan's ([`SweepPlan::default`]): MIN routing,
+    /// uniform traffic, loads 0.1–0.9 in steps of 0.1, the paper's §V
+    /// simulator configuration. String parse errors surface as typed
+    /// errors when the experiment executes.
     pub fn on(spec: impl Into<SpecArg>) -> Self {
         Experiment {
             spec: spec.into().0,
             routings: Vec::new(),
-            traffic: TrafficSpec::Uniform,
-            loads: (1..10).map(|i| i as f64 / 10.0).collect(),
-            sim: SimConfig::default(),
-            backend: Backend::default(),
-            warm_start: false,
+            sweep: SweepPlan::default(),
         }
     }
 
@@ -303,7 +298,7 @@ impl Experiment {
     /// `val3` ablation) are rejected with a typed [`SfError::Flow`]
     /// when the experiment executes.
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.sweep.backend = backend;
         self
     }
 
@@ -338,19 +333,19 @@ impl Experiment {
 
     /// Sets the traffic pattern (default: uniform).
     pub fn traffic(mut self, traffic: TrafficSpec) -> Self {
-        self.traffic = traffic;
+        self.sweep.traffic = traffic;
         self
     }
 
     /// Sets the offered-load sweep points.
     pub fn loads(mut self, loads: &[f64]) -> Self {
-        self.loads = loads.to_vec();
+        self.sweep.loads = loads.to_vec();
         self
     }
 
     /// Sets the simulator configuration.
     pub fn sim(mut self, cfg: SimConfig) -> Self {
-        self.sim = cfg;
+        self.sweep.sim = cfg;
         self
     }
 
@@ -358,7 +353,7 @@ impl Experiment {
     /// on diameter-3 topologies) without rebuilding the whole
     /// [`SimConfig`].
     pub fn num_vcs(mut self, vcs: usize) -> Self {
-        self.sim.num_vcs = vcs;
+        self.sweep.sim.num_vcs = vcs;
         self
     }
 
@@ -368,7 +363,7 @@ impl Experiment {
     /// releases it. `0` is rejected as a typed error at
     /// [`Experiment::run`].
     pub fn packet_size(mut self, flits: usize) -> Self {
-        self.sim.packet_size = flits;
+        self.sweep.sim.packet_size = flits;
         self
     }
 
@@ -378,7 +373,7 @@ impl Experiment {
     /// because the non-first loads of a chain are then near-identical,
     /// not bit-identical, to their cold equivalents.
     pub fn warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
+        self.sweep.warm_start = warm;
         self
     }
 
@@ -396,7 +391,7 @@ impl Experiment {
     /// parsed and all parameters validated.
     pub fn routing_specs(&self) -> Result<Vec<RoutingSpec>, SfError> {
         if self.routings.is_empty() {
-            return Ok(vec![RoutingSpec::Min]);
+            return Ok(self.sweep.routings.clone());
         }
         self.routings
             .iter()
@@ -423,20 +418,15 @@ impl Experiment {
     /// [`expand`](ExperimentPlan::expand).
     pub fn to_plan(&self) -> Result<ExperimentPlan, SfError> {
         let spec = self.spec()?;
-        let routings = self.routing_specs()?;
+        let sweep = SweepPlan {
+            topos: vec![spec.clone()],
+            routings: self.routing_specs()?,
+            ..self.sweep.clone()
+        };
         Ok(ExperimentPlan {
             name: spec.to_string(),
             title: None,
-            sweeps: vec![SweepPlan {
-                topos: vec![spec],
-                routings,
-                traffic: self.traffic,
-                loads: self.loads.clone(),
-                sim: self.sim,
-                backend: self.backend,
-                warm_start: self.warm_start,
-                faults: None,
-            }],
+            sweeps: vec![sweep],
         })
     }
 

@@ -50,6 +50,15 @@
 //! packet_size = 4                   # flits per packet (wormhole)
 //! ```
 //!
+//! **Defaults**: `[defaults]` takes the keys it shares with a sweep
+//! (`routing`, `traffic`, `loads`, `sim`, `backend`, `warm_start`) and
+//! is applied once, onto the built-in defaults of [`SweepPlan::default`]
+//! (MIN, uniform, loads 0.1–0.9, [`SimConfig::default`], the cycle
+//! backend, cold runs). A sweep's own key replaces the default, except
+//! `sim`, whose keys merge one by one over `[defaults.sim]`. Every
+//! `[defaults]` value must parse even when every sweep overrides it,
+//! and the engine bounds apply to each sweep's merged `sim`.
+//!
 //! **Matrix sugar**: `backends = [...]`, `fault_fractions = [...]`
 //! and/or `packet_sizes = [...]` expand one `[[sweep]]` template into
 //! the cross product of sweeps (backends outermost, then fault
@@ -113,10 +122,10 @@ use crate::spec::TopologySpec;
 use rayon::prelude::*;
 use sf_flow::{Demand, EdgeIndex, FlowError, RoutingLoads};
 use sf_graph::fault::{self, FaultMode};
-use sf_routing::{Router, RoutingSpec, RoutingTables};
+use sf_routing::{Router, RoutingError, RoutingSpec, RoutingTables};
 use sf_sim::{LoadSweep, SimConfig, Simulator};
 use sf_topo::Network;
-use sf_traffic::{TrafficPattern, TrafficSpec};
+use sf_traffic::{TrafficError, TrafficPattern, TrafficSpec};
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
@@ -372,7 +381,16 @@ impl ExperimentPlan {
             }
         }
 
-        let defaults = SweepDefaults::from_value(value.get("defaults"))?;
+        let mut defaults = SweepPlan::default();
+        if let Some(d) = value.get("defaults") {
+            let t = d
+                .as_table()
+                .ok_or_else(|| plan_err("[defaults] must be a table"))?;
+            if let Some(key) = unknown_key(t, &[]) {
+                return Err(plan_err(&format!("unknown [defaults] key {key:?}")));
+            }
+            defaults.apply(d)?;
+        }
         let sweeps_v = value
             .get("sweep")
             .and_then(Value::as_array)
@@ -521,59 +539,19 @@ impl ExperimentPlan {
                 }
             }
         }
-        // Deduplicate the expensive per-(topology, routing) router
-        // builds and per-(topology, traffic) pattern builds across
-        // jobs: with warm_start = false every load is its own job, and
-        // rebuilding e.g. FatPaths layer sets once per load point
-        // would multiply the precomputation by the sweep length.
-        let mut router_keys: Vec<(usize, RoutingSpec)> = Vec::new();
-        let mut pattern_keys: Vec<(usize, TrafficSpec)> = Vec::new();
-        let mut flow_keys: Vec<(usize, RoutingSpec, TrafficSpec)> = Vec::new();
-        let mut router_of = Vec::with_capacity(jobs.len());
-        let mut pattern_of = Vec::with_capacity(jobs.len());
-        let mut flow_of = Vec::with_capacity(jobs.len());
-        for job in &jobs {
-            let rk = (job.topo, job.routing);
-            router_of.push(match router_keys.iter().position(|k| *k == rk) {
-                Some(i) => i,
-                None => {
-                    router_keys.push(rk);
-                    router_keys.len() - 1
-                }
-            });
-            let pk = (job.topo, job.traffic);
-            pattern_of.push(match pattern_keys.iter().position(|k| *k == pk) {
-                Some(i) => i,
-                None => {
-                    pattern_keys.push(pk);
-                    pattern_keys.len() - 1
-                }
-            });
-            let fk = (job.topo, job.routing, job.traffic);
-            flow_of.push(match flow_keys.iter().position(|k| *k == fk) {
-                Some(i) => i,
-                None => {
-                    flow_keys.push(fk);
-                    flow_keys.len() - 1
-                }
-            });
-        }
-        let num_topos = topos.len();
         Ok(JobSet {
+            routers: Memo::new(jobs.iter().map(|j| (j.topo, j.routing))),
+            patterns: Memo::new(jobs.iter().map(|j| (j.topo, j.traffic))),
+            demands: Memo::new(jobs.iter().map(|j| (j.topo, j.traffic))),
+            lowerings: Memo::new(
+                jobs.iter().flat_map(|j| {
+                    [RoutingSpec::Min, VAL, j.routing].map(|r| (j.topo, r, j.traffic))
+                }),
+            ),
             jobs,
             topos,
             faults: topo_faults,
             ctxs: Vec::new(),
-            routers: (0..router_keys.len()).map(|_| OnceLock::new()).collect(),
-            router_of,
-            patterns: (0..pattern_keys.len()).map(|_| OnceLock::new()).collect(),
-            pattern_of,
-            flow_shared: (0..pattern_keys.len())
-                .map(|_| SharedFlow::default())
-                .collect(),
-            flow_loads: (0..flow_keys.len()).map(|_| OnceLock::new()).collect(),
-            flow_of,
-            edge_idx: (0..num_topos).map(|_| OnceLock::new()).collect(),
         })
     }
 }
@@ -603,77 +581,69 @@ fn plan_err(msg: &str) -> SfError {
     SfError::Plan(msg.to_string())
 }
 
-/// Values a `[defaults]` table pre-sets for every sweep.
-#[derive(Clone, Debug, Default)]
-struct SweepDefaults {
-    routings: Option<Vec<RoutingSpec>>,
-    traffic: Option<TrafficSpec>,
-    loads: Option<Vec<f64>>,
-    sim: Option<Value>,
-    backend: Option<Backend>,
-    warm_start: Option<bool>,
-}
+/// The keys [`SweepPlan::apply`] reads: all `[defaults]` takes, and
+/// what a sweep shares with it.
+const TEMPLATE_KEYS: [&str; 6] = [
+    "routing",
+    "traffic",
+    "loads",
+    "sim",
+    "backend",
+    "warm_start",
+];
 
-impl SweepDefaults {
-    fn from_value(v: Option<&Value>) -> Result<Self, SfError> {
-        let Some(v) = v else {
-            return Ok(SweepDefaults::default());
-        };
-        let t = v
-            .as_table()
-            .ok_or_else(|| plan_err("[defaults] must be a table"))?;
-        for key in t.keys() {
-            if !matches!(
-                key.as_str(),
-                "routing" | "traffic" | "loads" | "sim" | "backend" | "warm_start"
-            ) {
-                return Err(plan_err(&format!("unknown [defaults] key {key:?}")));
-            }
-        }
-        Ok(SweepDefaults {
-            routings: v.get("routing").map(parse_routings).transpose()?,
-            traffic: v.get("traffic").map(parse_traffic).transpose()?,
-            loads: v.get("loads").map(parse_loads).transpose()?,
-            sim: v.get("sim").cloned(),
-            backend: v.get("backend").map(parse_backend).transpose()?,
-            warm_start: match v.get("warm_start") {
-                None => None,
-                Some(b) => Some(
-                    b.as_bool()
-                        .ok_or_else(|| plan_err("warm_start must be a boolean"))?,
-                ),
-            },
-        })
-    }
+/// The first key of `t` that is neither a template key nor in `extra`.
+fn unknown_key<'a>(t: &'a toml::Map, extra: &[&str]) -> Option<&'a String> {
+    t.keys()
+        .find(|k| !TEMPLATE_KEYS.contains(&k.as_str()) && !extra.contains(&k.as_str()))
 }
 
 impl SweepPlan {
-    /// Interprets one `[[sweep]]` table. Matrix sugar — `backends`,
-    /// `fault_fractions` and `packet_sizes` — expands the single
-    /// template into one sweep per combination (in that order, outermost
-    /// first, each axis in file order).
-    fn from_value(v: &Value, defaults: &SweepDefaults) -> Result<Vec<Self>, SfError> {
+    /// Sets the fields a `[defaults]` or `[[sweep]]` table names, in
+    /// this order: routing, traffic, loads, sim (key by key onto the
+    /// current configuration), warm_start, backend.
+    fn apply(&mut self, v: &Value) -> Result<(), SfError> {
+        if let Some(r) = v.get("routing") {
+            self.routings = parse_routings(r)?;
+        }
+        if let Some(t) = v.get("traffic") {
+            self.traffic = parse_traffic(t)?;
+        }
+        if let Some(l) = v.get("loads") {
+            self.loads = parse_loads(l)?;
+        }
+        if let Some(s) = v.get("sim") {
+            apply_sim(&mut self.sim, s)?;
+        }
+        if let Some(b) = v.get("warm_start") {
+            self.warm_start = b
+                .as_bool()
+                .ok_or_else(|| plan_err("warm_start must be a boolean"))?;
+        }
+        if let Some(b) = v.get("backend") {
+            self.backend = parse_backend(b)?;
+        }
+        Ok(())
+    }
+
+    /// Interprets one `[[sweep]]` table over the `[defaults]` template.
+    /// Matrix sugar — `backends`, `fault_fractions` and `packet_sizes` —
+    /// expands the single template into one sweep per combination (in
+    /// that order, outermost first, each axis in file order).
+    fn from_value(v: &Value, defaults: &SweepPlan) -> Result<Vec<Self>, SfError> {
         let t = v
             .as_table()
             .ok_or_else(|| plan_err("each [[sweep]] must be a table"))?;
-        for key in t.keys() {
-            if !matches!(
-                key.as_str(),
-                "topo"
-                    | "topos"
-                    | "routing"
-                    | "traffic"
-                    | "loads"
-                    | "sim"
-                    | "backend"
-                    | "backends"
-                    | "warm_start"
-                    | "packet_sizes"
-                    | "faults"
-                    | "fault_fractions"
-            ) {
-                return Err(plan_err(&format!("unknown sweep key {key:?}")));
-            }
+        let extra = [
+            "topo",
+            "topos",
+            "backends",
+            "packet_sizes",
+            "faults",
+            "fault_fractions",
+        ];
+        if let Some(key) = unknown_key(t, &extra) {
+            return Err(plan_err(&format!("unknown sweep key {key:?}")));
         }
         let topos = match (v.get("topo"), v.get("topos")) {
             (Some(_), Some(_)) => return Err(plan_err("give either `topo` or `topos`, not both")),
@@ -689,59 +659,16 @@ impl SweepPlan {
         if topos.is_empty() {
             return Err(plan_err("`topos` must not be empty"));
         }
-        let routings = match v.get("routing") {
-            Some(r) => parse_routings(r)?,
-            None => defaults
-                .routings
-                .clone()
-                .unwrap_or_else(|| vec![RoutingSpec::Min]),
-        };
-        let traffic = match v.get("traffic") {
-            Some(tr) => parse_traffic(tr)?,
-            None => defaults.traffic.unwrap_or(TrafficSpec::Uniform),
-        };
-        let loads = match v.get("loads") {
-            Some(l) => parse_loads(l)?,
-            None => defaults
-                .loads
-                .clone()
-                .unwrap_or_else(|| (1..10).map(|i| i as f64 / 10.0).collect()),
-        };
-        let mut sim = SimConfig::default();
-        if let Some(d) = &defaults.sim {
-            apply_sim(&mut sim, d)?;
-        }
-        if let Some(s) = v.get("sim") {
-            apply_sim(&mut sim, s)?;
-        }
-        check_sim_bounds(&sim)?;
-        let warm_start = match v.get("warm_start") {
-            Some(b) => b
-                .as_bool()
-                .ok_or_else(|| plan_err("warm_start must be a boolean"))?,
-            None => defaults.warm_start.unwrap_or(false),
-        };
-        let backend = match (v.get("backend"), v.get("backends")) {
-            (Some(_), Some(_)) => {
-                return Err(plan_err("give either `backend` or `backends`, not both"))
-            }
-            (Some(b), None) => parse_backend(b)?,
-            (None, _) => defaults.backend.unwrap_or_default(),
-        };
-        let faults = match v.get("faults") {
-            None => None,
-            Some(fv) => Some(FaultPlan::from_value(fv)?),
-        };
-        let template = SweepPlan {
+        let mut template = SweepPlan {
             topos,
-            routings,
-            traffic,
-            loads,
-            sim,
-            backend,
-            warm_start,
-            faults,
+            ..defaults.clone()
         };
+        template.apply(v)?;
+        check_sim_bounds(&template.sim)?;
+        if v.get("backend").is_some() && v.get("backends").is_some() {
+            return Err(plan_err("give either `backend` or `backends`, not both"));
+        }
+        template.faults = v.get("faults").map(FaultPlan::from_value).transpose()?;
 
         // Matrix sugar: expand the template over the requested axes
         // (backends outermost, then fault fractions, packet sizes
@@ -776,7 +703,7 @@ impl SweepPlan {
             Some(a) => parse_fault_fractions(a)?.into_iter().map(Some).collect(),
         };
         let mut out = Vec::new();
-        for &be in backends_axis.as_deref().unwrap_or(&[backend]) {
+        for &be in backends_axis.as_deref().unwrap_or(&[template.backend]) {
             for &frac in &frac_axis {
                 let mut with_fault = template.clone();
                 with_fault.backend = be;
@@ -1037,34 +964,62 @@ pub struct JobCtx {
     /// The concrete network.
     pub net: Network,
     tables: OnceLock<RoutingTables>,
+    edge_index: OnceLock<EdgeIndex>,
 }
 
 impl JobCtx {
-    /// All-pairs routing tables over `net.graph`, built on first use.
-    /// Construction is deterministic, so a build race between workers
-    /// settles on identical content.
+    /// All-pairs routing tables over `net.graph`, built on first use;
+    /// concurrent callers wait for the one build.
     pub fn tables(&self) -> &RoutingTables {
         self.tables
             .get_or_init(|| RoutingTables::new(&self.net.graph))
     }
+
+    /// The directed-channel index every flow lowering on this topology
+    /// shares, built on first use.
+    fn edge_index(&self) -> &EdgeIndex {
+        self.edge_index
+            .get_or_init(|| EdgeIndex::new(&self.net.graph))
+    }
 }
 
-/// Lazily built flow-backend state per distinct (topology, traffic)
-/// pair: the router-level demand matrix and the MIN/VAL channel loads
-/// that every flow routing lowers through. Unlike the router slots,
-/// these cache the full `Result`: a lowering can take seconds at
-/// q = 79, and `OnceLock::get_or_init` makes concurrent workers block
-/// on one computation instead of racing to repeat it. The cached
-/// error is deterministic (it depends only on topology and demand),
-/// so every affected job surfaces the identical typed failure.
-#[derive(Default)]
-struct SharedFlow {
-    demand: OnceLock<Demand>,
-    min: FlowSlot,
-    val: FlowSlot,
+/// Values shared by the jobs of one key: a router per (topology,
+/// routing), a pattern per (topology, traffic), and so on. The distinct
+/// keys are fixed when the set expands, each with one slot. A value is
+/// built inside its slot on first use, so a worker that needs a value
+/// another worker is building waits for it instead of building a second
+/// copy. Fallible builds store their `Result`: builds are
+/// deterministic, so a kept error is the one every job of the key would
+/// meet.
+struct Memo<K, V> {
+    slots: Vec<(K, OnceLock<V>)>,
 }
 
-type FlowSlot = OnceLock<Result<RoutingLoads, FlowError>>;
+impl<K: PartialEq, V> Memo<K, V> {
+    /// One empty slot per distinct key.
+    fn new(keys: impl IntoIterator<Item = K>) -> Self {
+        let mut slots: Vec<(K, OnceLock<V>)> = Vec::new();
+        for key in keys {
+            if !slots.iter().any(|(k, _)| *k == key) {
+                slots.push((key, OnceLock::new()));
+            }
+        }
+        Memo { slots }
+    }
+
+    /// The value of `key`, built by `build` on first use.
+    fn get(&self, key: &K, build: impl FnOnce() -> V) -> &V {
+        let (_, slot) = self
+            .slots
+            .iter()
+            .find(|(k, _)| k == key)
+            .expect("memo keys are taken from the set's own jobs");
+        slot.get_or_init(build)
+    }
+}
+
+/// The Valiant routing whose flow lowering UGAL mixes with MIN's.
+const VAL: RoutingSpec = RoutingSpec::Valiant { cap3: false };
 
 /// The flat, deterministic expansion of an [`ExperimentPlan`]: jobs in
 /// output order plus the deduplicated topology list they reference. A
@@ -1079,23 +1034,13 @@ pub struct JobSet {
     /// intact; no-op plans are normalized to `None` at expansion).
     faults: Vec<Option<FaultPlan>>,
     ctxs: Vec<JobCtx>,
-    /// Lazily built routers, one slot per distinct (topology, routing)
-    /// pair; `router_of[job.id]` is the slot. Construction is
-    /// deterministic, so a build race between workers settles on
-    /// identical content.
-    routers: Vec<OnceLock<Box<dyn Router>>>,
-    router_of: Vec<usize>,
-    /// Lazily built traffic patterns per distinct (topology, traffic).
-    patterns: Vec<OnceLock<TrafficPattern>>,
-    pattern_of: Vec<usize>,
-    /// Flow-backend caches: demand + MIN/VAL loads per (topology,
-    /// traffic) — same slot space as `patterns` — and the per-routing
-    /// lowering result per (topology, routing, traffic).
-    flow_shared: Vec<SharedFlow>,
-    flow_loads: Vec<FlowSlot>,
-    flow_of: Vec<usize>,
-    /// Directed-channel index per topology, built on first flow job.
-    edge_idx: Vec<OnceLock<EdgeIndex>>,
+    routers: Memo<(usize, RoutingSpec), Result<Box<dyn Router>, RoutingError>>,
+    patterns: Memo<(usize, TrafficSpec), Result<TrafficPattern, TrafficError>>,
+    /// The router-level demand of a pattern, for flow jobs.
+    demands: Memo<(usize, TrafficSpec), Demand>,
+    /// Flow lowerings per (topology, routing, traffic); every job also
+    /// keys MIN and VAL, which its UGAL mix may need.
+    lowerings: Memo<(usize, RoutingSpec, TrafficSpec), Result<RoutingLoads, FlowError>>,
 }
 
 impl std::fmt::Debug for JobSet {
@@ -1176,6 +1121,7 @@ impl JobSet {
                 Ok(JobCtx {
                     net,
                     tables: OnceLock::new(),
+                    edge_index: OnceLock::new(),
                 })
             })
             .collect();
@@ -1241,12 +1187,11 @@ impl JobSet {
 
     /// Executes one job, returning its records in load order. The set
     /// must be prepared. Deterministic: depends only on the job and
-    /// the topology, never on other jobs or thread timing. Router,
-    /// traffic-pattern, and flow-lowering construction is cached
-    /// across the jobs sharing them; failures stay typed and surface
-    /// on every affected job (router/pattern build errors are retried
-    /// per job, flow-lowering errors are deterministic and cached by
-    /// the set's shared flow slots).
+    /// the topology, never on other jobs or thread timing. Routers,
+    /// traffic patterns, demands and flow lowerings are built once per
+    /// key and shared by the jobs that need them; a worker waits for a
+    /// build another worker has started. A failed build is kept and
+    /// returned, typed, to every job of its key.
     pub fn run_job(&self, job: &Job) -> Result<Vec<Record>, SfError> {
         assert!(self.is_prepared(), "JobSet::prepare must run before jobs");
         match job.backend {
@@ -1265,14 +1210,14 @@ impl JobSet {
             ctx.tables().max_distance() as usize,
         )?;
         let spec_str = self.topos[job.topo].to_string();
-        let router_slot = &self.routers[self.router_of[job.id]];
-        let router: &dyn Router = match router_slot.get() {
-            Some(r) => r.as_ref(),
-            None => {
-                let built = job.routing.build(&ctx.net.graph, ctx.tables())?;
-                router_slot.get_or_init(|| built).as_ref()
-            }
-        };
+        let router: &dyn Router = self
+            .routers
+            .get(&(job.topo, job.routing), || {
+                job.routing.build(&ctx.net.graph, ctx.tables())
+            })
+            .as_ref()
+            .map_err(Clone::clone)?
+            .as_ref();
         let pattern = self.pattern(job)?;
         let results = if job.warm_start {
             LoadSweep::run_warm(&ctx.net, ctx.tables(), router, pattern, &job.loads, job.sim)
@@ -1308,62 +1253,31 @@ impl JobSet {
             .collect())
     }
 
-    /// The shared traffic pattern of a job, built on first use.
-    /// Routing tables are only constructed if the pattern itself needs
-    /// them (worst-case placement), so flow jobs on table-free
-    /// patterns never pay for all-pairs tables.
-    fn pattern(&self, job: &Job) -> Result<&TrafficPattern, SfError> {
+    /// The shared traffic pattern of a job. Routing tables are only
+    /// built if the pattern itself needs them (distance-based worst
+    /// cases), so flow jobs on other patterns never pay for all-pairs
+    /// tables.
+    fn pattern(&self, job: &Job) -> Result<&TrafficPattern, TrafficError> {
         let ctx = self.ctx(job);
-        let pattern_slot = &self.patterns[self.pattern_of[job.id]];
-        match pattern_slot.get() {
-            Some(p) => Ok(p),
-            None => {
-                let built = job.traffic.build_with(&ctx.net, || ctx.tables())?;
-                Ok(pattern_slot.get_or_init(|| built))
-            }
-        }
+        self.patterns
+            .get(&(job.topo, job.traffic), || {
+                job.traffic.build_with(&ctx.net, || ctx.tables())
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     fn run_flow_job(&self, job: &Job) -> Result<Vec<Record>, SfError> {
         let ctx = self.ctx(job);
         let spec_str = self.topos[job.topo].to_string();
         let pattern = self.pattern(job)?;
-        let idx = self.edge_idx[job.topo].get_or_init(|| EdgeIndex::new(&ctx.net.graph));
-        let shared = &self.flow_shared[self.pattern_of[job.id]];
-        let demand = shared
-            .demand
-            .get_or_init(|| Demand::from_pattern(&ctx.net, pattern));
-
-        let min = || cached_loads(&shared.min, || sf_flow::min_loads(&ctx.net, idx, demand));
-        let val = || {
-            cached_loads(&shared.val, || {
-                sf_flow::valiant_loads(&ctx.net, idx, demand)
-            })
-        };
-
-        let rl: &RoutingLoads = match job.routing {
-            RoutingSpec::Min => min()?,
-            RoutingSpec::Valiant { cap3: false } => val()?,
-            RoutingSpec::UgalL { .. } | RoutingSpec::UgalG { .. } => {
-                // Fluid UGAL ignores the candidate count: with exact
-                // load knowledge every candidate set converges to the
-                // same min/Valiant mixture, so UGAL-L ≡ UGAL-G here.
-                cached_loads(&self.flow_loads[self.flow_of[job.id]], || {
-                    Ok(sf_flow::ugal_mix(min()?, val()?))
-                })?
-            }
-            RoutingSpec::FatPaths { layers } => {
-                cached_loads(&self.flow_loads[self.flow_of[job.id]], || {
-                    sf_flow::fatpaths_loads(&ctx.net, idx, demand, ctx.tables(), layers)
-                })?
-            }
-            // expand() rejects these; keep the typed error as defense
-            // for hand-built Jobs.
-            RoutingSpec::Ecmp | RoutingSpec::Valiant { cap3: true } => {
-                flow_lowering_exists(&job.routing)?;
-                unreachable!("flow_lowering_exists accepted an inexpressible routing")
-            }
-        };
+        // expand() rejects routings without a lowering; keep the typed
+        // error for hand-built Jobs.
+        flow_lowering_exists(&job.routing)?;
+        let demand = self.demands.get(&(job.topo, job.traffic), || {
+            Demand::from_pattern(&ctx.net, pattern)
+        });
+        let rl = self.lowering(job, job.routing, demand)?;
 
         Ok(job
             .loads
@@ -1389,19 +1303,39 @@ impl JobSet {
             })
             .collect())
     }
-}
 
-/// Returns a cached flow lowering, building it inside the slot's
-/// `get_or_init` so concurrent workers block on one computation
-/// instead of racing to repeat a multi-second solve (see
-/// [`SharedFlow`] on why errors are cached here).
-fn cached_loads(
-    slot: &FlowSlot,
-    build: impl FnOnce() -> Result<RoutingLoads, FlowError>,
-) -> Result<&RoutingLoads, FlowError> {
-    match slot.get_or_init(build) {
-        Ok(r) => Ok(r),
-        Err(e) => Err(e.clone()),
+    /// The flow lowering of `routing` on `job`'s topology and traffic.
+    fn lowering(
+        &self,
+        job: &Job,
+        routing: RoutingSpec,
+        demand: &Demand,
+    ) -> Result<&RoutingLoads, FlowError> {
+        let ctx = self.ctx(job);
+        self.lowerings
+            .get(&(job.topo, routing, job.traffic), || {
+                let idx = ctx.edge_index();
+                match routing {
+                    RoutingSpec::Min => sf_flow::min_loads(&ctx.net, idx, demand),
+                    VAL => sf_flow::valiant_loads(&ctx.net, idx, demand),
+                    // Fluid UGAL ignores the candidate count: with exact
+                    // load knowledge every candidate set converges to
+                    // the same min/Valiant mixture, so UGAL-L ≡ UGAL-G
+                    // here.
+                    RoutingSpec::UgalL { .. } | RoutingSpec::UgalG { .. } => Ok(sf_flow::ugal_mix(
+                        self.lowering(job, RoutingSpec::Min, demand)?,
+                        self.lowering(job, VAL, demand)?,
+                    )),
+                    RoutingSpec::FatPaths { layers } => {
+                        sf_flow::fatpaths_loads(&ctx.net, idx, demand, ctx.tables(), layers)
+                    }
+                    RoutingSpec::Ecmp | RoutingSpec::Valiant { cap3: true } => {
+                        unreachable!("flow_lowering_exists rejects {routing}")
+                    }
+                }
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 }
 
@@ -2221,6 +2155,42 @@ mod tests {
             .unwrap();
             let err = plan.expand().unwrap_err();
             assert!(matches!(err, SfError::Flow(_)), "{routing} → {err}");
+        }
+    }
+
+    #[test]
+    fn memo_builds_each_key_once_and_keeps_errors() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let memo: Memo<u8, Result<Vec<u8>, String>> = Memo::new([1, 2, 1]);
+        assert_eq!(memo.slots.len(), 2, "keys are deduplicated");
+        let barrier = Barrier::new(4);
+        for (key, want) in [(1, Ok(vec![7])), (2, Err("no layers".to_string()))] {
+            let builds = AtomicUsize::new(0);
+            // Four workers ask for one key at once: one builds, the
+            // others wait for its value (or its error).
+            let seen: Vec<&Result<Vec<u8>, String>> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            memo.get(&key, || {
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                want.clone()
+                            })
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("workers do not panic"))
+                    .collect()
+            });
+            assert_eq!(builds.load(Ordering::SeqCst), 1, "key {key}");
+            for v in &seen {
+                assert!(std::ptr::eq(*v, seen[0]), "key {key}");
+                assert_eq!(**v, want);
+            }
         }
     }
 

@@ -2051,6 +2051,7 @@ mod tests {
         AdaptiveEcmpRouter, FatPathsRouter, MinRouter, RoutingSpec, UgalRouter, ValiantRouter,
     };
     use sf_topo::SlimFly;
+    use sf_traffic::TrafficSpec;
 
     fn small_sf() -> (Network, RoutingTables) {
         let sf = SlimFly::new(5).unwrap();
@@ -2169,7 +2170,7 @@ mod tests {
     #[test]
     fn worst_case_crushes_min_but_not_ugal() {
         let (net, tables) = small_sf();
-        let pat = TrafficPattern::worst_case_slimfly(&net, &tables);
+        let pat = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let cfg = quick_cfg(7);
         let rmin = Simulator::new(&net, &tables, &MinRouter, &pat, 0.4, cfg).run();
         assert!(
@@ -2209,7 +2210,7 @@ mod tests {
         let hc = sf_topo::hypercube::Hypercube::new(8);
         let net = hc.network();
         let tables = RoutingTables::new(&net.graph);
-        let worst = TrafficPattern::worst_case_hypercube(&net).unwrap();
+        let worst = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let uniform = TrafficPattern::uniform(net.num_endpoints() as u32);
         let mut cfg = quick_cfg(14);
         cfg.num_vcs = 10; // diameter-8 paths need one VC per hop
@@ -2241,7 +2242,7 @@ mod tests {
         let lh = sf_topo::longhop::LongHop::new(6, 3);
         let net = lh.network();
         let tables = RoutingTables::new(&net.graph);
-        let worst = TrafficPattern::worst_case_longhop(&net, &tables).unwrap();
+        let worst = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let uniform = TrafficPattern::uniform(net.num_endpoints() as u32);
         let mut cfg = quick_cfg(15);
         cfg.num_vcs = 6;
@@ -2270,7 +2271,7 @@ mod tests {
         let dln = sf_topo::random_dln::RandomDln::new(64, 4, 7);
         let net = dln.network();
         let tables = RoutingTables::new(&net.graph);
-        let worst = TrafficPattern::worst_case_dln(&net, &tables).unwrap();
+        let worst = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let uniform = TrafficPattern::uniform(net.num_endpoints() as u32);
         let mut cfg = quick_cfg(31);
         cfg.num_vcs = 6; // Valiant detours on a diameter-4 instance
@@ -2307,7 +2308,7 @@ mod tests {
         let plane = sf_topo::bdf::ProjectivePlaneGraph::new(5).unwrap();
         let net = plane.network(3);
         let tables = RoutingTables::new(&net.graph);
-        let worst = TrafficPattern::worst_case_bdf(&net, &tables).unwrap();
+        let worst = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let cfg = quick_cfg(32);
         let rmin = Simulator::new(&net, &tables, &MinRouter, &worst, 0.3, cfg).run();
         assert!(

@@ -10,13 +10,16 @@
 //!   are destination tables built at construction, so sampling and the
 //!   flow model's distribution read the same entry;
 //! * **shift** (§V-B) — each source talks to its ±N/2 counterpart;
-//! * **worst case** (§V-C) — per-topology adversarial permutations:
-//!   Slim Fly (colliding 2-hop paths through a shared middle router,
-//!   Fig 9), Dragonfly (group g → group g+1, Kim et al. §4.2), fat tree
-//!   (all packets forced through core switches), torus (dimension
-//!   reversal across the coordinate diagonal), flattened butterfly
-//!   (row collision on single dimension-0 links), hypercube (address
-//!   bit reversal through the middle subcube).
+//! * **worst case** (§V-C) — one adversarial permutation per topology
+//!   family, all built by [`TrafficPattern::worst_case`]: Slim Fly and
+//!   BDF (colliding 2-hop paths through a shared middle router, Fig 9),
+//!   DLN (farthest-pair matching), Long Hop (farthest XOR translate),
+//!   Dragonfly (group g → group g+1, Kim et al. §4.2), fat tree (all
+//!   packets forced through core switches), torus (dimension reversal
+//!   across the coordinate diagonal), hypercube (address bit reversal
+//!   through the middle subcube) and flattened butterfly (row
+//!   collision on single dimension-0 links). Only the first four read
+//!   routing distances, so only they force the routing tables.
 //!
 //! All patterns are *endpoint-safe*: no endpoint is required to absorb
 //! more than one full-rate flow (the paper's stated constraint for
@@ -130,13 +133,167 @@ impl TrafficPattern {
         }
     }
 
-    /// Greedy distance-2 router matching (the §V-C/Fig 9 adversary
-    /// scheme, shared by the Slim Fly and BDF worst cases): scan
-    /// routers in id order; pair each unpaired router with an unpaired
-    /// distance-2 partner, preferring partners with the fewest shared
-    /// minimal middles (1 in girth-5 MMS graphs and in projective-plane
-    /// polarity graphs, where two lines meet in one point). Unmatched
-    /// routers are their own partners.
+    /// The topology-specific adversarial permutation (§V-C), the one
+    /// worst-case constructor. Each endpoint sends to its positional
+    /// counterpart on a partner router (or in the next block), so no
+    /// endpoint absorbs more than one full-rate flow:
+    ///
+    /// - **Slim Fly** (Fig 9) and **BDF**: routers pair at distance 2,
+    ///   where minimal paths funnel through a single middle router
+    ///   (girth-5 MMS graphs; two polars of a projective plane meet in
+    ///   one point). The `p` flows of a router collide on one link, so
+    ///   MIN throughput caps near `1/(p+1)` while adaptive schemes
+    ///   detour around the middle.
+    /// - **DLN**: farthest-pair matching against the seeded shortcut
+    ///   instance. It maximizes `load × hops` and concentrates MIN
+    ///   traffic on the few shortcuts the long routes share.
+    /// - **Long Hop**: router `v` sends to `v ⊕ δ`, for the translate `δ`
+    ///   at maximal distance from the origin (ties toward higher Hamming
+    ///   weight, then lower id). XOR translation is an automorphism of
+    ///   the Cayley graph over (Z₂)^d, so every pair sits at that
+    ///   distance, and a mask-aligned translate (one hop) is never
+    ///   picked. `δ ⊕ δ = 0` makes the pattern an involution.
+    /// - **Dragonfly** (Kim et al. §4.2) and **fat tree**: endpoints send
+    ///   to their counterpart in the next group or pod, forcing minimal
+    ///   traffic over one global link or through the core switches.
+    /// - **Torus**: dimension reversal, `(x_0, …, x_{n−1})` to
+    ///   `(x_{n−1}, …, x_0)`, through the coordinate diagonal.
+    /// - **Hypercube**: address bit reversal. Pairs that swap their
+    ///   address halves all cross the middle subcube, congestion
+    ///   Θ(√Nr ⁄ d) even under randomized minimal routing. Palindromic
+    ///   addresses stay silent.
+    /// - **Flattened butterfly**: row collision, `x_0 → x_0 + 1 mod c`.
+    ///   The unique minimal path is the one direct row link, so MIN caps
+    ///   near `1/p`.
+    ///
+    /// `tables` gives routing tables over `net.graph`. Only the
+    /// distance-based adversaries (Slim Fly, BDF, DLN, Long Hop) call it.
+    /// Degraded and generic networks are typed errors, and so are
+    /// instances with nothing to exploit: asymmetric or 1-D tori,
+    /// hypercubes with `d < 2`, flattened butterflies with `c < 2`,
+    /// planes without distance-2 pairs, and DLN or Long Hop instances
+    /// where every pair is adjacent.
+    pub fn worst_case<'a>(
+        net: &Network,
+        tables: impl FnOnce() -> &'a RoutingTables,
+    ) -> Result<Self, TrafficError> {
+        if net.degraded {
+            return Err(TrafficError::WorstCaseOnDegraded {
+                topology: net.name.clone(),
+            });
+        }
+        let unsupported = || TrafficError::UnsupportedWorstCase {
+            topology: net.name.clone(),
+        };
+        // An all-silent pattern would run with zero traffic.
+        let active = |p: Self| {
+            if p.num_active() == 0 {
+                Err(unsupported())
+            } else {
+                Ok(p)
+            }
+        };
+        let nr = net.num_routers() as u32;
+        match net.kind {
+            TopologyKind::SlimFly { .. } => {
+                let partner = Self::pair_distance2(net, tables());
+                Ok(Self::router_permutation(net, "worst-sf", |r| {
+                    partner[r as usize]
+                }))
+            }
+            TopologyKind::Bdf { .. } => {
+                let partner = Self::pair_distance2(net, tables());
+                active(Self::router_permutation(net, "worst-bdf", |r| {
+                    partner[r as usize]
+                }))
+            }
+            TopologyKind::RandomDln { .. } => {
+                let tables = tables();
+                // Scan in id order; each unpaired router takes the
+                // lowest-id unpaired router at its largest distance.
+                let mut partner: Vec<u32> = (0..nr).collect();
+                let mut max_dist = 0u8;
+                for r in 0..nr {
+                    if partner[r as usize] != r {
+                        continue;
+                    }
+                    let mut best: Option<(u8, u32)> = None;
+                    for s in 0..nr {
+                        if s == r || partner[s as usize] != s {
+                            continue;
+                        }
+                        let d = tables.distance(r, s);
+                        if best.is_none_or(|(bd, _)| d > bd) {
+                            best = Some((d, s));
+                        }
+                    }
+                    if let Some((d, s)) = best {
+                        partner[r as usize] = s;
+                        partner[s as usize] = r;
+                        max_dist = max_dist.max(d);
+                    }
+                }
+                if max_dist <= 1 {
+                    return Err(unsupported());
+                }
+                Ok(Self::router_permutation(net, "worst-dln", |r| {
+                    partner[r as usize]
+                }))
+            }
+            TopologyKind::LongHop { .. } => {
+                let tables = tables();
+                let mut delta = 0u32;
+                let mut best = (0u8, 0u32);
+                for v in 1..nr {
+                    let key = (tables.distance(0, v), v.count_ones());
+                    if key > best {
+                        best = key;
+                        delta = v;
+                    }
+                }
+                if best.0 <= 1 {
+                    return Err(unsupported());
+                }
+                Ok(Self::router_permutation(net, "worst-lh", |r| r ^ delta))
+            }
+            TopologyKind::Dragonfly { g, .. } => Ok(Self::block_shift(net, g, "worst-df")),
+            TopologyKind::FatTree3 { pods, .. } => Ok(Self::block_shift(net, pods, "worst-ft")),
+            // Reversed coordinates fall out of range unless the extent
+            // vector is a palindrome.
+            TopologyKind::Torus { ref dims } if dims.iter().eq(dims.iter().rev()) => {
+                active(Self::router_permutation(net, "worst-torus", |r| {
+                    // sf_topo::torus's mixed radix puts dims[0] least
+                    // significant; reading the digits back most
+                    // significant first reverses the coordinates.
+                    let (mut rest, mut reversed) = (r, 0);
+                    for &d in dims {
+                        reversed = reversed * d + rest % d;
+                        rest /= d;
+                    }
+                    reversed
+                }))
+            }
+            TopologyKind::Hypercube { d } if d >= 2 => {
+                Ok(Self::router_permutation(net, "worst-hc", |r| {
+                    r.reverse_bits() >> (32 - d)
+                }))
+            }
+            // Radix-c addressing: dimension 0 is the low digit.
+            TopologyKind::FlattenedButterfly { c, .. } if c >= 2 => {
+                Ok(Self::router_permutation(net, "worst-fbf", |r| {
+                    r - r % c + (r % c + 1) % c
+                }))
+            }
+            _ => Err(unsupported()),
+        }
+    }
+
+    /// Greedy distance-2 router matching (the Slim Fly and BDF
+    /// adversaries): scan routers in id order; pair each unpaired router
+    /// with an unpaired distance-2 partner, preferring partners with the
+    /// fewest shared minimal middles (1 in girth-5 MMS graphs and in
+    /// projective-plane polarity graphs). Unmatched routers are their
+    /// own partners.
     fn pair_distance2(net: &Network, tables: &RoutingTables) -> Vec<u32> {
         let nr = net.num_routers() as u32;
         let mut partner: Vec<u32> = (0..nr).collect();
@@ -171,138 +328,16 @@ impl TrafficPattern {
         partner
     }
 
-    /// The Slim Fly worst case (§V-C, Fig 9): routers are paired so that
-    /// each pair is at distance 2 with minimal paths funneled through a
-    /// single middle router; the p endpoint flows of each router then
-    /// collide on one link, capping MIN throughput near `1/(p+1)`.
-    pub fn worst_case_slimfly(net: &Network, tables: &RoutingTables) -> Self {
-        let partner = Self::pair_distance2(net, tables);
-        Self::router_permutation(net, "worst-sf", |r| partner[r as usize])
-    }
-
-    /// The BDF worst case: the Slim Fly Fig 9 adversary transplanted to
-    /// the projective-plane polarity graph `P_u` — routers are paired
-    /// at distance 2, where minimal paths are funneled through a
-    /// *single* middle router (two polars meet in exactly one point, so
-    /// non-adjacent vertices share exactly one neighbor). All `p`
-    /// endpoint flows of a paired router collide on the one middle
-    /// link, capping MIN throughput near `1/(p+1)` while adaptive
-    /// schemes detour around the shared middle.
-    pub fn worst_case_bdf(net: &Network, tables: &RoutingTables) -> Result<Self, TrafficError> {
-        if !matches!(net.kind, TopologyKind::Bdf { .. }) {
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        let partner = Self::pair_distance2(net, tables);
-        let p = Self::router_permutation(net, "worst-bdf", |r| partner[r as usize]);
-        if p.num_active() == 0 {
-            // Degenerate planes with no distance-2 pairs (nothing to
-            // adversarially collide).
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        Ok(p)
-    }
-
-    /// The DLN worst case: **farthest-pair matching** against the
-    /// *actual* shortcut instance — routers are greedily paired at
-    /// maximal minimal-route distance (scan in id order, each unpaired
-    /// router takes the lowest-id unpaired router at its current
-    /// maximum distance). Random shortcut networks have no algebraic
-    /// structure to exploit, but the matching maximizes `load × hops`
-    /// channel pressure and concentrates MIN traffic on the few
-    /// shortcut links the long routes share, while adaptive schemes
-    /// spread the detours. Deterministic for a given instance (the DLN
-    /// construction is seeded). Errors on degenerate instances whose
-    /// diameter is ≤ 1 (every pair is a direct link).
-    pub fn worst_case_dln(net: &Network, tables: &RoutingTables) -> Result<Self, TrafficError> {
-        if !matches!(net.kind, TopologyKind::RandomDln { .. }) {
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        let nr = net.num_routers() as u32;
-        let mut partner: Vec<u32> = (0..nr).collect();
-        let mut max_dist = 0u8;
-        for r in 0..nr {
-            if partner[r as usize] != r {
-                continue;
-            }
-            let mut best: Option<(u8, u32)> = None;
-            for s in 0..nr {
-                if s == r || partner[s as usize] != s {
-                    continue;
-                }
-                let d = tables.distance(r, s);
-                if best.is_none_or(|(bd, _)| d > bd) {
-                    best = Some((d, s));
-                }
-            }
-            if let Some((d, s)) = best {
-                partner[r as usize] = s;
-                partner[s as usize] = r;
-                max_dist = max_dist.max(d);
-            }
-        }
-        if max_dist <= 1 {
-            // Fully-connected degenerate instance: no distance to
-            // exploit.
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        Ok(Self::router_permutation(net, "worst-dln", |r| {
-            partner[r as usize]
-        }))
-    }
-
-    /// The Dragonfly worst case (Kim et al. §4.2): every endpoint in
-    /// group `G` sends to its positional counterpart in group `G+1`,
-    /// forcing all minimal traffic across the single global link between
-    /// consecutive groups.
-    pub fn worst_case_dragonfly(net: &Network) -> Result<Self, TrafficError> {
-        let g = match net.kind {
-            TopologyKind::Dragonfly { g, .. } => g,
-            _ => {
-                return Err(TrafficError::UnsupportedWorstCase {
-                    topology: net.name.clone(),
-                })
-            }
-        };
+    /// Every endpoint sends to its counterpart in the next of `blocks`
+    /// equal blocks of consecutive endpoints (Dragonfly groups, fat-tree
+    /// pods).
+    fn block_shift(net: &Network, blocks: u32, name: &str) -> Self {
         let n = net.num_endpoints() as u32;
-        let per_group = n / g;
-        let mut perm = vec![u32::MAX; n as usize];
-        for e in 0..n {
-            let grp = e / per_group;
-            let idx = e % per_group;
-            let dst_grp = (grp + 1) % g;
-            perm[e as usize] = dst_grp * per_group + idx;
-        }
-        Ok(TrafficPattern::permutation(perm, "worst-df"))
-    }
-
-    /// The fat-tree worst case (§V-C): every packet must traverse a core
-    /// switch — endpoints send to the same position in the next pod.
-    pub fn worst_case_fattree(net: &Network) -> Result<Self, TrafficError> {
-        let pods = match net.kind {
-            TopologyKind::FatTree3 { pods, .. } => pods,
-            _ => {
-                return Err(TrafficError::UnsupportedWorstCase {
-                    topology: net.name.clone(),
-                })
-            }
-        };
-        let n = net.num_endpoints() as u32;
-        let per_pod = n / pods;
-        let mut perm = vec![u32::MAX; n as usize];
-        for e in 0..n {
-            let pod = e / per_pod;
-            let idx = e % per_pod;
-            perm[e as usize] = ((pod + 1) % pods) * per_pod + idx;
-        }
-        Ok(TrafficPattern::permutation(perm, "worst-ft"))
+        let size = n / blocks;
+        let perm = (0..n)
+            .map(|e| (e / size + 1) % blocks * size + e % size)
+            .collect();
+        TrafficPattern::permutation(perm, name)
     }
 
     /// Builds a router-permutation traffic pattern: every endpoint of
@@ -321,157 +356,6 @@ impl TrafficPattern {
             }
         }
         TrafficPattern::permutation(perm, name)
-    }
-
-    /// The torus worst case: **dimension reversal** — the router at
-    /// coordinates `(x_0, …, x_{n−1})` sends to `(x_{n−1}, …, x_0)`.
-    /// Traffic concentrates through the coordinate-space "diagonal",
-    /// defeating minimal routing's load balance on k-ary n-cubes.
-    /// Requires a palindromic extent vector (all uniform tori qualify)
-    /// so the reversed coordinates are in range.
-    pub fn worst_case_torus(net: &Network) -> Result<Self, TrafficError> {
-        let dims = match &net.kind {
-            TopologyKind::Torus { dims } => dims.clone(),
-            _ => {
-                return Err(TrafficError::UnsupportedWorstCase {
-                    topology: net.name.clone(),
-                })
-            }
-        };
-        let nd = dims.len();
-        if (0..nd).any(|i| dims[i] != dims[nd - 1 - i]) {
-            // Reversed coordinates fall out of range on asymmetric tori.
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        // Mixed-radix addressing matching `sf_topo::torus::Torus`:
-        // coords[0] is the least-significant digit with radix dims[0].
-        let coords_of = |mut id: u32| -> Vec<u32> {
-            dims.iter()
-                .map(|&d| {
-                    let c = id % d;
-                    id /= d;
-                    c
-                })
-                .collect()
-        };
-        let id_of = |coords: &[u32]| -> u32 {
-            coords
-                .iter()
-                .enumerate()
-                .rev()
-                .fold(0u32, |acc, (i, &x)| acc * dims[i] + x)
-        };
-        let p = Self::router_permutation(net, "worst-torus", |r| {
-            let mut c = coords_of(r);
-            c.reverse();
-            id_of(&c)
-        });
-        if p.num_active() == 0 {
-            // Reversal is the identity (e.g. a 1-D torus): an all-silent
-            // pattern would report Ok with zero traffic — make the
-            // degenerate case a typed error instead.
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        Ok(p)
-    }
-
-    /// The hypercube worst case: **dimension reversal** — the router
-    /// with `d`-bit address `b_{d−1} … b_0` sends to the bit-reversed
-    /// address `b_0 … b_{d−1}` (the hypercube analogue of the torus
-    /// coordinate-reversal adversary). Every minimal path between a
-    /// pair that swaps its high and low address halves must cross the
-    /// middle subcube, so the √Nr pairs of each half-pattern contend
-    /// for Θ(d) exits — congestion Θ(√Nr ⁄ d) that holds even under
-    /// randomized minimal ECMP (the classic oblivious-routing lower
-    /// bound construction), while detouring schemes spread it.
-    /// Palindromic addresses map to themselves and stay silent.
-    /// Requires `d ≥ 2` (reversal is the identity below that).
-    pub fn worst_case_hypercube(net: &Network) -> Result<Self, TrafficError> {
-        let d = match net.kind {
-            TopologyKind::Hypercube { d } => d,
-            _ => {
-                return Err(TrafficError::UnsupportedWorstCase {
-                    topology: net.name.clone(),
-                })
-            }
-        };
-        if d < 2 {
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        Ok(Self::router_permutation(net, "worst-hc", |r| {
-            r.reverse_bits() >> (32 - d)
-        }))
-    }
-
-    /// The Long-Hop worst case: **farthest translate** — every router
-    /// `v` sends to `v ⊕ δ`, where the translate `δ` is chosen
-    /// adversarially against the *actual* link set (hypercube bits plus
-    /// the instance's long-hop masks) as the XOR offset at maximal
-    /// minimal-route distance from the origin (ties broken toward
-    /// higher Hamming weight, then lower id). XOR translation is a
-    /// graph automorphism of the Cayley graph over (Z₂)^d, so *every*
-    /// pair sits at that maximal distance: the pattern defeats exactly
-    /// the shortcut masks the construction added (a mask-aligned
-    /// translate would be one hop) and maximizes channel pressure
-    /// `load × hops` among all translate permutations. δ ⊕ δ = 0 makes
-    /// the permutation an involution, so endpoint pairing is symmetric.
-    pub fn worst_case_longhop(net: &Network, tables: &RoutingTables) -> Result<Self, TrafficError> {
-        if !matches!(net.kind, TopologyKind::LongHop { .. }) {
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        let nr = net.num_routers() as u32;
-        let mut delta = 0u32;
-        let mut best = (0u8, 0u32);
-        for v in 1..nr {
-            let key = (tables.distance(0, v), v.count_ones());
-            if key > best {
-                best = key;
-                delta = v;
-            }
-        }
-        if best.0 <= 1 {
-            // Fully-connected degenerate instance: every translate is a
-            // direct link, there is no adversarial distance to exploit.
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        Ok(Self::router_permutation(net, "worst-lh", |r| r ^ delta))
-    }
-
-    /// The flattened-butterfly worst case: **row collision** — every
-    /// router sends to its dimension-0 successor in the same row
-    /// (`x_0 → x_0 + 1 mod c`, other coordinates fixed). The unique
-    /// minimal path is the single direct row link, so all `p` endpoint
-    /// flows of a router collide on one channel and MIN throughput caps
-    /// near `1/p` — the FBF analogue of the Slim Fly Fig 9 adversary.
-    pub fn worst_case_fbf(net: &Network) -> Result<Self, TrafficError> {
-        let (c, dims) = match net.kind {
-            TopologyKind::FlattenedButterfly { c, dims } => (c, dims),
-            _ => {
-                return Err(TrafficError::UnsupportedWorstCase {
-                    topology: net.name.clone(),
-                })
-            }
-        };
-        if c < 2 {
-            return Err(TrafficError::UnsupportedWorstCase {
-                topology: net.name.clone(),
-            });
-        }
-        let _ = dims; // radix-c addressing: dim 0 is the low digit
-        Ok(Self::router_permutation(net, "worst-fbf", |r| {
-            let x0 = r % c;
-            r - x0 + (x0 + 1) % c
-        }))
     }
 
     /// Pattern name (figure-legend style).
@@ -577,6 +461,14 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The worst case of a family whose adversary needs no distances:
+    /// building it must never force the routing tables.
+    fn worst_without_tables(net: &Network) -> Result<TrafficPattern, TrafficError> {
+        TrafficPattern::worst_case(net, || -> &'static RoutingTables {
+            panic!("{} forced the routing tables", net.name)
+        })
+    }
 
     #[test]
     fn active_subset_power_of_two() {
@@ -689,7 +581,7 @@ mod tests {
         let sf = sf_topo::SlimFly::new(5).unwrap();
         let net = sf.network();
         let tables = RoutingTables::new(&net.graph);
-        let p = TrafficPattern::worst_case_slimfly(&net, &tables);
+        let p = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let mut checked = 0;
         for s in 0..net.num_endpoints() as u32 {
@@ -713,7 +605,7 @@ mod tests {
     fn worst_case_dragonfly_next_group() {
         let df = sf_topo::dragonfly::Dragonfly::balanced(2);
         let net = df.network();
-        let p = TrafficPattern::worst_case_dragonfly(&net).unwrap();
+        let p = worst_without_tables(&net).unwrap();
         let g = df.num_groups();
         let per_group = net.num_endpoints() as u32 / g;
         let mut rng = StdRng::seed_from_u64(9);
@@ -727,7 +619,7 @@ mod tests {
     fn worst_case_fattree_crosses_pods() {
         let ft = sf_topo::fattree::FatTree3 { p: 3, full: false };
         let net = ft.network();
-        let p = TrafficPattern::worst_case_fattree(&net).unwrap();
+        let p = worst_without_tables(&net).unwrap();
         let mut rng = StdRng::seed_from_u64(10);
         let per_pod = net.num_endpoints() as u32 / ft.pods();
         for s in 0..net.num_endpoints() as u32 {
@@ -740,7 +632,7 @@ mod tests {
     fn worst_case_torus_reverses_dimensions() {
         let t = sf_topo::torus::Torus::new(vec![4, 3, 4]);
         let net = t.network();
-        let p = TrafficPattern::worst_case_torus(&net).unwrap();
+        let p = worst_without_tables(&net).unwrap();
         assert_eq!(p.name(), "worst-torus");
         let mut rng = StdRng::seed_from_u64(11);
         let mut active = 0;
@@ -760,15 +652,12 @@ mod tests {
     #[test]
     fn worst_case_torus_asymmetric_is_error() {
         let net = sf_topo::torus::Torus::new(vec![4, 6, 8]).network();
-        let err = TrafficPattern::worst_case_torus(&net).unwrap_err();
+        let err = worst_without_tables(&net).unwrap_err();
         assert!(matches!(err, TrafficError::UnsupportedWorstCase { .. }));
-        // Wrong topology kind is also a typed error.
-        let hc = sf_topo::hypercube::Hypercube::new(4).network();
-        assert!(TrafficPattern::worst_case_torus(&hc).is_err());
         // Degenerate reversal (1-D torus: identity permutation) is a
         // typed error, not a silent all-inactive pattern.
         let line = sf_topo::torus::Torus::new(vec![8]).network();
-        let err = TrafficPattern::worst_case_torus(&line).unwrap_err();
+        let err = worst_without_tables(&line).unwrap_err();
         assert!(matches!(err, TrafficError::UnsupportedWorstCase { .. }));
     }
 
@@ -780,7 +669,7 @@ mod tests {
             p: 4,
         };
         let net = f.network();
-        let p = TrafficPattern::worst_case_fbf(&net).unwrap();
+        let p = worst_without_tables(&net).unwrap();
         assert_eq!(p.name(), "worst-fbf");
         let mut rng = StdRng::seed_from_u64(12);
         for s in 0..net.num_endpoints() as u32 {
@@ -793,16 +682,13 @@ mod tests {
             // Endpoint-safe: the permutation is injective per position.
             assert_eq!(s % 4, d % 4);
         }
-        // The wrong kind errors.
-        let hc = sf_topo::hypercube::Hypercube::new(4).network();
-        assert!(TrafficPattern::worst_case_fbf(&hc).is_err());
     }
 
     #[test]
     fn worst_case_hypercube_reverses_address_bits() {
         let hc = sf_topo::hypercube::Hypercube::new(6);
         let net = hc.network();
-        let p = TrafficPattern::worst_case_hypercube(&net).unwrap();
+        let p = worst_without_tables(&net).unwrap();
         assert_eq!(p.name(), "worst-hc");
         let mut rng = StdRng::seed_from_u64(13);
         let reverse = |r: u32| r.reverse_bits() >> (32 - 6);
@@ -829,7 +715,7 @@ mod tests {
         let lh = sf_topo::longhop::LongHop::new(6, 3);
         let net = lh.network();
         let tables = RoutingTables::new(&net.graph);
-        let p = TrafficPattern::worst_case_longhop(&net, &tables).unwrap();
+        let p = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         assert_eq!(p.name(), "worst-lh");
 
         // Recover δ from endpoint 0's destination (p = 1: endpoint id
@@ -866,7 +752,7 @@ mod tests {
         let plane = sf_topo::bdf::ProjectivePlaneGraph::new(5).unwrap();
         let net = plane.network(3);
         let tables = RoutingTables::new(&net.graph);
-        let p = TrafficPattern::worst_case_bdf(&net, &tables).unwrap();
+        let p = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         assert_eq!(p.name(), "worst-bdf");
         let mut rng = StdRng::seed_from_u64(20);
         let mut checked = 0;
@@ -898,7 +784,7 @@ mod tests {
         let dln = sf_topo::random_dln::RandomDln::new(64, 2, 7);
         let net = dln.network();
         let tables = RoutingTables::new(&net.graph);
-        let p = TrafficPattern::worst_case_dln(&net, &tables).unwrap();
+        let p = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         assert_eq!(p.name(), "worst-dln");
         let mut rng = StdRng::seed_from_u64(21);
         // Router 0's partner sits at 0's eccentricity (the greedy takes
@@ -941,36 +827,6 @@ mod tests {
             pair_avg > all_avg,
             "farthest-pair matching must beat the uniform average: {pair_avg} vs {all_avg}"
         );
-    }
-
-    #[test]
-    fn worst_case_dln_degenerate_and_wrong_kind_error() {
-        // A 4-router DLN with 2 shortcut rounds is the complete graph:
-        // every pair is a direct link, nothing to exploit.
-        let k4 = sf_topo::random_dln::RandomDln::new(4, 2, 1).network();
-        let err = TrafficPattern::worst_case_dln(&k4, &RoutingTables::new(&k4.graph)).unwrap_err();
-        assert!(matches!(err, TrafficError::UnsupportedWorstCase { .. }));
-        let hc = sf_topo::hypercube::Hypercube::new(4).network();
-        assert!(TrafficPattern::worst_case_dln(&hc, &RoutingTables::new(&hc.graph)).is_err());
-        // BDF guards its kind too.
-        assert!(TrafficPattern::worst_case_bdf(&hc, &RoutingTables::new(&hc.graph)).is_err());
-    }
-
-    #[test]
-    fn worst_case_longhop_wrong_kind_errors() {
-        let hc = sf_topo::hypercube::Hypercube::new(4).network();
-        let err =
-            TrafficPattern::worst_case_longhop(&hc, &RoutingTables::new(&hc.graph)).unwrap_err();
-        assert!(matches!(err, TrafficError::UnsupportedWorstCase { .. }));
-    }
-
-    #[test]
-    fn worst_case_hypercube_degenerate_or_wrong_kind_errors() {
-        let line = sf_topo::hypercube::Hypercube::new(1).network();
-        let err = TrafficPattern::worst_case_hypercube(&line).unwrap_err();
-        assert!(matches!(err, TrafficError::UnsupportedWorstCase { .. }));
-        let torus = sf_topo::torus::Torus::new(vec![4, 4]).network();
-        assert!(TrafficPattern::worst_case_hypercube(&torus).is_err());
     }
 
     /// Instances with no adversarial structure to exploit are typed

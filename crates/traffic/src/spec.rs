@@ -1,6 +1,6 @@
 //! Declarative traffic-pattern selection: [`TrafficSpec`] names a
 //! pattern family; [`TrafficSpec::build`] instantiates it for a concrete
-//! network, dispatching the per-topology worst cases of §V-C.
+//! network, the worst case through [`TrafficPattern::worst_case`].
 //!
 //! Unknown pattern names are a typed [`TrafficError`], not a panic — the
 //! experiment layer in the `slimfly` facade folds this into its
@@ -8,7 +8,7 @@
 
 use crate::TrafficPattern;
 use sf_routing::RoutingTables;
-use sf_topo::{Network, TopologyKind};
+use sf_topo::Network;
 use std::fmt;
 use std::str::FromStr;
 
@@ -125,9 +125,10 @@ impl TrafficSpec {
     }
 
     /// Like [`TrafficSpec::build`], but takes the routing tables lazily:
-    /// only worst-case patterns force the closure. Large flow-model runs
-    /// use this to instantiate uniform/bit-permutation traffic without
-    /// ever paying for an all-pairs distance matrix.
+    /// only the distance-based worst cases (Slim Fly, BDF, DLN and Long
+    /// Hop) force the closure. Large flow-model runs use this to
+    /// instantiate every other pattern without ever paying for an
+    /// all-pairs distance matrix.
     pub fn build_with<'a>(
         &self,
         net: &Network,
@@ -140,30 +141,7 @@ impl TrafficSpec {
             TrafficSpec::BitReversal => Ok(TrafficPattern::bit_reversal(n)),
             TrafficSpec::BitComplement => Ok(TrafficPattern::bit_complement(n)),
             TrafficSpec::Shift => Ok(TrafficPattern::shift(n)),
-            TrafficSpec::WorstCase => {
-                if net.degraded {
-                    return Err(TrafficError::WorstCaseOnDegraded {
-                        topology: net.name.clone(),
-                    });
-                }
-                let tables = tables();
-                match net.kind {
-                    TopologyKind::SlimFly { .. } => {
-                        Ok(TrafficPattern::worst_case_slimfly(net, tables))
-                    }
-                    TopologyKind::Dragonfly { .. } => TrafficPattern::worst_case_dragonfly(net),
-                    TopologyKind::FatTree3 { .. } => TrafficPattern::worst_case_fattree(net),
-                    TopologyKind::Torus { .. } => TrafficPattern::worst_case_torus(net),
-                    TopologyKind::FlattenedButterfly { .. } => TrafficPattern::worst_case_fbf(net),
-                    TopologyKind::Hypercube { .. } => TrafficPattern::worst_case_hypercube(net),
-                    TopologyKind::LongHop { .. } => TrafficPattern::worst_case_longhop(net, tables),
-                    TopologyKind::RandomDln { .. } => TrafficPattern::worst_case_dln(net, tables),
-                    TopologyKind::Bdf { .. } => TrafficPattern::worst_case_bdf(net, tables),
-                    _ => Err(TrafficError::UnsupportedWorstCase {
-                        topology: net.name.clone(),
-                    }),
-                }
-            }
+            TrafficSpec::WorstCase => TrafficPattern::worst_case(net, tables),
         }
     }
 }

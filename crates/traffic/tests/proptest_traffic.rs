@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sf_routing::RoutingTables;
-use sf_traffic::{active_power_of_two, TrafficPattern};
+use sf_traffic::{active_power_of_two, TrafficPattern, TrafficSpec};
 
 proptest! {
     #[test]
@@ -77,7 +77,7 @@ proptest! {
         // endpoint receives more than one flow (the §V-C constraint).
         let net = sf_topo::SlimFly::new(q).unwrap().network();
         let tables = RoutingTables::new(&net.graph);
-        let pat = TrafficPattern::worst_case_slimfly(&net, &tables);
+        let pat = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let mut inbound = std::collections::HashMap::new();
         for s in 0..net.num_endpoints() as u32 {

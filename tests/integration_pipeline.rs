@@ -117,7 +117,7 @@ fn worst_case_traffic_end_to_end() {
     let sf = SlimFly::new(5).unwrap();
     let net = sf.network();
     let tables = RoutingTables::new(&net.graph);
-    let pattern = TrafficPattern::worst_case_slimfly(&net, &tables);
+    let pattern = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
     let cfg = SimConfig {
         warmup: 500,
         measure: 1_000,
