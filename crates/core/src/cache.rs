@@ -47,8 +47,21 @@
 //! signed zeros round-trip bit-exactly — a warm run's CSV is
 //! byte-identical to the cold run's. **Lookups never fail**: a
 //! truncated, bit-flipped, stale-epoch, or wrong-version entry is
-//! detected (checksum first, then header) and degrades to a miss; the
-//! scheduler re-simulates and overwrites it.
+//! detected (checksum first, then header, then records) and degrades to
+//! a miss; the scheduler re-simulates and overwrites it.
+//!
+//! `stats` and `gc` sort entry files three ways:
+//!
+//! - **valid**: the checksum holds, the header names the current
+//!   format version, the current engine epoch and the file's own key,
+//!   and every record decodes;
+//! - **stale**: the checksum holds and the header is shaped
+//!   `sfcache <version> epoch <u32> key <32 hex>`, but its version or
+//!   epoch is not current. A format or epoch bump stranded it (a future
+//!   header layout counts here too), and no lookup will read it again;
+//! - **corrupt**: anything else — a torn write, bit rot, truncation, a
+//!   record that does not decode, an entry filed under another key —
+//!   and leftover temp files.
 //!
 //! ```no_run
 //! use slimfly::cache::ResultCache;
@@ -216,7 +229,8 @@ pub struct CacheStats {
     /// Checksum-valid entries stranded by an epoch or format bump.
     pub stale: usize,
     /// Entries failing checksum or structural validation (torn writes,
-    /// bit rot, truncation) plus leftover temp files.
+    /// bit rot, truncation, undecodable records) plus leftover temp
+    /// files.
     pub corrupt: usize,
     /// Total bytes across all `.sfrec` entries (any state).
     pub bytes: u64,
@@ -240,7 +254,19 @@ pub struct GcReport {
     pub kept: usize,
 }
 
-/// How an entry file classifies without knowing its expected key.
+/// What one entry file holds, from [`read_entry`].
+enum Entry {
+    /// Current format and epoch, every record decoded.
+    Valid { key: String, records: Vec<Record> },
+    /// Checksum-valid, with a header shaped `sfcache <version> epoch
+    /// <u32> key <32 hex>` whose version or epoch is not current.
+    Stale,
+    /// Anything else.
+    Corrupt,
+}
+
+/// How `stats` and `gc` count an entry file: [`Entry::Valid`] only
+/// when its key is also the file stem.
 enum EntryState {
     Valid,
     Stale,
@@ -270,7 +296,13 @@ impl ResultCache {
     /// never an error: the caller re-simulates and overwrites.
     pub fn lookup(&self, key: &CacheKey) -> Option<Vec<Record>> {
         let text = fs::read_to_string(self.entry_path(key)).ok()?;
-        parse_entry(&text, Some(key))
+        match read_entry(&text) {
+            Entry::Valid {
+                key: stored,
+                records,
+            } if stored == key.to_string() => Some(records),
+            _ => None,
+        }
     }
 
     /// Stores `records` under `key`, atomically (temp file + rename,
@@ -345,9 +377,10 @@ impl ResultCache {
                 None => continue,
             };
             if let Some(stem) = name.strip_suffix(".sfrec") {
-                let state = match fs::read_to_string(&path) {
-                    Ok(text) => classify_entry(&text, stem),
-                    Err(_) => EntryState::Corrupt,
+                let state = match fs::read_to_string(&path).map(|text| read_entry(&text)) {
+                    Ok(Entry::Valid { key, .. }) if key == stem => EntryState::Valid,
+                    Ok(Entry::Stale) => EntryState::Stale,
+                    _ => EntryState::Corrupt,
                 };
                 out.push((path, state));
             } else if name.contains(".tmp.") {
@@ -375,117 +408,43 @@ fn render_entry(key: &CacheKey, records: &[Record]) -> String {
     body
 }
 
-/// Strict entry parse. `want`: the expected key (from the caller) —
-/// `None` skips the key cross-check but still validates the header
-/// key's hex shape against the file stem in [`classify_entry`].
-fn parse_entry(text: &str, want: Option<&CacheKey>) -> Option<Vec<Record>> {
-    let without_final_nl = text.strip_suffix('\n')?;
-    let (payload, sum_line) = without_final_nl.rsplit_once('\n')?;
-    let sum = u64::from_str_radix(sum_line.strip_prefix("sum ")?, 16).ok()?;
-    // The checksum covers the payload *including* its trailing
-    // newline (everything before the `sum` line).
-    let mut h = fnv1a(FNV_OFFSET, payload.as_bytes());
-    h ^= b'\n' as u64;
-    h = h.wrapping_mul(FNV_PRIME);
-    if h != sum {
-        return None;
-    }
-    let mut lines = payload.lines();
-    let header = lines.next()?;
-    let mut t = header.split(' ');
-    if t.next()? != "sfcache" {
-        return None;
-    }
-    let version: u32 = t.next()?.strip_prefix('v')?.parse().ok()?;
-    if version != CACHE_FORMAT_VERSION {
-        return None;
-    }
-    if t.next()? != "epoch" {
-        return None;
-    }
-    let epoch: u32 = t.next()?.parse().ok()?;
-    if epoch != sf_sim::ENGINE_EPOCH {
-        return None;
-    }
-    if t.next()? != "key" {
-        return None;
-    }
-    let stored_key = t.next()?;
-    if let Some(k) = want {
-        if stored_key != k.to_string() {
+/// Reads one entry: the checksum first, then the header, then the
+/// records.
+fn read_entry(text: &str) -> Entry {
+    (|| {
+        let (payload, sum_line) = text.strip_suffix('\n')?.rsplit_once('\n')?;
+        let sum = u64::from_str_radix(sum_line.strip_prefix("sum ")?, 16).ok()?;
+        // The checksum covers the payload *including* its trailing
+        // newline (everything before the `sum` line).
+        if fnv1a(fnv1a(FNV_OFFSET, payload.as_bytes()), b"\n") != sum {
             return None;
         }
-    }
-    if t.next()? != "records" {
-        return None;
-    }
-    let n: usize = t.next()?.parse().ok()?;
-    if t.next().is_some() {
-        return None;
-    }
-    let mut records = Vec::with_capacity(n);
-    for line in lines {
-        records.push(decode_record(line)?);
-    }
-    if records.len() != n {
-        return None;
-    }
-    Some(records)
-}
-
-/// Classifies an entry file for `stats`/`gc`: checksum + structure
-/// first (corrupt beats stale), then epoch/version currency, then the
-/// filename↔header key agreement.
-fn classify_entry(text: &str, stem: &str) -> EntryState {
-    // A checksum-valid entry whose epoch or version is old is *stale*;
-    // distinguish by retrying the parse with the epoch/version checks
-    // relaxed.
-    if parse_entry(text, None).is_some() {
-        // Fully valid — but only if the filename matches the header
-        // key (a renamed file can shadow the wrong address).
-        if header_key(text).as_deref() == Some(stem) {
-            return EntryState::Valid;
+        let mut lines = payload.lines();
+        let header: Vec<&str> = lines.next()?.split(' ').collect();
+        let ["sfcache", version, "epoch", epoch, "key", key, ref rest @ ..] = header[..] else {
+            return None;
+        };
+        let epoch: u32 = epoch.parse().ok()?;
+        if key.len() != 32 || !key.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
         }
-        return EntryState::Corrupt;
-    }
-    if checksum_ok(text) && header_key(text).is_some() {
-        return EntryState::Stale;
-    }
-    EntryState::Corrupt
-}
-
-/// Whether the trailer checksum matches the payload.
-fn checksum_ok(text: &str) -> bool {
-    (|| {
-        let without_final_nl = text.strip_suffix('\n')?;
-        let (payload, sum_line) = without_final_nl.rsplit_once('\n')?;
-        let sum = u64::from_str_radix(sum_line.strip_prefix("sum ")?, 16).ok()?;
-        let mut h = fnv1a(FNV_OFFSET, payload.as_bytes());
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-        Some(h == sum)
+        let version = version
+            .strip_prefix('v')
+            .and_then(|v| v.parse::<u32>().ok());
+        if version != Some(CACHE_FORMAT_VERSION) || epoch != sf_sim::ENGINE_EPOCH {
+            return Some(Entry::Stale);
+        }
+        let ["records", n] = rest else {
+            return None;
+        };
+        let n: usize = n.parse().ok()?;
+        let records: Vec<Record> = lines.map(decode_record).collect::<Option<_>>()?;
+        (records.len() == n).then(|| Entry::Valid {
+            key: key.to_string(),
+            records,
+        })
     })()
-    .unwrap_or(false)
-}
-
-/// The `key` field of an entry header, if the header is shaped like
-/// one (used by `stats`/`gc`, which don't know the expected key).
-fn header_key(text: &str) -> Option<String> {
-    let header = text.lines().next()?;
-    let mut t = header.split(' ');
-    if t.next()? != "sfcache" {
-        return None;
-    }
-    t.next()?; // version
-    if t.next()? != "epoch" {
-        return None;
-    }
-    t.next()?.parse::<u32>().ok()?;
-    if t.next()? != "key" {
-        return None;
-    }
-    let key = t.next()?;
-    (key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit())).then(|| key.to_string())
+    .unwrap_or(Entry::Corrupt)
 }
 
 /// Encodes one record as a tab-separated line: 5 escaped strings, the
@@ -668,29 +627,37 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         let k1 = CacheKey::from_material("valid");
         cache.store(&k1, &[sample_record(1.0)]).unwrap();
-        // A stale-epoch entry: rewrite a valid body with the epoch
-        // decremented and the checksum recomputed to match.
+        // Stores `key`'s entry with one edit, checksum recomputed.
+        let store_edited = |key: &CacheKey, from: &str, to: &str| {
+            let body = render_entry(key, &[sample_record(2.0)]).replace(from, to);
+            let (payload, _) = body.trim_end_matches('\n').rsplit_once('\n').unwrap();
+            let mut with_sum = format!("{payload}\n");
+            let sum = fnv1a(FNV_OFFSET, with_sum.as_bytes());
+            with_sum.push_str(&format!("sum {sum:016x}\n"));
+            std::fs::write(dir.join(format!("{key}.sfrec")), &with_sum).unwrap();
+        };
+        // A stale-epoch entry.
         let k2 = CacheKey::from_material("stale");
-        let body = render_entry(&k2, &[sample_record(2.0)]);
-        let old = body.replace(
+        store_edited(
+            &k2,
             &format!("epoch {}", sf_sim::ENGINE_EPOCH),
             &format!("epoch {}", sf_sim::ENGINE_EPOCH - 1),
         );
-        let (payload, _) = old.trim_end_matches('\n').rsplit_once('\n').unwrap();
-        let mut with_sum = format!("{payload}\n");
-        let sum = fnv1a(FNV_OFFSET, with_sum.as_bytes());
-        with_sum.push_str(&format!("sum {sum:016x}\n"));
-        std::fs::write(dir.join(format!("{k2}.sfrec")), &with_sum).unwrap();
         assert!(cache.lookup(&k2).is_none(), "stale epoch is a miss");
+        // A current-epoch entry whose record does not decode is corrupt,
+        // not stale: no epoch or format bump stranded it.
+        let k4 = CacheKey::from_material("undecodable");
+        store_edited(&k4, "\tcycle\t", "\tcycle\tx\t");
+        assert!(cache.lookup(&k4).is_none(), "undecodable record is a miss");
         // A corrupt entry and an orphaned temp file.
         let k3 = CacheKey::from_material("corrupt");
         std::fs::write(dir.join(format!("{k3}.sfrec")), "garbage").unwrap();
         std::fs::write(dir.join(format!("{k3}.tmp.999")), "partial").unwrap();
         let st = cache.stats().unwrap();
-        assert_eq!((st.valid, st.stale, st.corrupt), (1, 1, 2));
+        assert_eq!((st.valid, st.stale, st.corrupt), (1, 1, 3));
         assert!(st.bytes > 0);
         let gc = cache.gc().unwrap();
-        assert_eq!((gc.kept, gc.removed_stale, gc.removed_corrupt), (1, 1, 2));
+        assert_eq!((gc.kept, gc.removed_stale, gc.removed_corrupt), (1, 1, 3));
         assert!(cache.lookup(&k1).is_some(), "gc keeps valid entries");
         assert_eq!(cache.clear().unwrap(), 1);
         assert_eq!(cache.stats().unwrap().entries(), 0);
