@@ -647,6 +647,11 @@ impl SweepPlan {
         }
         let topos = match (v.get("topo"), v.get("topos")) {
             (Some(_), Some(_)) => return Err(plan_err("give either `topo` or `topos`, not both")),
+            (Some(Value::Array(_)), None) => {
+                return Err(plan_err(
+                    "`topo` takes one spec string; put a list under `topos = [...]`",
+                ))
+            }
             (Some(one), None) => vec![parse_topo(one)?],
             (None, Some(many)) => many
                 .as_array()
@@ -1492,6 +1497,12 @@ mod tests {
             ("[[sweep]]\ntopo = \"sf:q=5\"", "figure"),
             ("[figure]\nname = \"x\"", "sweep"),
             ("[figure]\nname = \"x\"\n[[sweep]]\nloads = [0.1]", "topo"),
+            // A list of topologies goes under `topos`, and the message
+            // says so.
+            (
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = [\"sf:q=7\", \"df:p=2\"]",
+                "topos",
+            ),
             (
                 "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nwat = 1",
                 "wat",
