@@ -177,23 +177,6 @@ impl Record {
     }
 }
 
-/// Writes records as a CSV table (header + one row per record).
-pub fn write_csv<W: std::io::Write>(records: &[Record], mut w: W) -> Result<(), SfError> {
-    writeln!(w, "{}", Record::CSV_HEADER)?;
-    for r in records {
-        writeln!(w, "{}", r.to_csv())?;
-    }
-    Ok(())
-}
-
-/// Writes records as JSON lines (one object per line).
-pub fn write_json_lines<W: std::io::Write>(records: &[Record], mut w: W) -> Result<(), SfError> {
-    for r in records {
-        writeln!(w, "{}", r.to_json())?;
-    }
-    Ok(())
-}
-
 /// Analytic (flow-model) summary of a topology, from
 /// [`Experiment::flow`].
 #[derive(Clone, Debug)]
@@ -622,20 +605,26 @@ mod tests {
 
     #[test]
     fn csv_and_json_serialization() {
-        let records = Experiment::on(TopologySpec::slimfly(5))
+        use crate::sink::{CsvSink, JsonLinesSink, TeeSink};
+        let mut set = Experiment::on(TopologySpec::slimfly(5))
             .loads(&[0.1])
             .sim(quick_sim())
-            .run()
+            .to_plan()
+            .unwrap()
+            .expand()
             .unwrap();
-        let mut csv = Vec::new();
-        write_csv(&records, &mut csv).unwrap();
+        let (mut csv, mut json) = (Vec::new(), Vec::new());
+        let mut sinks = TeeSink::new(vec![
+            Box::new(CsvSink::new(&mut csv)),
+            Box::new(JsonLinesSink::new(&mut json)),
+        ]);
+        Scheduler::new(1).run(&mut set, &mut sinks).unwrap();
+        drop(sinks);
         let csv = String::from_utf8(csv).unwrap();
         assert!(csv.starts_with(Record::CSV_HEADER));
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.contains("sf:q=5"));
 
-        let mut json = Vec::new();
-        write_json_lines(&records, &mut json).unwrap();
         let json = String::from_utf8(json).unwrap();
         assert!(json.trim().starts_with('{') && json.trim().ends_with('}'));
         assert!(json.contains("\"spec\":\"sf:q=5\""));

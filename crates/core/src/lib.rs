@@ -120,7 +120,7 @@ pub use spec::TopologySpec;
 pub mod prelude {
     pub use crate::cache::{CacheKey, ResultCache};
     pub use crate::error::SfError;
-    pub use crate::experiment::{write_csv, write_json_lines, Experiment, FlowSummary, Record};
+    pub use crate::experiment::{Experiment, FlowSummary, Record};
     pub use crate::plan::{Backend, ExperimentPlan, FaultPlan, Job, JobSet, SweepPlan};
     pub use crate::schedule::Scheduler;
     pub use crate::sink::{CsvSink, JsonLinesSink, MemorySink, RecordSink, TeeSink};

@@ -38,10 +38,11 @@ fn tiny_end_to_end_experiment() {
     assert!(records[0].offered < records[1].offered);
 }
 
-/// Records serialize to both CSV (with header) and JSON lines.
+/// Records stream to both CSV (with header) and JSON lines through the
+/// record sinks.
 #[test]
 fn records_serialize_to_csv_and_json() {
-    let records = Experiment::on("sf:q=5")
+    let mut set = Experiment::on("sf:q=5")
         .loads(&[0.2])
         .sim(SimConfig {
             warmup: 150,
@@ -49,17 +50,22 @@ fn records_serialize_to_csv_and_json() {
             drain: 1_000,
             ..Default::default()
         })
-        .run()
+        .to_plan()
+        .unwrap()
+        .expand()
         .unwrap();
+    let (mut csv, mut json) = (Vec::new(), Vec::new());
+    let mut sinks = TeeSink::new(vec![
+        Box::new(CsvSink::new(&mut csv)),
+        Box::new(JsonLinesSink::new(&mut json)),
+    ]);
+    Scheduler::new(1).run(&mut set, &mut sinks).unwrap();
+    drop(sinks);
 
-    let mut csv = Vec::new();
-    write_csv(&records, &mut csv).unwrap();
     let csv = String::from_utf8(csv).unwrap();
     assert!(csv.starts_with("topology,spec,routing,traffic,backend,packet_size,offered"));
     assert!(csv.contains("SF(q=5,p=4)"));
 
-    let mut json = Vec::new();
-    write_json_lines(&records, &mut json).unwrap();
     let line = String::from_utf8(json).unwrap();
     assert!(line.contains("\"routing\":\"MIN\""));
     assert!(line.contains("\"offered\":0.2"));
