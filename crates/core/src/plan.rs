@@ -18,7 +18,7 @@
 //! name = "fig8"                     # required
 //! title = "Oversubscribed Slim Fly" # optional
 //!
-//! [defaults]                        # optional, inherited by sweeps
+//! [defaults]                        # optional; a sweep's own keys replace these
 //! loads = [0.1, 0.5, 0.9]
 //! routing = ["min", "ugal-l:c=4"]
 //! traffic = "uniform"
@@ -989,13 +989,14 @@ impl JobCtx {
 }
 
 /// Values shared by the jobs of one key: a router per (topology,
-/// routing), a pattern per (topology, traffic), and so on. The distinct
-/// keys are fixed when the set expands, each with one slot. A value is
-/// built inside its slot on first use, so a worker that needs a value
-/// another worker is building waits for it instead of building a second
-/// copy. Fallible builds store their `Result`: builds are
-/// deterministic, so a kept error is the one every job of the key would
-/// meet.
+/// routing), a pattern per (topology, traffic), and so on. Every cold
+/// load point is its own job, so without sharing a FatPaths layer set
+/// would be rebuilt once per load. The distinct keys are fixed when the
+/// set expands, each with one slot. A value is built inside its slot on
+/// first use, so a worker that needs a value another worker is building
+/// waits for it instead of building a second copy. Fallible builds
+/// store their `Result`: builds are deterministic, so a kept error is
+/// the one every job of the key would meet.
 struct Memo<K, V> {
     slots: Vec<(K, OnceLock<V>)>,
 }
