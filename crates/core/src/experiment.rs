@@ -401,15 +401,14 @@ impl Experiment {
     /// [`expand`](ExperimentPlan::expand).
     pub fn to_plan(&self) -> Result<ExperimentPlan, SfError> {
         let spec = self.spec()?;
-        let sweep = SweepPlan {
-            topos: vec![spec.clone()],
-            routings: self.routing_specs()?,
-            ..self.sweep.clone()
-        };
         Ok(ExperimentPlan {
             name: spec.to_string(),
             title: None,
-            sweeps: vec![sweep],
+            sweeps: vec![SweepPlan {
+                topos: vec![spec],
+                routings: self.routing_specs()?,
+                ..self.sweep.clone()
+            }],
         })
     }
 
