@@ -283,7 +283,7 @@ mod tests {
         for &q in FIELD_ORDERS {
             let f = FiniteField::new(q).unwrap();
             let xi = f.primitive_element();
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut acc = 1u32;
             for _ in 0..q - 1 {
                 seen.insert(acc);

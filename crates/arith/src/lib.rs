@@ -23,7 +23,7 @@
 //! let f = FiniteField::new(5).unwrap();
 //! let xi = f.primitive_element();
 //! // ξ generates all non-zero elements (the paper's example uses ξ = 2).
-//! let mut seen = std::collections::HashSet::new();
+//! let mut seen = std::collections::BTreeSet::new();
 //! for i in 0..4 {
 //!     seen.insert(f.pow(xi, i));
 //! }

@@ -23,6 +23,8 @@
 //! tree; the benchmark reads `BENCHMARK.json` and its own result files
 //! with it.
 
+#![deny(clippy::unwrap_used, clippy::allow_attributes_without_reason)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

@@ -1,8 +1,8 @@
 //! Persistent, content-addressed result cache.
 //!
 //! Records are a **pure function of (plan, seed)**: the determinism
-//! lint (`sf-lint`) bans unordered iteration and wall-clock reads in
-//! every simulation crate, and the cycle engine draws every random
+//! rules in `clippy.toml` ban unordered hash containers and wall-clock
+//! reads in every crate, and the cycle engine draws every random
 //! number from one stream seeded with the run's seed
 //! ([`sf_sim::ENGINE_EPOCH`]'s module). That guarantee makes results
 //! *cacheable*: a [`Job`]'s records can be keyed by a stable hash over

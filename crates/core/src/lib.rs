@@ -84,6 +84,8 @@
 //! * [`zoo`] — the paper's "library of practical topologies" (§VII-A);
 //! * [`expansion`] — incremental endpoint growth (§VII-C).
 
+#![deny(clippy::unwrap_used, clippy::allow_attributes_without_reason)]
+
 pub use sf_arith as arith;
 pub use sf_cost as cost;
 pub use sf_flow as flow;

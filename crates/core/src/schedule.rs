@@ -149,7 +149,10 @@ impl Scheduler {
         sink: &mut dyn RecordSink,
     ) -> Result<ScheduleReport, SfError> {
         set.prepare()?;
-        // sf-lint: allow(wall-clock): operator-facing elapsed-time meter; never feeds records
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "operator-facing elapsed-time meter; never feeds records"
+        )]
         let t0 = Instant::now();
         let jobs = set.jobs();
         // Cache prepass: resolve every job's content address before

@@ -23,6 +23,8 @@
 //! experiment plans; see the README's "Backends" section for when to
 //! trust which tier.
 
+#![deny(clippy::unwrap_used, clippy::allow_attributes_without_reason)]
+
 pub mod index;
 pub mod model;
 pub mod solve;

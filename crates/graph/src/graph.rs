@@ -124,15 +124,19 @@ impl Graph {
     /// Returns a copy of this graph with the given edges removed.
     /// Edges not present are ignored; orientation does not matter.
     pub fn without_edges(&self, removed: &[(u32, u32)]) -> Graph {
-        use std::collections::HashSet;
-        let kill: HashSet<(u32, u32)> = removed
+        let mut kill: Vec<(u32, u32)> = removed
             .iter()
             .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
             .collect();
+        kill.sort_unstable();
+        // `edge_list` is sorted the same way, so one merge pass finds
+        // every kill (duplicates and non-edges are skipped over).
+        let mut kill = kill.into_iter().peekable();
         let mut g = Graph::empty(self.num_vertices());
-        for (u, v) in self.edge_list() {
-            if !kill.contains(&(u, v)) {
-                g.add_edge(u, v);
+        for e in self.edge_list() {
+            while kill.next_if(|k| *k < e).is_some() {}
+            if kill.peek() != Some(&e) {
+                g.add_edge(e.0, e.1);
             }
         }
         g
@@ -206,6 +210,8 @@ mod tests {
         // removing a non-existent edge is a no-op
         let h2 = g.without_edges(&[(0, 2)]);
         assert_eq!(h2.num_edges(), 4);
+        // unsorted, repeated and interleaved with a non-edge
+        assert_eq!(g.without_edges(&[(3, 2), (0, 2), (1, 0), (3, 2)]), h);
     }
 
     #[test]

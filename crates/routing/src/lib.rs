@@ -23,6 +23,8 @@
 //! dependency relation from the exact allocation arithmetic `sf-sim`
 //! exports.
 
+#![deny(clippy::unwrap_used, clippy::allow_attributes_without_reason)]
+
 pub mod diversity;
 pub mod paths;
 pub mod router;

@@ -706,7 +706,7 @@ mod tests {
         let (g, t) = sf5();
         let fp = FatPathsRouter::build(&g, &t, 3, FATPATHS_SEED).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut layers_seen = std::collections::HashSet::new();
+        let mut layers_seen = std::collections::BTreeSet::new();
         for flow in 0..40u64 {
             layers_seen.insert(fp.layer_for(flow, 0));
             let ctx = RouteCtx {
@@ -743,7 +743,7 @@ mod tests {
             }
         }
         // Across many windows a flow visits more than one layer.
-        let visited: std::collections::HashSet<usize> = (0..32u32)
+        let visited: std::collections::BTreeSet<usize> = (0..32u32)
             .map(|w| fp.layer_for(42, w * FATPATHS_FLOWLET_CYCLES))
             .collect();
         assert!(visited.len() > 1, "flows re-balance between windows");

@@ -186,17 +186,17 @@
 //! tests), and the credit and quiescence verifiers hold on degraded
 //! networks exactly as on intact ones (property-tested).
 //!
-//! The contract is also *statically linted*: the `sf-lint` binary
-//! (`cargo run --bin sf-lint`) scans this crate — along with
-//! `sf-routing`, `sf-flow`, `sf-core` and `sf-verify` — and rejects
-//! unordered hash-container use (`HashMap`/`HashSet` iteration order
-//! would leak into record streams), wall-clock reads
-//! (`Instant::now`/`SystemTime` inside simulation state), and bare
-//! `unwrap()` in library code. The VC-allocation semantics themselves
-//! are exported ([`vc_base_slack`], [`hop_vc`],
-//! [`ADAPTIVE_HOP_BUDGET`]) so the `sf-verify` crate builds its
-//! wormhole-aware channel dependency graphs from the *same* arithmetic
-//! the engine executes.
+//! The contract is also *statically linted* by clippy: the workspace's
+//! `clippy.toml` rejects unordered hash containers
+//! (`HashMap`/`HashSet` iteration order would leak into record
+//! streams) and wall-clock reads (`Instant::now`/`SystemTime` inside
+//! simulation state) in every crate, and this crate — like
+//! `sf-routing`, `sf-flow`, `sf-core`, `sf-verify` and the plan parser
+//! (`crates/compat/toml`) — denies bare `unwrap()` outside its tests.
+//! The VC-allocation semantics themselves are exported
+//! ([`vc_base_slack`], [`hop_vc`], [`ADAPTIVE_HOP_BUDGET`]) so the
+//! `sf-verify` crate builds its wormhole-aware channel dependency
+//! graphs from the *same* arithmetic the engine executes.
 
 use crate::stats::LatencyStats;
 use rand::rngs::StdRng;

@@ -28,6 +28,8 @@
 //! default to 4 (configurable) and assign VC = min(hop, VCs−1), which
 //! keeps the escape order monotone.
 
+#![deny(clippy::unwrap_used, clippy::allow_attributes_without_reason)]
+
 pub mod engine;
 pub mod stats;
 

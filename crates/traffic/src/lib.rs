@@ -495,7 +495,7 @@ mod tests {
     fn uniform_covers_all_destinations() {
         let p = TrafficPattern::uniform(8);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..500 {
             seen.insert(p.dest(0, &mut rng).unwrap());
         }

@@ -36,7 +36,7 @@ proptest! {
     fn bit_patterns_are_deterministic_partial_permutations(n in 4u32..2048) {
         let mut rng = StdRng::seed_from_u64(1);
         for pat in [TrafficPattern::bit_reversal(n), TrafficPattern::bit_complement(n)] {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for s in 0..pat.num_active() {
                 if let Some(d) = pat.dest(s, &mut rng) {
                     prop_assert!(seen.insert(d), "{}: duplicate destination {d}", pat.name());
@@ -50,7 +50,7 @@ proptest! {
         let pat = TrafficPattern::shuffle(n);
         let mut rng = StdRng::seed_from_u64(2);
         let act = pat.num_active();
-        let mut images = std::collections::HashSet::new();
+        let mut images = std::collections::BTreeSet::new();
         let mut self_maps = 0;
         for s in 0..act {
             match pat.dest(s, &mut rng) {
@@ -79,7 +79,7 @@ proptest! {
         let tables = RoutingTables::new(&net.graph);
         let pat = TrafficSpec::WorstCase.build(&net, &tables).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut inbound = std::collections::HashMap::new();
+        let mut inbound = std::collections::BTreeMap::new();
         for s in 0..net.num_endpoints() as u32 {
             if let Some(d) = pat.dest(s, &mut rng) {
                 *inbound.entry(d).or_insert(0u32) += 1;
@@ -94,7 +94,7 @@ proptest! {
     fn uniform_eventually_reaches_every_destination(n in 3u32..24, seed in 0u64..50) {
         let pat = TrafficPattern::uniform(n);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..(n as usize * 60) {
             if let Some(d) = pat.dest(0, &mut rng) {
                 seen.insert(d);

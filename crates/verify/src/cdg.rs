@@ -5,7 +5,7 @@
 //!
 //! The representation is fully deterministic: channels get dense ids in
 //! first-seen order out of a `BTreeMap` key index (no unordered hash
-//! iteration anywhere — see the `sf-lint` `hash-container` rule), the
+//! iteration anywhere — `clippy.toml` bans `HashMap`/`HashSet`), the
 //! reverse map [`ChannelDependencyGraph::channel`] renders ids back to
 //! `(from, to, vc)` triples for cycle witnesses, and successor lists
 //! are kept sorted so edges deduplicate in `O(log deg)` and every

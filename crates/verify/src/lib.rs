@@ -24,10 +24,12 @@
 //! with a typed diagnostic before any cycle is simulated.
 //!
 //! Everything here is deterministic by construction (`BTreeMap` keyed
-//! channel ids, sorted successor lists); the companion `sf-lint`
-//! binary enforces the same contract — no unordered hash iteration, no
-//! wall-clock reads, no bare `unwrap()` — across the simulation
-//! crates.
+//! channel ids, sorted successor lists); clippy enforces the same
+//! contract — no unordered hash containers, no wall-clock reads
+//! (`clippy.toml`), no bare `unwrap()` (this crate's `deny` line) —
+//! across the simulation crates.
+
+#![deny(clippy::unwrap_used, clippy::allow_attributes_without_reason)]
 
 pub mod assign;
 pub mod cdg;
