@@ -35,7 +35,11 @@
 //!
 //! `cache` inspects and maintains a cache directory: `stats` counts
 //! valid/stale/corrupt entries, `gc` removes entries stranded by an
-//! engine-epoch bump (and anything corrupt), `clear` removes all.
+//! engine-epoch bump (and anything corrupt), `clear` removes all. The
+//! directory must exist: only `run` creates one.
+//!
+//! Every subcommand rejects a flag it does not know before it reads a
+//! plan or a cache, so a misspelt flag costs no work.
 //!
 //! `validate` parses and expands each file without running anything
 //! (CI does this for every checked-in `figures/*.toml`).
@@ -108,10 +112,9 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     }
     let report_path: Option<String> = args.get("report")?.map(str::to_string);
     let check_builder = args.flag("check-builder");
-    let cache = match resolve_cache_dir(args)? {
-        Some(dir) => Some(ResultCache::open(dir)?),
-        None => None,
-    };
+    let cache_dir = resolve_cache_dir(args)?;
+    args.check_unknown_flags()?;
+    let cache = cache_dir.map(ResultCache::open).transpose()?;
 
     let plan = ExperimentPlan::from_path(Path::new(&file))?;
     let mut set = plan.expand()?;
@@ -230,6 +233,12 @@ fn cmd_cache(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     let dir = resolve_cache_dir(args)?.ok_or_else(|| {
         SfError::Cli("cache: no directory (pass --cache DIR or set SF_CACHE_DIR)".into())
     })?;
+    args.check_unknown_flags()?;
+    // Only `run` creates a cache directory: a misspelt one must not
+    // read as an empty cache.
+    if !Path::new(&dir).is_dir() {
+        return Err(SfError::Cli(format!("cache: no cache directory at {dir}")));
+    }
     let cache = ResultCache::open(&dir)?;
     match action.as_str() {
         "stats" => {
@@ -276,6 +285,7 @@ fn cmd_cache(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
 }
 
 fn cmd_validate(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
+    args.check_unknown_flags()?;
     let mut idx = 1;
     let mut seen = 0;
     while let Some(file) = args.positional(idx) {
@@ -300,6 +310,7 @@ fn cmd_validate(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
 fn cmd_survive(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     use slimfly::graph::failure::{survival_probability, FailureConfig, Property};
     use slimfly::graph::fault::kill_set;
+    args.check_unknown_flags()?;
     let mut idx = 1;
     let mut seen = 0;
     let mut audited = 0;
@@ -356,6 +367,7 @@ fn cmd_survive(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
 
 fn cmd_verify(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     let quiet = args.flag("quiet");
+    args.check_unknown_flags()?;
     let mut idx = 1;
     let mut seen = 0;
     let mut combos = 0;

@@ -92,7 +92,9 @@ impl slimfly::sink::RecordSink for StdoutCsvSink {
 /// of every binary in this crate. After the body succeeds, any
 /// `--flag` the body never queried is reported as an unknown flag
 /// (so `--trafic` typos fail loudly instead of silently producing the
-/// default sweep).
+/// default sweep). A body that does costly work calls
+/// [`SweepArgs::check_unknown_flags`] itself once it has read its
+/// flags, so a typo fails before the work instead of after it.
 pub fn run_cli(body: impl FnOnce(&SweepArgs) -> Result<(), SfError>) {
     let args = SweepArgs::parse();
     let result = body(&args).and_then(|()| args.check_unknown_flags());
@@ -195,7 +197,8 @@ impl SweepArgs {
     }
 
     /// Errors on any `--flag` in the argv the program never queried —
-    /// typo protection, called by [`run_cli`] after the body returns.
+    /// typo protection, called by [`run_cli`] after the body returns
+    /// (and by a body itself as soon as it has read its flags).
     pub fn check_unknown_flags(&self) -> Result<(), SfError> {
         let queried = self.queried.borrow();
         for token in &self.argv {
