@@ -32,10 +32,10 @@
 //!
 //! [[sweep]]                         # one or more sweeps
 //! topo = "sf:q=7"                   # or: topos = ["sf:q=7", "df:p=3"]
-//! traffic = "worst"                 # overrides the default
+//! traffic = "shuffle"               # overrides the default
 //! loads = [0.05, 0.1, 0.2]
 //! backend = "flow"                  # simulation tier for this sweep
-//! backends = ["cycle", "flow"]      # matrix sugar: one sweep per tier
+//! # backends = ["cycle", "flow"]    # or matrix sugar: one sweep per tier
 //! packet_sizes = [1, 4, 16]         # matrix sugar: one sweep per size
 //! fault_fractions = [0.0, 0.02]     # matrix sugar: one sweep per kill fraction
 //!

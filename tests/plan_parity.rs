@@ -153,6 +153,41 @@ fn every_checked_in_figure_file_parses_and_expands() {
     assert!(seen >= 4, "expected the four checked-in figure files");
 }
 
+/// The body of the first ```` ```toml ```` fence after the line that
+/// contains `marker`.
+fn toml_fence(lines: &[&str], marker: &str) -> String {
+    let from = lines
+        .iter()
+        .position(|l| l.contains(marker))
+        .unwrap_or_else(|| panic!("no line contains {marker:?}"));
+    let open = from + lines[from..].iter().position(|l| *l == "```toml").unwrap() + 1;
+    let len = lines[open..].iter().position(|l| *l == "```").unwrap();
+    lines[open..open + len].join("\n")
+}
+
+#[test]
+fn documented_plan_schemas_parse_and_expand() {
+    // A reader copies these two blocks to start a plan, so both must
+    // be plans that run, not just a list of keys.
+    let readme: Vec<&str> = include_str!("../README.md").lines().collect();
+    let module_docs: Vec<&str> = include_str!("../crates/core/src/plan.rs")
+        .lines()
+        .map_while(|l| l.strip_prefix("//!"))
+        .map(|l| l.strip_prefix(' ').unwrap_or(l))
+        .collect();
+    for (doc, text) in [
+        ("README.md", toml_fence(&readme, "The schema:")),
+        (
+            "crates/core/src/plan.rs",
+            toml_fence(&module_docs, "# Experiment-file schema"),
+        ),
+    ] {
+        let plan = ExperimentPlan::from_toml_str(&text).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let set = plan.expand().unwrap_or_else(|e| panic!("{doc}: {e}"));
+        assert!(!set.jobs().is_empty(), "{doc}");
+    }
+}
+
 /// The paper-size (§V, N ≈ 10K) class of each quick-size topology in a
 /// simulation figure: SF q=19 (k=44, balanced p=15), DF p=7 (k=27),
 /// FT p=22 (k=44). Fig 8's concentrations stay balanced, +1 and +3.
