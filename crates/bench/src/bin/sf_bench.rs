@@ -1,5 +1,5 @@
-//! `sf-bench` — the experiment-file runner: whole paper figures as
-//! data, not binaries.
+//! `sf-bench` — the experiment-file runner and the paper's static
+//! tables: whole paper figures as data, not binaries.
 //!
 //! Usage:
 //!   `sf-bench run <file.toml> [--workers N]
@@ -10,6 +10,11 @@
 //!   `sf-bench verify <file>... [--quiet]`
 //!   `sf-bench survive <file>...`
 //!   `sf-bench cache <stats|gc|clear> [--cache DIR]`
+//!   `sf-bench table <name> [flags]`
+//!
+//! `table` prints one static table or figure of the paper (Tables
+//! II–IV, Figs 1, 5 and 11, and the §III-D, §IV-D and §VII-A tables)
+//! as CSV; [`sf_bench::tables`] documents each name and its flags.
 //!
 //! `run` parses an [`ExperimentPlan`], expands it to a deterministic
 //! job set and executes it on the work-stealing scheduler, streaming
@@ -64,7 +69,8 @@
 //! a plan's seeded outcome can be read against the population
 //! statistics it was drawn from.
 
-use sf_bench::{print_raw_line, run_cli, StdoutCsvSink};
+use sf_bench::tables::TABLES;
+use sf_bench::{print_raw_line, StdoutCsvSink, SweepArgs};
 use slimfly::cache::ResultCache;
 use slimfly::plan::ExperimentPlan;
 use slimfly::report::render_plan_report;
@@ -73,22 +79,46 @@ use slimfly::{Scheduler, SfError};
 use std::path::Path;
 
 fn main() {
-    run_cli(|args| match args.positional(0) {
-        Some("run") => cmd_run(args),
-        Some("validate") => cmd_validate(args),
-        Some("verify") => cmd_verify(args),
-        Some("survive") => cmd_survive(args),
-        Some("cache") => cmd_cache(args),
+    let args = SweepArgs::parse();
+    let result = match args.positional(0) {
+        Some("run") => cmd_run(&args),
+        Some("validate") => cmd_validate(&args),
+        Some("verify") => cmd_verify(&args),
+        Some("survive") => cmd_survive(&args),
+        Some("cache") => cmd_cache(&args),
+        Some("table") => cmd_table(&args),
         _ => Err(SfError::Cli(
-            "usage: sf-bench <run|validate|verify|survive|cache> <file.toml> ...".into(),
+            "usage: sf-bench <run|validate|verify|survive|cache|table> <file.toml|name> ...".into(),
         )),
-    })
+    };
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// Runs one static table by name and prints its CSV. The table checks
+/// its flags before it computes and returns its text whole, so an
+/// error leaves stdout empty.
+fn cmd_table(args: &SweepArgs) -> Result<(), SfError> {
+    let name = args.positional(1);
+    let Some((_, table)) = TABLES.iter().find(|(n, _)| Some(*n) == name) else {
+        let names: Vec<&str> = TABLES.iter().map(|(n, _)| *n).collect();
+        return Err(SfError::Cli(format!(
+            "usage: sf-bench table <name> [flags], where <name> is one of: {}",
+            names.join(", ")
+        )));
+    };
+    for line in table(args)?.lines() {
+        print_raw_line(line);
+    }
+    Ok(())
 }
 
 /// Resolves the cache directory for a command: `--cache DIR` wins,
 /// then the `SF_CACHE_DIR` environment variable; `--no-cache` beats
 /// both. `None` means caching is off.
-fn resolve_cache_dir(args: &sf_bench::SweepArgs) -> Result<Option<String>, SfError> {
+fn resolve_cache_dir(args: &SweepArgs) -> Result<Option<String>, SfError> {
     let explicit = args.get("cache")?.map(str::to_string);
     if args.flag("no-cache") {
         return Ok(None);
@@ -96,7 +126,7 @@ fn resolve_cache_dir(args: &sf_bench::SweepArgs) -> Result<Option<String>, SfErr
     Ok(explicit.or_else(|| std::env::var("SF_CACHE_DIR").ok().filter(|d| !d.is_empty())))
 }
 
-fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
+fn cmd_run(args: &SweepArgs) -> Result<(), SfError> {
     let file = args
         .positional(1)
         .ok_or_else(|| SfError::Cli("run: missing experiment file".into()))?
@@ -135,34 +165,30 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         );
     }
 
-    // Tee over borrowed sinks: stdout stays readable afterwards (it
-    // collects the records for --report/--check-builder).
-    let mut stdout_sink = StdoutCsvSink {
-        quiet,
-        collect: report_path.is_some() || check_builder,
-        records: Vec::new(),
-    };
-    let mut file_sink: Option<Box<dyn RecordSink>> = match &out {
-        None => None,
-        Some(path) => {
+    // The tee borrows `memory`, which keeps the records for --report
+    // and --check-builder after the run.
+    let mut memory = MemorySink::new();
+    let report = {
+        let mut sinks: Vec<Box<dyn RecordSink + '_>> = Vec::new();
+        if !quiet {
+            sinks.push(Box::new(StdoutCsvSink));
+        }
+        if let Some(path) = &out {
             let path = Path::new(path);
-            Some(match format.as_str() {
+            sinks.push(match format.as_str() {
                 "jsonl" => Box::new(JsonLinesSink::create(path)?),
                 _ => Box::new(CsvSink::create(path)?),
-            })
+            });
         }
-    };
-    let report = {
-        let mut sinks: Vec<Box<dyn RecordSink + '_>> = vec![Box::new(&mut stdout_sink)];
-        if let Some(f) = file_sink.as_mut() {
-            sinks.push(Box::new(&mut **f));
+        if report_path.is_some() || check_builder {
+            sinks.push(Box::new(&mut memory));
         }
         let mut tee = TeeSink::new(sinks);
         Scheduler::new(workers)
             .with_cache(cache.clone())
             .run(&mut set, &mut tee)?
     };
-    let records = stdout_sink.records;
+    let records = memory.into_records();
     eprintln!(
         "sf-bench run {file}: {} jobs, {} records, workers={}, steals={}, wall={:.1}s",
         report.jobs,
@@ -225,7 +251,7 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     Ok(())
 }
 
-fn cmd_cache(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
+fn cmd_cache(args: &SweepArgs) -> Result<(), SfError> {
     let action = args
         .positional(1)
         .ok_or_else(|| SfError::Cli("usage: sf-bench cache <stats|gc|clear> [--cache DIR]".into()))?
@@ -284,7 +310,7 @@ fn cmd_cache(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     Ok(())
 }
 
-fn cmd_validate(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
+fn cmd_validate(args: &SweepArgs) -> Result<(), SfError> {
     args.check_unknown_flags()?;
     let mut idx = 1;
     let mut seen = 0;
@@ -307,7 +333,7 @@ fn cmd_validate(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     Ok(())
 }
 
-fn cmd_survive(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
+fn cmd_survive(args: &SweepArgs) -> Result<(), SfError> {
     use slimfly::graph::failure::{survival_probability, FailureConfig, Property};
     use slimfly::graph::fault::kill_set;
     args.check_unknown_flags()?;
@@ -365,7 +391,7 @@ fn cmd_survive(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     Ok(())
 }
 
-fn cmd_verify(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
+fn cmd_verify(args: &SweepArgs) -> Result<(), SfError> {
     let quiet = args.flag("quiet");
     args.check_unknown_flags()?;
     let mut idx = 1;

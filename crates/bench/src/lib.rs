@@ -1,29 +1,30 @@
 //! # sf-bench — benchmark harness for the Slim Fly paper
 //!
-//! One binary per static table/figure of the paper's evaluation, and
-//! the `sf-bench` runner for the simulation figures, which are plan
-//! files under `figures/` (`sf-bench run figures/fig6.toml`). Every
-//! binary is a thin declarative program over the `slimfly` experiment
-//! API: topologies come from [`slimfly::spec::TopologySpec`] (and the
-//! [`slimfly::spec::roster`] registry), and flags are parsed by the
-//! shared [`SweepArgs`] parser — no per-binary argument scanning or
-//! topology dispatch.
+//! One binary, `sf-bench`: `sf-bench table <name>` prints a static
+//! table or figure of the paper's evaluation (the [`tables`]
+//! registry), and `sf-bench run` runs a simulation figure, which is a
+//! plan file under `figures/` (`sf-bench run figures/fig6.toml`).
+//! Every table is a thin declarative program over the `slimfly`
+//! experiment API: topologies come from
+//! [`slimfly::spec::TopologySpec`] (and the [`slimfly::spec::roster`]
+//! registry), and flags are parsed by the shared [`SweepArgs`] parser —
+//! no per-table argument scanning or topology dispatch.
 
 use slimfly::prelude::*;
-use slimfly::spec;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::str::FromStr;
 
-/// Default RNG seed for random constructions in benches.
-pub const BENCH_SEED: u64 = spec::DEFAULT_SEED;
+pub mod tables;
 
-/// Writes one stdout line, exiting quietly when the consumer hung up
-/// (`bench | head` must not panic with a broken-pipe backtrace).
-fn print_line(line: std::fmt::Arguments<'_>) {
+/// Writes one stdout line verbatim (pre-quoted CSV such as
+/// [`Record::to_csv`], and plain status lines), exiting quietly when
+/// the consumer hung up (`sf-bench … | head` must not panic with a
+/// broken-pipe backtrace).
+pub fn print_raw_line(line: &str) {
     use std::io::Write;
     let mut out = std::io::stdout().lock();
-    if let Err(e) = out.write_fmt(format_args!("{line}\n")) {
+    if let Err(e) = writeln!(out, "{line}") {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
@@ -31,90 +32,33 @@ fn print_line(line: std::fmt::Arguments<'_>) {
     }
 }
 
-/// Prints one already-formatted line verbatim (for pre-quoted CSV such
-/// as [`Record::to_csv`] — routing it through [`print_csv_row`] would
-/// re-quote the whole line as one field — and for plain status lines).
-pub fn print_raw_line(line: &str) {
-    print_line(format_args!("{line}"));
-}
-
-/// Prints a CSV header + row helper (stdout tables consumed by
-/// EXPERIMENTS.md). Fields containing commas are RFC 4180-quoted.
-pub fn print_csv_row(cols: &[String]) {
-    let escaped: Vec<String> = cols
-        .iter()
-        .map(|c| slimfly::experiment::csv_field(c))
-        .collect();
-    print_line(format_args!("{}", escaped.join(",")));
-}
-
-/// Formats a float with fixed precision for CSV output (the shared
-/// [`slimfly::experiment::fmt_float`] convention).
-pub fn f(v: f64) -> String {
-    slimfly::experiment::fmt_float(v)
-}
-
 /// A [`slimfly::sink::RecordSink`] that streams CSV rows to stdout as
-/// jobs finish (broken-pipe-safe like every bench binary) and
-/// optionally keeps a copy of the records for post-processing (report
-/// generation, parity checks).
-#[derive(Default)]
-pub struct StdoutCsvSink {
-    /// Suppress stdout (still collects when `collect` is set).
-    pub quiet: bool,
-    /// Keep records in [`StdoutCsvSink::records`].
-    pub collect: bool,
-    /// Collected records (when `collect`).
-    pub records: Vec<Record>,
-}
+/// jobs finish (broken-pipe-safe, like [`print_raw_line`]).
+pub struct StdoutCsvSink;
 
 impl slimfly::sink::RecordSink for StdoutCsvSink {
     fn begin(&mut self) -> Result<(), SfError> {
-        if !self.quiet {
-            print_raw_line(Record::CSV_HEADER);
-        }
+        print_raw_line(Record::CSV_HEADER);
         Ok(())
     }
 
     fn record(&mut self, r: &Record) -> Result<(), SfError> {
-        if !self.quiet {
-            print_raw_line(&r.to_csv());
-        }
-        if self.collect {
-            self.records.push(r.clone());
-        }
+        print_raw_line(&r.to_csv());
         Ok(())
     }
 }
 
-/// Runs a bench body with parsed [`SweepArgs`], reporting any
-/// [`SfError`] on stderr with a non-zero exit code — the shared `main`
-/// of every binary in this crate. After the body succeeds, any
-/// `--flag` the body never queried is reported as an unknown flag
-/// (so `--trafic` typos fail loudly instead of silently producing the
-/// default sweep). A body that does costly work calls
-/// [`SweepArgs::check_unknown_flags`] itself once it has read its
-/// flags, so a typo fails before the work instead of after it.
-pub fn run_cli(body: impl FnOnce(&SweepArgs) -> Result<(), SfError>) {
-    let args = SweepArgs::parse();
-    let result = body(&args).and_then(|()| args.check_unknown_flags());
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// The shared CLI parser for sweep binaries.
+/// The shared CLI parser of `sf-bench` and its tables.
 ///
 /// Grammar: boolean flags (`--quiet`), valued flags (`--size 1024`),
 /// comma-separated lists (`--loads 0.1,0.2`), and bare positional
-/// values *before* any flag (`datacenter_design 4096`). Unknown flags,
+/// values *before* any flag (`table vc_count --q 7`). Unknown flags,
 /// valued flags without a value, and malformed values surface as typed
 /// [`SfError::Cli`] errors, never panics or silent defaults.
 #[derive(Clone, Debug, Default)]
 pub struct SweepArgs {
     argv: Vec<String>,
-    /// Flag names the program has queried — the recognized-flag set
+    /// Flag names the command has queried — the recognized-flag set
     /// for [`SweepArgs::check_unknown_flags`].
     queried: RefCell<BTreeSet<String>>,
 }
@@ -196,19 +140,22 @@ impl SweepArgs {
         }
     }
 
-    /// Errors on any `--flag` in the argv the program never queried —
-    /// typo protection, called by [`run_cli`] after the body returns
-    /// (and by a body itself as soon as it has read its flags).
+    /// Errors on any `--flag` in the argv the command never queried —
+    /// typo protection. Every command calls it once it has read its
+    /// flags and before it does any work, so a misspelt flag costs
+    /// nothing and prints nothing on stdout.
     pub fn check_unknown_flags(&self) -> Result<(), SfError> {
         let queried = self.queried.borrow();
         for token in &self.argv {
             if let Some(name) = token.strip_prefix("--") {
                 if !queried.contains(name) {
-                    let known: Vec<String> = queried.iter().map(|n| format!("--{n}")).collect();
-                    return Err(SfError::Cli(format!(
-                        "unknown flag --{name} (this binary accepts: {})",
-                        known.join(", ")
-                    )));
+                    let accepts = if queried.is_empty() {
+                        "this command takes no flags".to_string()
+                    } else {
+                        let known: Vec<String> = queried.iter().map(|n| format!("--{n}")).collect();
+                        format!("this command accepts: {}", known.join(", "))
+                    };
+                    return Err(SfError::Cli(format!("unknown flag --{name} ({accepts})")));
                 }
             }
         }
@@ -308,6 +255,16 @@ mod tests {
         assert!(
             err.to_string().contains("--traffic"),
             "suggests known flags"
+        );
+
+        // A command that reads no flag says so, rather than listing an
+        // empty set.
+        let err = args(&["validate", "f.toml", "--quite"])
+            .check_unknown_flags()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad command line: unknown flag --quite (this command takes no flags)"
         );
 
         let a = args(&["--traffic", "worst"]);
