@@ -8,11 +8,12 @@ use slimfly::cost::{CableInventory, Layout};
 use slimfly::prelude::*;
 
 fn main() -> Result<(), SfError> {
-    let args = sf_bench::SweepArgs::parse();
-    let target: u64 = args
-        .positional(0)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let target: u64 = match std::env::args().nth(1) {
+        None => 10_000,
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| SfError::Cli(format!("endpoints: cannot parse {raw:?}")))?,
+    };
 
     // Pick the smallest balanced Slim Fly covering the target.
     let cfg = zoo::recommend(target).expect("a config exists");

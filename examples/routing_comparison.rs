@@ -4,7 +4,8 @@
 //! deadlock-freedom check of §IV-D.
 //!
 //! Every scheme is selected through the `RoutingSpec` string grammar —
-//! the same strings work as `--routing` CLI flags on the bench binaries.
+//! the same strings work as `routing` keys in the plan files under
+//! `figures/`.
 //!
 //! Run with: `cargo run --release --example routing_comparison -- [q]`
 
@@ -14,8 +15,12 @@ use slimfly::verify::{
 };
 
 fn main() -> Result<(), SfError> {
-    let args = sf_bench::SweepArgs::parse();
-    let q: u32 = args.positional(0).and_then(|s| s.parse().ok()).unwrap_or(7);
+    let q: u32 = match std::env::args().nth(1) {
+        None => 7,
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| SfError::Cli(format!("q: cannot parse {raw:?}")))?,
+    };
     let spec = TopologySpec::slimfly(q);
     let net = spec.build()?;
     let sf = SlimFly::new(q)?;

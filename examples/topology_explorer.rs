@@ -7,11 +7,12 @@
 use slimfly::prelude::*;
 
 fn main() -> Result<(), SfError> {
-    let args = sf_bench::SweepArgs::parse();
-    let max: u64 = args
-        .positional(0)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+    let max: u64 = match std::env::args().nth(1) {
+        None => 20_000,
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| SfError::Cli(format!("max_endpoints: cannot parse {raw:?}")))?,
+    };
 
     println!("balanced Slim Fly configurations with N ≤ {max}:");
     println!(
