@@ -3,7 +3,7 @@
 //! Every fallible operation in the experiment layer (spec parsing,
 //! topology construction, traffic-pattern instantiation, experiment
 //! execution, record serialization) returns `Result<_, SfError>` so that
-//! callers — bench binaries, examples, future config-file drivers — can
+//! callers — `sf-bench`, examples, future config-file drivers — can
 //! report failures uniformly instead of panicking.
 
 use sf_flow::FlowError;

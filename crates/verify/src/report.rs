@@ -1,5 +1,5 @@
 //! The paper's §IV-D VC-count experiment as one shared implementation:
-//! the `vc_count` binary and the EXPERIMENTS.md "Static verification"
+//! `sf-bench table vc_count` and the EXPERIMENTS.md "Static verification"
 //! section both render from [`vc_requirements`].
 
 use crate::assign::{

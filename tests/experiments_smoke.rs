@@ -1,5 +1,5 @@
 //! Smoke tests for every experiment pipeline (E1–E18 in EXPERIMENTS.md):
-//! tiny versions of each bench binary's computation, asserting the
+//! tiny versions of each `sf-bench` table's computation, asserting the
 //! paper's qualitative claim each artifact exists to demonstrate.
 
 use slimfly::graph::{metrics, partition, spectral};
