@@ -2723,20 +2723,29 @@ mod tests {
         assert_eq!(rings.pop(2), None);
 
         // A long pseudo-random mix of pushes and pops over every ring,
-        // each push only where the reference is below capacity.
-        let mut x = 0x5EED_u64;
-        for n in 0..5_000u32 {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let q = (x >> 33) as usize % 3;
-            if (x >> 20) & 3 != 0 && reference[q].len() < 4 {
-                rings.push(q, flit(n));
-                reference[q].push_back(flit(n));
-            } else {
-                assert_eq!(rings.pop(q), reference[q].pop_front());
+        // each push only where the reference is below capacity: at the
+        // test's capacity, at one flit (no flit ever waits behind the
+        // front) and at the engine's default 16-flit VC buffer.
+        for cap in [4, 1, 16] {
+            let mut rings = Rings::new(3, cap);
+            let mut reference = vec![VecDeque::new(); 3];
+            let mut x = 0x5EED_u64 + cap as u64;
+            let mut filled = false;
+            for n in 0..5_000u32 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let q = (x >> 33) as usize % 3;
+                if (x >> 20) & 3 != 0 && reference[q].len() < cap {
+                    rings.push(q, flit(n));
+                    reference[q].push_back(flit(n));
+                    filled |= reference[q].len() == cap;
+                } else {
+                    assert_eq!(rings.pop(q), reference[q].pop_front(), "cap {cap}");
+                }
+                assert_rings_match(&rings, &reference);
             }
-            assert_rings_match(&rings, &reference);
+            assert!(filled, "cap {cap}: the mix never filled a ring");
         }
 
         // Zero capacity (`output_queue_cap = 0`): always empty.

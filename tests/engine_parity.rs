@@ -32,6 +32,9 @@
 //! it demonstrates (and freezes) the serialization physics — higher
 //! zero-load latency by the S − 1 tail, earlier saturation, MIN/UGAL
 //! separation widening under wormhole head-of-line blocking.
+//! [`PAST_SATURATION_6DP`] pins four cells past saturation where heads
+//! wait (per-hop ANCA at both packet sizes, VAL at `packet_size = 4`),
+//! so the switch allocator's visit order is pinned where it matters.
 
 use slimfly::prelude::*;
 
@@ -201,6 +204,128 @@ fn packet_size_4_curve_shows_serialization_and_is_pinned() {
         *acc_ugal < *acc_min,
         "UGAL-L pays more for wormhole detours: {acc_ugal} vs MIN {acc_min}"
     );
+}
+
+/// The benchmark's `q7_saturation` window: short enough that cells
+/// past saturation stay cheap in debug builds.
+fn past_saturation_cfg() -> SimConfig {
+    SimConfig {
+        warmup: 200,
+        measure: 400,
+        drain: 800,
+        ..Default::default()
+    }
+}
+
+/// One cell of [`PAST_SATURATION_6DP`]: what runs, then what it gave.
+struct PinnedCell {
+    topo: &'static str,
+    routing: &'static str,
+    traffic: TrafficSpec,
+    packet_size: usize,
+    load: f64,
+    latency: f64,
+    accepted: f64,
+    hops: f64,
+    p99: f64,
+    saturated: bool,
+}
+
+/// Cells past saturation at `past_saturation_cfg()`, to six decimals.
+/// These are the cells where heads wait, so the switch allocator's
+/// visit order shows:
+///
+/// * a per-hop ANCA (`ecmp`) head asks `next_hop` again, reading live
+///   occupancy, every speedup iteration it is visited. On a fat tree
+///   it has several minimal up-links to choose from, so another
+///   input's grant can change its choice within one allocation (on
+///   `sf:q=5` a head rarely has a choice);
+/// * a VAL head of a 4-flit packet can wait on another packet's output
+///   VC (`out_owner`), which that packet's tail grant may release
+///   within the same allocation;
+/// * ANCA on `sf:q=5` under worst-case traffic, deep in saturation.
+///
+/// The pins above stop at load 0.5 and reach none of these.
+const PAST_SATURATION_6DP: &[PinnedCell] = &[
+    PinnedCell {
+        topo: "ft3:p=4",
+        routing: "ecmp",
+        traffic: TrafficSpec::Uniform,
+        packet_size: 4,
+        load: 0.8,
+        latency: 176.379283,
+        accepted: 0.590859,
+        hops: 3.431777,
+        p99: 647.0,
+        saturated: true,
+    },
+    PinnedCell {
+        topo: "ft3:p=4",
+        routing: "ecmp",
+        traffic: TrafficSpec::Uniform,
+        packet_size: 1,
+        load: 1.0,
+        latency: 224.221509,
+        accepted: 0.684258,
+        hops: 3.428119,
+        p99: 790.0,
+        saturated: true,
+    },
+    PinnedCell {
+        topo: "sf:q=5",
+        routing: "val",
+        traffic: TrafficSpec::Uniform,
+        packet_size: 4,
+        load: 0.5,
+        latency: 212.921323,
+        accepted: 0.359425,
+        hops: 3.626232,
+        p99: 684.0,
+        saturated: true,
+    },
+    PinnedCell {
+        topo: "sf:q=5",
+        routing: "ecmp",
+        traffic: TrafficSpec::WorstCase,
+        packet_size: 1,
+        load: 0.4,
+        latency: 380.413063,
+        accepted: 0.150000,
+        hops: 2.000000,
+        p99: 1061.0,
+        saturated: true,
+    },
+];
+
+#[test]
+fn blocked_heads_past_saturation_are_pinned() {
+    for c in PAST_SATURATION_6DP {
+        let records = Experiment::on(c.topo)
+            .routing_str(c.routing)
+            .traffic(c.traffic)
+            .loads(&[c.load])
+            .sim(past_saturation_cfg())
+            .packet_size(c.packet_size)
+            .run()
+            .unwrap();
+        let r = &records[0];
+        let cell = format!(
+            "{} {} {} pkt{} @{}",
+            c.topo, c.routing, c.traffic, c.packet_size, c.load
+        );
+        assert_eq!(
+            (r.packet_size, r.offered),
+            (c.packet_size, c.load),
+            "{cell}"
+        );
+        assert_6dp(r.latency, c.latency, &format!("{cell} latency"));
+        assert_6dp(r.accepted, c.accepted, &format!("{cell} accepted"));
+        assert_6dp(r.avg_hops, c.hops, &format!("{cell} hops"));
+        assert_eq!(r.p99, c.p99, "{cell} p99");
+        assert_eq!(r.saturated, c.saturated, "{cell} saturated");
+        // Past saturation: the network accepts well below the offer.
+        assert!(r.accepted < 0.8 * c.load, "{cell} accepted {}", r.accepted);
+    }
 }
 
 #[test]
