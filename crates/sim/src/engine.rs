@@ -670,6 +670,25 @@ struct Flit {
     vc: u8,
 }
 
+impl Flit {
+    /// The flit as one `u64`, the element type of [`Rings`] storage.
+    #[inline]
+    fn pack(self) -> u64 {
+        self.pkt as u64 | (self.seq as u64) << 32 | (self.hop as u64) << 48 | (self.vc as u64) << 56
+    }
+
+    /// The inverse of [`Flit::pack`].
+    #[inline]
+    fn unpack(w: u64) -> Flit {
+        Flit {
+            pkt: w as u32,
+            seq: (w >> 32) as u16,
+            hop: (w >> 48) as u8,
+            vc: (w >> 56) as u8,
+        }
+    }
+}
+
 /// Packet descriptors indexed by the id flits carry. Freed ids are
 /// reused last-in first-out; no scan order or RNG draw depends on an
 /// id, so the reuse order is not observable.
@@ -708,31 +727,48 @@ impl Slab {
     }
 }
 
-/// Fixed-capacity FIFO rings of flits, one flat array for all of them:
-/// ring `q` owns `data[q × cap .. (q + 1) × cap]`. The engine's credit
-/// loop bounds every input buffer by `vc_cap` and the allocator bounds
-/// every staging queue by `output_queue_cap`, so a ring never needs to
-/// grow; [`Rings::push`] asserts it, because an overflow would write
-/// into the neighbouring ring.
+/// Fixed-capacity FIFO rings of flits. A ring's front flit lives in its
+/// [`Cursor`], so reading a queue head touches only the cursor; the
+/// flits behind the front live in one flat array, where ring `q` owns
+/// `data[q × (cap − 1) .. (q + 1) × (cap − 1)]`. The array is allocated
+/// zeroed (`vec![0; n]`), so its pages are mapped only when a ring
+/// first holds a second flit. The engine's credit loop bounds every
+/// input buffer by `vc_cap` and the allocator bounds every staging
+/// queue by `output_queue_cap`, so a ring never needs to grow;
+/// [`Rings::push`] asserts it, because an overflow would write into the
+/// neighbouring ring.
 struct Rings {
     cap: usize,
-    data: Vec<Flit>,
-    /// Per ring: physical index of the front flit and the flit count,
-    /// side by side so one cache line serves both.
+    /// Storage slots per ring: `cap − 1` (zero for capacities 0 and 1).
+    span: usize,
+    /// The flits behind each ring's front, as [`Flit::pack`] words.
+    data: Vec<u64>,
     cursor: Vec<Cursor>,
 }
 
+/// A ring's front flit and its place in the ring's storage: 12 bytes.
 #[derive(Clone, Copy, Default)]
 struct Cursor {
-    head: u32,
-    len: u32,
+    /// The front flit; meaningful while `len > 0`.
+    front: Flit,
+    /// Index, within the ring's `span` storage slots, of the flit
+    /// behind the front.
+    head: u16,
+    /// Flits in the ring, the front included.
+    len: u16,
 }
+
+// Cursors count flits and index storage in `u16`.
+const _: () = assert!(MAX_BUF_PER_PORT <= u16::MAX as usize);
+const _: () = assert!(MAX_OUTPUT_QUEUE_CAP <= u16::MAX as usize);
 
 impl Rings {
     fn new(rings: usize, cap: usize) -> Self {
+        let span = cap.saturating_sub(1);
         Rings {
             cap,
-            data: vec![Flit::default(); rings * cap],
+            span,
+            data: vec![0; rings * span],
             cursor: vec![Cursor::default(); rings],
         }
     }
@@ -752,44 +788,61 @@ impl Rings {
         self.cursor[q].len == 0
     }
 
-    /// Physical index of the `k`-th flit of ring `q` (`k < cap`).
+    /// Storage index of the `k`-th flit behind the front of ring `q`
+    /// (`k < span`).
     #[inline]
     fn at(&self, q: usize, k: usize) -> usize {
         let i = self.cursor[q].head as usize + k;
-        q * self.cap + if i >= self.cap { i - self.cap } else { i }
+        q * self.span + if i >= self.span { i - self.span } else { i }
     }
 
     #[inline]
     fn front(&self, q: usize) -> Option<Flit> {
         let c = self.cursor[q];
-        (c.len != 0).then(|| self.data[q * self.cap + c.head as usize])
+        (c.len != 0).then_some(c.front)
     }
 
     #[inline]
     fn push(&mut self, q: usize, f: Flit) {
         let len = self.len(q);
         assert!(len < self.cap, "ring {q} is full ({} flits)", self.cap);
-        let i = self.at(q, len);
-        self.data[i] = f;
+        if len == 0 {
+            self.cursor[q].front = f;
+        } else {
+            let i = self.at(q, len - 1);
+            self.data[i] = f.pack();
+        }
         self.cursor[q].len += 1;
     }
 
     #[inline]
     fn pop(&mut self, q: usize) -> Option<Flit> {
-        let f = self.front(q)?;
-        let c = &mut self.cursor[q];
-        c.head = if c.head as usize + 1 == self.cap {
-            0
+        let c = self.cursor[q];
+        if c.len == 0 {
+            return None;
+        }
+        self.cursor[q] = if c.len == 1 {
+            Cursor { len: 0, ..c }
         } else {
-            c.head + 1
+            let next = Flit::unpack(self.data[self.at(q, 0)]);
+            Cursor {
+                front: next,
+                head: if c.head as usize + 1 == self.span {
+                    0
+                } else {
+                    c.head + 1
+                },
+                len: c.len - 1,
+            }
         };
-        c.len -= 1;
-        Some(f)
+        Some(c.front)
     }
 
     /// The flits of ring `q`, front to back.
     fn iter(&self, q: usize) -> impl Iterator<Item = Flit> + '_ {
-        (0..self.len(q)).map(move |k| self.data[self.at(q, k)])
+        let behind =
+            (0..self.len(q).saturating_sub(1)).map(move |k| Flit::unpack(self.data[self.at(q, k)]));
+        self.front(q).into_iter().chain(behind)
     }
 }
 
@@ -1426,103 +1479,115 @@ impl Simulator<'_> {
         self.buf_push(r, slot, head);
     }
 
-    /// Phase 4 — ejection: one flit per endpoint per cycle. (No RNG.)
-    fn ejection(&mut self, now: u32) {
-        let nvc = self.cfg.num_vcs;
-        let eject_stamp = now + 1;
-        let credit_due = ((now + self.credit_eff) % (self.credit_eff + 1)) as usize;
-        let window = self.in_window(now);
-        let mut scratch = std::mem::take(&mut self.scratch.slots);
+    /// Phases 4 and 5 — ejection, then switch allocation, one router at
+    /// a time in ascending order, skipping routers with nothing
+    /// buffered. A router ejects ([`Simulator::eject_router`]) right
+    /// before it allocates ([`Simulator::allocate_router`]), so its
+    /// input queues and the descriptors of their heads are walked once
+    /// per cycle, while in cache. Ejection draws no RNG and touches no
+    /// other router's queues, so `Router::next_hop` is reached in the
+    /// same order as if every router had ejected first, and the slab's
+    /// free list sees the same releases in the same order. Only the
+    /// order of credits within a delay bucket changes, and that order is
+    /// not observable (see [`Wires`]).
+    fn eject_and_allocate(&mut self, now: u32) {
         for r in 0..self.net.num_routers() as u32 {
             if self.r_buffered[r as usize] == 0 {
                 continue;
             }
-            let lo = self.port_base[r as usize] as usize * nvc;
-            let hi = self.port_base[r as usize + 1] as usize * nvc;
-            scratch.clear();
-            gather_segment(&self.buf_mask, lo, hi, &mut scratch);
-            for &slot in &scratch {
-                let slot = slot as usize;
-                let Some(f) = self.in_buf.front(slot) else {
-                    continue;
-                };
-                let p = self.slab.get(f.pkt);
-                if p.dst_router() != r || self.ejected_seen[p.dst_ep as usize] == eject_stamp {
-                    continue;
-                }
-                let (dst_ep, gen_time, tail) = (p.dst_ep, p.gen_time, p.is_tail(f));
-                self.buf_pop(r, slot);
-                self.ejected_seen[dst_ep as usize] = eject_stamp;
-                self.credit_upstream(r, slot, self.slot_port(slot), credit_due);
-                if tail {
-                    self.slab.release(f.pkt);
-                }
-                // Throughput ticks per flit; packet completion (and
-                // latency, measured to the *tail* — serialization
-                // included) ticks at the tail flit.
-                let sample = self.in_window(gen_time);
-                let m = &mut self.m;
-                m.total_ejected_flits += 1;
-                if window {
-                    m.window_ejected += 1;
-                }
-                if tail {
-                    m.total_ejected += 1;
-                }
-                if sample {
-                    if f.seq == 0 {
-                        m.head_lat_sum += now.saturating_sub(gen_time) as u64;
-                        m.head_ejected += 1;
-                    }
-                    if tail {
-                        m.sample_ejected += 1;
-                        m.stats.record(now.saturating_sub(gen_time));
-                        m.hops_sum += f.hop as u64;
-                    }
-                }
-            }
-        }
-        self.scratch.slots = scratch;
-    }
-
-    /// Phase 5 — switch allocation: round-robin over input VCs; each
-    /// input grants ≤ 1 flit, each output accepts ≤ `output_speedup`.
-    /// Only *head* flits route and allocate: a head consults
-    /// `Router::next_hop` (which may draw from the RNG stream), then
-    /// claims the output VC (`in_route`/`out_owner`) if no other packet
-    /// owns it; body/tail flits are granted straight to the recorded
-    /// reservation, and the tail releases it.
-    /// `Router::next_hop` is reached for exactly the packets a full
-    /// scan would reach, in the same order: routers ascending, and
-    /// within a router only non-empty queues, in round-robin order from
-    /// the same per-cycle offset.
-    fn allocation(&mut self, now: u32) {
-        for r in 0..self.net.num_routers() as u32 {
+            self.eject_router(r, now);
             if self.r_buffered[r as usize] != 0 {
                 self.allocate_router(r, now);
             }
         }
     }
 
-    /// Switch allocation at router `r`.
+    /// Ejection at router `r`: each endpoint takes at most one flit per
+    /// cycle, from the first input queue, in slot order, whose head is
+    /// addressed to it. (No RNG.)
+    fn eject_router(&mut self, r: u32, now: u32) {
+        let nvc = self.cfg.num_vcs;
+        let eject_stamp = now + 1;
+        let credit_due = ((now + self.credit_eff) % (self.credit_eff + 1)) as usize;
+        let window = self.in_window(now);
+        let lo = self.port_base[r as usize] as usize * nvc;
+        let hi = self.port_base[r as usize + 1] as usize * nvc;
+        let mut scratch = std::mem::take(&mut self.scratch.slots);
+        scratch.clear();
+        gather_segment(&self.buf_mask, lo, hi, &mut scratch);
+        for &slot in &scratch {
+            let slot = slot as usize;
+            let Some(f) = self.in_buf.front(slot) else {
+                continue;
+            };
+            let p = self.slab.get(f.pkt);
+            if p.dst_router() != r || self.ejected_seen[p.dst_ep as usize] == eject_stamp {
+                continue;
+            }
+            let (dst_ep, gen_time, tail) = (p.dst_ep, p.gen_time, p.is_tail(f));
+            self.buf_pop(r, slot);
+            self.ejected_seen[dst_ep as usize] = eject_stamp;
+            self.credit_upstream(r, slot, self.slot_port(slot), credit_due);
+            if tail {
+                self.slab.release(f.pkt);
+            }
+            // Throughput ticks per flit; packet completion (and
+            // latency, measured to the *tail* — serialization
+            // included) ticks at the tail flit.
+            let sample = self.in_window(gen_time);
+            let m = &mut self.m;
+            m.total_ejected_flits += 1;
+            if window {
+                m.window_ejected += 1;
+            }
+            if tail {
+                m.total_ejected += 1;
+            }
+            if sample {
+                if f.seq == 0 {
+                    m.head_lat_sum += now.saturating_sub(gen_time) as u64;
+                    m.head_ejected += 1;
+                }
+                if tail {
+                    m.sample_ejected += 1;
+                    m.stats.record(now.saturating_sub(gen_time));
+                    m.hops_sum += f.hop as u64;
+                }
+            }
+        }
+        self.scratch.slots = scratch;
+    }
+
+    /// Switch allocation at router `r`: round-robin over input VCs; each
+    /// input grants ≤ 1 flit per iteration, each output accepts ≤
+    /// `output_speedup` flits. Only *head* flits route and allocate: a
+    /// head consults `Router::next_hop` (which may draw from the RNG
+    /// stream), then claims the output VC (`in_route`/`out_owner`) if no
+    /// other packet owns it; body/tail flits are granted straight to the
+    /// recorded reservation, and the tail releases it.
+    ///
+    /// `Router::next_hop` is reached for exactly the packets a full scan
+    /// would reach, in the same order: within the router, only non-empty
+    /// queues, in round-robin order from the same per-cycle offset. After
+    /// each speedup iteration the candidate list keeps, in order, only
+    /// the slots a later iteration could treat differently (see
+    /// [`Simulator::allocate_slot`]); every slot it drops would be
+    /// skipped with no side effect in every later iteration.
     fn allocate_router(&mut self, r: u32, now: u32) {
         let nvc = self.cfg.num_vcs;
-        let speedup = self.cfg.output_speedup;
-        let credit_due = ((now + self.credit_eff) % (self.credit_eff + 1)) as usize;
         let base = self.port_base[r as usize] as usize;
         let nports = self.port_base[r as usize + 1] as usize - base;
         let total = nports * nvc;
         // The pre-CSR engine kept a per-router round-robin cursor
         // incremented once per cycle; it always equals `now`.
         let start = now as usize % total.max(1);
-        let link_base = self.links.link_base[r as usize] as usize;
         let nlinks_r = self.links.links_of(r).len();
         self.scratch.out_grants[..nlinks_r].fill(0);
         self.scratch.in_grants[..nports].fill(0);
 
         // Candidate queues, gathered once in round-robin order
         // (allocation only ever empties queues, so the set cannot grow
-        // mid-phase; emptied queues are re-checked cheaply).
+        // mid-phase).
         let lo = base * nvc;
         let hi = lo + total;
         let mut scratch = std::mem::take(&mut self.scratch.slots);
@@ -1533,76 +1598,105 @@ impl Simulator<'_> {
         // Internal speedup: the crossbar runs `output_speedup`
         // allocation iterations per cycle; an input may win once per
         // iteration (and sees its new queue head in the next one).
-        for iter in 0..speedup as u32 {
-            for &slot in &scratch {
-                let slot = slot as usize;
-                let fp = self.slot_port(slot);
-                let port = fp - base;
-                if self.scratch.in_grants[port] > iter {
-                    continue;
-                }
-                let Some(head) = self.in_buf.front(slot) else {
-                    continue;
-                };
-                let p = self.slab.get(head.pkt);
-                let (dst_r, vc_base, size, tail) =
-                    (p.dst_router(), p.vc_base, p.size, p.is_tail(head));
-                if dst_r == r {
-                    continue; // handled by ejection
-                }
-                let alloc = self.in_route[slot];
-                let (l, next_vc) = if alloc != u32::MAX {
-                    // Body/tail flit: inherit the head's reserved
-                    // (link, VC) — the routing policy is never
-                    // consulted past the head flit.
-                    debug_assert!(head.seq != 0);
-                    ((alloc as usize) / nvc, (alloc as usize) % nvc)
-                } else {
-                    debug_assert!(head.seq == 0);
-                    let nxt = self.next_hop(head, r, now);
-                    let l = self.links.link(r, nxt) as usize;
-                    (l, hop_vc(nvc, vc_base, head.hop as usize))
-                };
-                let j = l - link_base;
-                if self.scratch.out_grants[j] >= speedup as u32 {
-                    continue;
-                }
-                let lv = l * nvc + next_vc;
-                if self.staging.len(l) >= self.cfg.output_queue_cap || self.credits[lv] == 0 {
-                    continue;
-                }
-                if alloc == u32::MAX && size > 1 && self.out_owner[lv] != u32::MAX {
-                    // Wormhole VC allocation: another packet owns the
-                    // output VC until its tail passes.
-                    continue;
-                }
-                // Grant. Source routes are at most MAX_PATH_HOPS long;
-                // adaptive packets count hops and saturate.
-                let mut f = self.buf_pop(r, slot);
-                f.hop = f.hop.saturating_add(1);
-                f.vc = next_vc as u8;
-                if size > 1 {
-                    if f.seq == 0 {
-                        self.in_route[slot] = lv as u32;
-                        self.out_owner[lv] = slot as u32;
-                    }
-                    if tail {
-                        self.in_route[slot] = u32::MAX;
-                        self.out_owner[lv] = u32::MAX;
-                    }
-                }
-                self.credits[lv] -= 1;
-                self.staging.push(l, f);
-                mask_set(&mut self.staged_mask, l);
-                // One staged flit + one downstream slot consumed.
-                self.occ[l] += 2;
-                self.scratch.out_grants[j] += 1;
-                self.scratch.in_grants[port] = iter + 1;
-                // Credit to upstream for the freed input slot.
-                self.credit_upstream(r, slot, fp, credit_due);
+        for iter in 0..self.cfg.output_speedup as u32 {
+            if scratch.is_empty() {
+                break;
             }
+            scratch.retain(|&slot| self.allocate_slot(r, slot as usize, iter, now));
         }
         self.scratch.slots = scratch;
+    }
+
+    /// Speedup iteration `iter` of switch allocation, at input slot
+    /// `slot` of router `r`: grants the slot's head flit if it can go.
+    /// Returns whether a later iteration could treat the slot
+    /// differently, which holds for a slot whose port already won this
+    /// iteration, a slot just granted (it has a new head), a head routed
+    /// per hop (`next_hop` runs again, and may read changed occupancy or
+    /// draw from the RNG stream) and a head waiting on another packet's
+    /// output VC (that packet's tail grant may free it). Nothing else can
+    /// change while one router allocates: queues only empty, an
+    /// ejection-bound head stays until the next cycle, and a source-routed
+    /// head or body flit blocked by the output's grant count, its staging
+    /// queue or its credits stays blocked, because those only grow (or,
+    /// for credits, shrink) during the allocation.
+    fn allocate_slot(&mut self, r: u32, slot: usize, iter: u32, now: u32) -> bool {
+        let nvc = self.cfg.num_vcs;
+        let fp = self.slot_port(slot);
+        let port = fp - self.port_base[r as usize] as usize;
+        if self.scratch.in_grants[port] > iter {
+            return true;
+        }
+        let Some(head) = self.in_buf.front(slot) else {
+            return false;
+        };
+        let p = self.slab.get(head.pkt);
+        let (dst_r, vc_base, size, tail, per_hop) = (
+            p.dst_router(),
+            p.vc_base,
+            p.size,
+            p.is_tail(head),
+            p.path_len == 0,
+        );
+        if dst_r == r {
+            return false; // ejection's
+        }
+        // Only multi-flit packets ever reserve an output VC.
+        let alloc = if size > 1 {
+            self.in_route[slot]
+        } else {
+            u32::MAX
+        };
+        let (l, next_vc) = if alloc != u32::MAX {
+            // Body/tail flit: inherit the head's reserved (link, VC) —
+            // the routing policy is never consulted past the head flit.
+            debug_assert!(head.seq != 0);
+            ((alloc as usize) / nvc, (alloc as usize) % nvc)
+        } else {
+            debug_assert!(head.seq == 0);
+            let nxt = self.next_hop(head, r, now);
+            let l = self.links.link(r, nxt) as usize;
+            (l, hop_vc(nvc, vc_base, head.hop as usize))
+        };
+        let j = l - self.links.link_base[r as usize] as usize;
+        let lv = l * nvc + next_vc;
+        if self.scratch.out_grants[j] >= self.cfg.output_speedup as u32
+            || self.staging.len(l) >= self.cfg.output_queue_cap
+            || self.credits[lv] == 0
+        {
+            return per_hop && alloc == u32::MAX;
+        }
+        if alloc == u32::MAX && size > 1 && self.out_owner[lv] != u32::MAX {
+            // Wormhole VC allocation: another packet owns the output VC
+            // until its tail passes.
+            return true;
+        }
+        // Grant. Source routes are at most MAX_PATH_HOPS long; adaptive
+        // packets count hops and saturate.
+        let mut f = self.buf_pop(r, slot);
+        f.hop = f.hop.saturating_add(1);
+        f.vc = next_vc as u8;
+        if size > 1 {
+            if f.seq == 0 {
+                self.in_route[slot] = lv as u32;
+                self.out_owner[lv] = slot as u32;
+            }
+            if tail {
+                self.in_route[slot] = u32::MAX;
+                self.out_owner[lv] = u32::MAX;
+            }
+        }
+        self.credits[lv] -= 1;
+        self.staging.push(l, f);
+        mask_set(&mut self.staged_mask, l);
+        // One staged flit + one downstream slot consumed.
+        self.occ[l] += 2;
+        self.scratch.out_grants[j] += 1;
+        self.scratch.in_grants[port] = iter + 1;
+        // Credit to upstream for the freed input slot.
+        let credit_due = ((now + self.credit_eff) % (self.credit_eff + 1)) as usize;
+        self.credit_upstream(r, slot, fp, credit_due);
+        true
     }
 
     /// Phase 6 — channel transmission: one flit per link per cycle
@@ -1644,8 +1738,7 @@ impl Simulator<'_> {
             self.arrivals(t);
             self.generation(t);
             self.injection(t);
-            self.ejection(t);
-            self.allocation(t);
+            self.eject_and_allocate(t);
             self.transmission(t);
             self.now += 1;
             if early && self.now >= self.win_end && self.m.sample_ejected >= self.m.sample_generated
@@ -2751,6 +2844,29 @@ mod tests {
         // Zero capacity (`output_queue_cap = 0`): always empty.
         let empty = Rings::new(2, 0);
         assert_eq!((empty.count(), empty.len(1), empty.front(1)), (2, 0, None));
+    }
+
+    #[test]
+    fn flits_round_trip_through_their_packed_word() {
+        for (pkt, seq, hop, vc) in [
+            (0, 0, 0, 0),
+            (u32::MAX, u16::MAX, 255, 255),
+            (u32::MAX, 0, 0, 255),
+            (0, u16::MAX, 255, 0),
+            (0x8000_0001, 0x8001, 0x81, 0x7F),
+        ] {
+            let f = Flit { pkt, seq, hop, vc };
+            assert_eq!(Flit::unpack(f.pack()), f);
+        }
+        // Every field owns its own bits.
+        let all = Flit {
+            pkt: u32::MAX,
+            seq: u16::MAX,
+            hop: 255,
+            vc: 255,
+        };
+        assert_eq!(all.pack(), u64::MAX);
+        assert_eq!(Flit::default().pack(), 0);
     }
 
     #[test]
