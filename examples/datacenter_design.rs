@@ -6,6 +6,7 @@
 
 use slimfly::cost::{CableInventory, Layout};
 use slimfly::prelude::*;
+use slimfly_workspace::outln;
 
 fn main() -> Result<(), SfError> {
     let target: u64 = match std::env::args().nth(1) {
@@ -17,9 +18,13 @@ fn main() -> Result<(), SfError> {
 
     // Pick the smallest balanced Slim Fly covering the target.
     let cfg = zoo::recommend(target).expect("a config exists");
-    println!(
+    outln!(
         "recommended Slim Fly: q={} (δ={}) → Nr={}, N={}, k={} ports",
-        cfg.q, cfg.delta, cfg.nr, cfg.n, cfg.k
+        cfg.q,
+        cfg.delta,
+        cfg.nr,
+        cfg.n,
+        cfg.k
     );
     let sf_spec = TopologySpec::slimfly(cfg.q);
     let net = sf_spec.build()?;
@@ -27,13 +32,13 @@ fn main() -> Result<(), SfError> {
     // Physical layout (§VI-A).
     let layout = Layout::new(&net);
     let inv = CableInventory::new(&net, &layout);
-    println!(
+    outln!(
         "layout: {} racks ({} routers each), grid {} racks wide",
         layout.num_racks,
         net.num_routers() as u32 / layout.num_racks,
         layout.width
     );
-    println!(
+    outln!(
         "cables: {} electric (intra-rack), {} fiber (avg {:.1} m), {} endpoint links",
         inv.num_electric(),
         inv.num_fiber(),
@@ -44,7 +49,7 @@ fn main() -> Result<(), SfError> {
     // Bill of materials under the three cable families (§VI-B).
     for model in [CostModel::fdr10(), CostModel::qdr56(), CostModel::sfp10()] {
         let b = CostBreakdown::compute(&net, &model);
-        println!(
+        outln!(
             "BOM [{}]: routers ${:.0}k + cables ${:.0}k = ${:.0}/endpoint",
             model.name,
             b.router_cost / 1e3,
@@ -60,14 +65,14 @@ fn main() -> Result<(), SfError> {
     let model = CostModel::fdr10();
     let b_sf = CostBreakdown::compute(&net, &model);
     let b_df = Experiment::on(df_spec.clone()).cost(&model)?;
-    println!(
+    outln!(
         "vs Dragonfly {df_spec}: N={}, Nr={}, ${:.0}/endpoint, {:.2} W/endpoint",
         b_df.n,
         b_df.nr,
         b_df.cost_per_endpoint(),
         b_df.power_per_endpoint()
     );
-    println!(
+    outln!(
         "Slim Fly saves {:.0}% cost and {:.0}% power per endpoint (paper: ≈25% for both)",
         100.0 * (1.0 - b_sf.cost_per_endpoint() / b_df.cost_per_endpoint()),
         100.0 * (1.0 - b_sf.power_per_endpoint() / b_df.power_per_endpoint())

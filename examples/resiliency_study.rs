@@ -6,6 +6,7 @@
 
 use slimfly::graph::failure::{max_tolerable_fraction, FailureConfig, Property};
 use slimfly::prelude::*;
+use slimfly_workspace::outln;
 
 fn main() -> Result<(), SfError> {
     let specs: Vec<TopologySpec> = vec!["sf:q=7".parse()?, "df:p=3".parse()?];
@@ -15,9 +16,12 @@ fn main() -> Result<(), SfError> {
         ..Default::default()
     };
 
-    println!(
+    outln!(
         "{:<22} {:>12} {:>14} {:>16}",
-        "network", "disconnect", "diameter(+2)", "avg-path(+1)"
+        "network",
+        "disconnect",
+        "diameter(+2)",
+        "avg-path(+1)"
     );
     for topo in &specs {
         let net = topo.build()?;
@@ -26,7 +30,7 @@ fn main() -> Result<(), SfError> {
         let f_conn = max_tolerable_fraction(&net.graph, Property::Connected, &cfg);
         let f_diam = max_tolerable_fraction(&net.graph, Property::DiameterAtMost(d0 + 2), &cfg);
         let f_path = max_tolerable_fraction(&net.graph, Property::AvgPathAtMost(a0 + 1.0), &cfg);
-        println!(
+        outln!(
             "{:<22} {:>11.0}% {:>13.0}% {:>15.0}%",
             net.name,
             f_conn * 100.0,
@@ -34,7 +38,7 @@ fn main() -> Result<(), SfError> {
             f_path * 100.0
         );
     }
-    println!(
+    outln!(
         "\npaper (§III-D): SF tolerates more failures than DF on all three \
          metrics despite having fewer cables — its MMS graph is an expander \
          with 2q links between every rack pair instead of DF's single \

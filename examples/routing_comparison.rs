@@ -13,6 +13,7 @@ use slimfly::prelude::*;
 use slimfly::verify::{
     all_pairs_min_paths, hop_index_is_deadlock_free, layered_vc_count, vcs_required,
 };
+use slimfly_workspace::outln;
 
 fn main() -> Result<(), SfError> {
     let q: u32 = match std::env::args().nth(1) {
@@ -24,11 +25,11 @@ fn main() -> Result<(), SfError> {
     let spec = TopologySpec::slimfly(q);
     let net = spec.build()?;
     let sf = SlimFly::new(q)?;
-    println!("network: {}", net.summary());
+    outln!("network: {}", net.summary());
 
     // Deadlock freedom (§IV-D).
     let paths = all_pairs_min_paths(&net.graph, 1);
-    println!(
+    outln!(
         "deadlock: hop-index scheme needs {} VCs for minimal routing (acyclic: {}), \
          DFSSSP-style layering uses {} layers (paper: 2 VCs / ~3 layers)",
         vcs_required(&paths),
@@ -57,10 +58,14 @@ fn main() -> Result<(), SfError> {
         (TrafficSpec::Uniform, vec![0.2, 0.5, 0.8]),
         (TrafficSpec::WorstCase, vec![0.05, 0.15, 0.3]),
     ] {
-        println!("\ntraffic: {traffic}");
-        println!(
+        outln!("\ntraffic: {traffic}");
+        outln!(
             "{:>12} {:>8} {:>10} {:>10} {:>10}",
-            "routing", "offered", "latency", "accepted", "hops"
+            "routing",
+            "offered",
+            "latency",
+            "accepted",
+            "hops"
         );
         let records = Experiment::on(spec.clone())
             .routing_strs(&schemes)
@@ -69,7 +74,7 @@ fn main() -> Result<(), SfError> {
             .sim(cfg)
             .run()?;
         for r in records {
-            println!(
+            outln!(
                 "{:>12} {:>8.2} {:>10.1} {:>10.2} {:>10.2}{}",
                 r.routing,
                 r.offered,
@@ -80,7 +85,7 @@ fn main() -> Result<(), SfError> {
             );
         }
     }
-    println!(
+    outln!(
         "\nexpected shape (paper Fig 6a/6d): MIN best on uniform; MIN collapses on \
          worst-case (~1/(p+1) = {:.2}) while VAL/UGAL recover to 40–45%",
         1.0 / (sf.balanced_concentration() as f64 + 1.0)
