@@ -25,18 +25,28 @@
 //!   descriptor is referenced by a flit and that every flit names a
 //!   live descriptor.
 //!
-//! * **Fixed-capacity rings** — the (port, VC) input buffers and the
-//!   per-link output staging queues are FIFO rings in one flat array
-//!   each, of capacity `vc_cap` and `output_queue_cap`. Credits bound
-//!   every input buffer and the allocator bounds every staging queue,
-//!   so no ring ever grows; plan expansion bounds both sizes
-//!   ([`MAX_BUF_PER_PORT`], [`MAX_OUTPUT_QUEUE_CAP`]) and the delays
-//!   that size the delay buckets ([`MAX_DELAY`]) before anything is
-//!   allocated. Measured against one growable queue of 60-byte
-//!   flits per buffer on the benchmark's `q19_uniform` workload
-//!   (`sf:q=19`, 2-vCPU host), slab and rings cut median peak RSS from
-//!   84 to 51 MB and median engine time per flit from 3.7 to 3.2 µs
-//!   (`sim.ns_per_flit`, six traced pairs, five won).
+//! * **Fixed-capacity rings, heads in the cursors** — the (port, VC)
+//!   input buffers and the per-link output staging queues are FIFO
+//!   rings of capacity `vc_cap` and `output_queue_cap`. A ring's front
+//!   flit lives in its 12-byte cursor, next to its length and storage
+//!   index, so reading a queue head (ejection and allocation do, for
+//!   every non-empty queue, every cycle) touches only the cursor. The
+//!   flits behind the front live in one flat `u64` array per family,
+//!   allocated zeroed, so its pages are mapped only when some ring
+//!   first holds a second flit; a push onto an empty ring and a pop
+//!   that empties one write only the cursor. Credits bound every input
+//!   buffer and the allocator bounds every staging queue, so no ring
+//!   ever grows; plan expansion bounds both sizes ([`MAX_BUF_PER_PORT`],
+//!   [`MAX_OUTPUT_QUEUE_CAP`], which also fit the cursors' `u16`
+//!   fields) and the delays that size the delay buckets ([`MAX_DELAY`])
+//!   before anything is allocated. On the benchmark's `q19_uniform`
+//!   workload (`sf:q=19`, 127,072 input rings of 16 flits), heads used
+//!   to be read at random from 16.3 MB of ring storage plus 1 MB of
+//!   cursors; now they come from 1.5 MB of cursors. With the one pass
+//!   per router below, median `run_s` there fell from 2.00 to 1.33 s
+//!   and peak RSS from 47.9 to 35.7 MB (2-vCPU host, ten alternating
+//!   pairs, every pair won), and one traced pair read 2126 and 1022 ns
+//!   per flit (`sim.ns_per_flit`).
 //!
 //! * **CSR link layout** — every directed link `r → to` has a flat
 //!   *link id* assigned in CSR order (`LinkIndex`): the links of
@@ -70,13 +80,21 @@
 //!   is a generation-stamped array (`stamp == now + 1` means "ejected
 //!   this cycle"), so membership is O(1) with no clearing pass.
 //!
-//! * **Active-set tracking** — a per-router buffered-packet counter
-//!   lets ejection and switch allocation skip routers with nothing
-//!   queued; bitmasks over the (port, VC) input queues and over the
-//!   per-link staging queues narrow those scans (and channel
-//!   transmission) to non-empty queues in the exact order the full
-//!   scan would visit them; a bitmask over endpoint source queues does
-//!   the same for the injection pass.
+//! * **Active-set tracking, one pass per router** — a per-router
+//!   buffered-flit counter lets the ejection-and-allocation pass skip
+//!   routers with nothing queued, and a router with work ejects and
+//!   then allocates in one visit, so its queues and the descriptors of
+//!   their heads are read while in cache. Bitmasks over the (port, VC)
+//!   input queues and over the per-link staging queues narrow those
+//!   scans (and channel transmission) to non-empty queues in the exact
+//!   order the full scan would visit them; a bitmask over endpoint
+//!   source queues does the same for the injection pass. The switch
+//!   allocator's later speedup iterations revisit only the input slots
+//!   that could still win: ports that won, slots just granted, heads
+//!   routed per hop (they ask `next_hop` again) and heads waiting on
+//!   another packet's output VC. On the benchmark's `q7_saturation`
+//!   workload that cuts the visits of the iterations after the first
+//!   from 36.4M to 13.9M, for the same 2.4M grants.
 //!
 //! * **Time-bucketed wires** — flit and credit delays are run
 //!   constants, so in-flight events live in rotating per-cycle buckets
@@ -1049,7 +1067,7 @@ pub struct Simulator<'a> {
     slab: Slab,
 
     // ---- active-set counters ----
-    /// Packets buffered in the router's input queues (ejection and
+    /// Flits buffered in the router's input queues (ejection and
     /// switch allocation skip routers at zero).
     r_buffered: Vec<u32>,
 
@@ -1598,6 +1616,9 @@ impl Simulator<'_> {
         // Internal speedup: the crossbar runs `output_speedup`
         // allocation iterations per cycle; an input may win once per
         // iteration (and sees its new queue head in the next one).
+        // `retain` visits every slot once, in order, and keeps the
+        // survivors in order, so each iteration runs in round-robin
+        // order.
         for iter in 0..self.cfg.output_speedup as u32 {
             if scratch.is_empty() {
                 break;
