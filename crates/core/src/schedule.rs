@@ -424,6 +424,7 @@ mod tests {
     use super::*;
     use crate::plan::ExperimentPlan;
     use crate::sink::MemorySink;
+    use proptest::prelude::*;
 
     fn tiny_plan(warm: bool) -> ExperimentPlan {
         ExperimentPlan::from_toml_str(&format!(
@@ -580,5 +581,124 @@ mod tests {
     fn default_workers_is_positive() {
         assert!(Scheduler::default_workers() >= 1);
         assert!(Scheduler::default().workers() >= 1);
+    }
+
+    /// A sink that rejects its `fail_at`-th record (counting from 1)
+    /// and counts the records it accepted and its `finish` calls.
+    struct FailingSink {
+        fail_at: usize,
+        accepted: usize,
+        finished: usize,
+    }
+
+    impl RecordSink for FailingSink {
+        fn record(&mut self, _: &Record) -> Result<(), SfError> {
+            if self.accepted + 1 == self.fail_at {
+                return Err(SfError::Experiment("sink full".into()));
+            }
+            self.accepted += 1;
+            Ok(())
+        }
+
+        fn finish(&mut self) -> Result<(), SfError> {
+            self.finished += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_ends_the_run_with_its_error_and_still_flushes() {
+        let plan = tiny_plan(false);
+        for workers in [1, 2] {
+            for fail_at in [1, 4, 6] {
+                let mut set = plan.expand().unwrap();
+                let mut sink = FailingSink {
+                    fail_at,
+                    accepted: 0,
+                    finished: 0,
+                };
+                let err = Scheduler::new(workers)
+                    .run(&mut set, &mut sink)
+                    .unwrap_err();
+                let case = format!("workers={workers} fail_at={fail_at}");
+                assert!(
+                    matches!(&err, SfError::Experiment(m) if m == "sink full"),
+                    "{case}: {err}"
+                );
+                assert_eq!(sink.accepted, fail_at - 1, "{case}");
+                assert_eq!(sink.finished, 1, "{case}: finish must still run");
+            }
+        }
+    }
+
+    /// `n` one-record jobs: `sf:q=5` at distinct loads, except job
+    /// `fail`, worst-case traffic on a DLN (which has no worst-case
+    /// pattern, so the job itself fails).
+    fn plan_failing_at(n: usize, fail: usize) -> ExperimentPlan {
+        let mut toml = String::from(
+            "[figure]\nname = \"fail-at\"\n\
+             [defaults.sim]\nwarmup = 20\nmeasure = 40\ndrain = 60\n",
+        );
+        for j in 0..n {
+            if j == fail {
+                toml.push_str(
+                    "[[sweep]]\ntopo = \"dln:nr=4,y=2\"\ntraffic = \"worst\"\nloads = [0.1]\n",
+                );
+            } else {
+                let load = 0.05 * (j + 1) as f64;
+                toml.push_str(&format!(
+                    "[[sweep]]\ntopo = \"sf:q=5\"\nloads = [{load:.2}]\n"
+                ));
+            }
+        }
+        ExperimentPlan::from_toml_str(&toml).unwrap()
+    }
+
+    fn fresh_cache() -> ResultCache {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "sf-schedtest-{}-{}",
+            std::process::id(),
+            RUNS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ResultCache::open(dir).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The completed-prefix contract with cache hits mixed in: a
+        /// failing job streams exactly the records of every job below
+        /// it, in id order, whether they simulated or came from the
+        /// cache, and its own error is the one returned.
+        #[test]
+        fn a_job_error_streams_exactly_the_jobs_below_it(
+            (n, fail) in (2usize..=6).prop_flat_map(|n| (Just(n), 0..n)),
+            workers in 1usize..=3,
+            stored in 0u32..64,
+        ) {
+            let mut set = plan_failing_at(n, fail).expand().unwrap();
+            set.prepare().unwrap();
+            let cache = fresh_cache();
+            let mut want = Vec::new();
+            for job in &set.jobs()[..fail] {
+                let records = set.run_job(job).unwrap();
+                if stored >> job.id & 1 == 1 {
+                    cache.store(&set.job_key(job), &records).unwrap();
+                }
+                want.extend(records.iter().map(Record::to_csv));
+            }
+            let mut sink = MemorySink::new();
+            let err = Scheduler::new(workers)
+                .with_cache(Some(cache.clone()))
+                .run(&mut set, &mut sink)
+                .unwrap_err();
+            let _ = std::fs::remove_dir_all(cache.root());
+            let case = format!("n={n} fail={fail} workers={workers} stored={stored:#b}");
+            prop_assert!(matches!(err, SfError::Traffic(_)), "{case}: {err}");
+            let got: Vec<String> = sink.records().iter().map(Record::to_csv).collect();
+            prop_assert_eq!(got, want, "{}", case);
+        }
     }
 }
