@@ -17,14 +17,15 @@
 //! as CSV; [`sf_bench::tables`] documents each name and its flags.
 //!
 //! `run` parses an [`ExperimentPlan`], expands it to a deterministic
-//! job set and executes it on the work-stealing scheduler, streaming
-//! records as jobs finish: CSV to stdout (unless `--quiet`), plus
+//! job set and executes it on the scheduler, whose `--workers N`
+//! threads claim jobs from one cursor, streaming records in job-id
+//! order as jobs finish: CSV to stdout (unless `--quiet`), plus
 //! `--out` (CSV, or JSON lines with `--format jsonl`) and a markdown
 //! report per `--report` (the EXPERIMENTS.md generator). A run summary
 //! goes to stderr, keeping stdout pure CSV. `--check-builder` re-runs
-//! the whole plan sequentially through the single-worker path and
-//! fails unless both record streams are byte-identical — the
-//! scheduler-determinism guard CI exercises on every push.
+//! the whole plan on one worker and fails unless both record streams
+//! are byte-identical — the scheduler-determinism guard CI exercises
+//! on every push.
 //!
 //! `run` consults a persistent content-addressed **result cache** when
 //! one is configured: `--cache DIR` names the directory explicitly,
@@ -190,11 +191,10 @@ fn cmd_run(args: &SweepArgs) -> Result<(), SfError> {
     };
     let records = memory.into_records();
     eprintln!(
-        "sf-bench run {file}: {} jobs, {} records, workers={}, steals={}, wall={:.1}s",
+        "sf-bench run {file}: {} jobs, {} records, workers={}, wall={:.1}s",
         report.jobs,
         report.records,
         report.workers,
-        report.steals,
         report.wall.as_secs_f64()
     );
     if let Some(c) = &cache {
@@ -221,7 +221,7 @@ fn cmd_run(args: &SweepArgs) -> Result<(), SfError> {
     }
 
     if check_builder {
-        // Re-run the same prepared set sequentially: run_job is
+        // Re-run the same prepared set on one worker: run_job is
         // read-only, so networks/tables/routers/patterns are reused
         // and only the simulations repeat. Deliberately cache-free —
         // the reference stream must come from real simulation, so
@@ -232,7 +232,7 @@ fn cmd_run(args: &SweepArgs) -> Result<(), SfError> {
         let want: Vec<String> = ref_sink.records().iter().map(|r| r.to_csv()).collect();
         if got != want {
             return Err(SfError::Experiment(format!(
-                "scheduler record stream diverges from the sequential path \
+                "scheduler record stream diverges from the one-worker run \
                  ({} vs {} records, first difference at row {})",
                 got.len(),
                 want.len(),
@@ -244,7 +244,7 @@ fn cmd_run(args: &SweepArgs) -> Result<(), SfError> {
             )));
         }
         eprintln!(
-            "sf-bench: --check-builder OK ({} records byte-identical to the sequential path)",
+            "sf-bench: --check-builder OK ({} records byte-identical to the one-worker run)",
             got.len()
         );
     }

@@ -10,8 +10,8 @@
 //! items — a saturated simulation next to one that drains instantly —
 //! therefore balance automatically: a worker that finishes early keeps
 //! claiming, it is never stuck with a pre-assigned chunk. (Whole-sweep
-//! scheduling with persistent workers, stealing *between* worker
-//! deques and streamed results lives one level up, in
+//! scheduling, with the same one-cursor claims, a result cache and
+//! records streamed in job-id order, lives one level up, in
 //! `slimfly::schedule::Scheduler`; this crate stays a drop-in for
 //! rayon's iterator façade.)
 //!

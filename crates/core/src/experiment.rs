@@ -417,9 +417,9 @@ impl Experiment {
     /// loads in the given order.
     ///
     /// The builder lowers to an [`ExperimentPlan`] and executes through
-    /// the work-stealing [`Scheduler`] (worker count from
+    /// the [`Scheduler`] (worker count from
     /// [`Scheduler::default_workers`]); records are ordered by job id,
-    /// so the result is bit-identical to a sequential run.
+    /// so the result is bit-identical to a one-worker run.
     pub fn run(&self) -> Result<Vec<Record>, SfError> {
         let mut set = self.to_plan()?.expand()?;
         let mut sink = MemorySink::new();

@@ -74,8 +74,8 @@
 //! * [`experiment`] — the fluent [`Experiment`] builder and [`Record`]s;
 //! * [`plan`] — [`ExperimentPlan`]: whole figures as TOML data,
 //!   expanded to a deterministic [`JobSet`];
-//! * [`schedule`] — the work-stealing [`Scheduler`] executing job sets
-//!   on persistent workers;
+//! * [`schedule`] — the [`Scheduler`] executing job sets on workers
+//!   that claim jobs from one cursor;
 //! * [`cache`] — the persistent content-addressed result cache the
 //!   scheduler consults before simulating ([`ResultCache`]);
 //! * [`sink`] — streaming [`RecordSink`]s (CSV/JSON-lines/memory/tee);

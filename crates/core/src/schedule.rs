@@ -1,13 +1,12 @@
-//! The work-stealing sweep scheduler.
+//! The sweep scheduler.
 //!
-//! A [`Scheduler`] executes a [`JobSet`] on persistent worker threads:
-//! every worker owns a deque seeded round-robin with job ids, pops its
-//! own work from the front, and **steals from the back of a sibling's
-//! deque** when it runs dry — so a heterogeneous sweep (a saturated
-//! load next to one that drains instantly) keeps every core busy
-//! instead of leaving stragglers with a pre-assigned chunk, replacing
-//! the fixed-chunk scoped-thread loop the offline `rayon` stand-in
-//! used for sweeps.
+//! A [`Scheduler`] executes a [`JobSet`] on scoped worker threads that
+//! claim jobs from **one shared cursor**, in ascending job-id order: a
+//! worker that finishes a job claims the next unclaimed one, so a
+//! heterogeneous sweep (a saturated load next to one that drains
+//! instantly) keeps every worker busy until the last job is claimed,
+//! and no job waits behind a pre-assigned straggler. One worker or
+//! sixteen, every run takes the same path.
 //!
 //! # Deterministic streaming
 //!
@@ -18,6 +17,14 @@
 //! byte-identical for any worker count — `workers = 1` and
 //! `workers = 16` produce the same file — while each record is still
 //! written as soon as its turn arrives (no whole-sweep buffering).
+//!
+//! # Errors
+//!
+//! Because claims ascend, every job below a failing one has already
+//! been claimed when it fails. The run then claims nothing more, lets
+//! the jobs in flight finish, and streams every job below the lowest
+//! failing id before it returns that job's error. A sink error stops
+//! the stream at once.
 //!
 //! # Thread budget
 //!
@@ -48,13 +55,13 @@ use crate::error::SfError;
 use crate::experiment::Record;
 use crate::plan::JobSet;
 use crate::sink::RecordSink;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Executes [`JobSet`]s on persistent work-stealing workers; see the
-/// [module docs](self).
+/// Executes [`JobSet`]s on worker threads that claim jobs from one
+/// cursor; see the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct Scheduler {
     workers: usize,
@@ -89,8 +96,8 @@ impl Scheduler {
     /// their stored records through the same job-id-ordered reorder
     /// frontier as simulated results — the sink cannot tell the
     /// difference, so a warm run's output is byte-identical to a cold
-    /// one — and only the misses are dealt to the worker deques.
-    /// Completed misses write through on the emitter thread; a store
+    /// one — and only the misses are left for the workers to claim.
+    /// Completed misses write through on the calling thread; a store
     /// failure is counted ([`ScheduleReport::cache_store_errors`]),
     /// never fatal. The cache key is independent of the worker count,
     /// so runs at any worker count share one entry per job.
@@ -99,36 +106,11 @@ impl Scheduler {
         self
     }
 
-    /// The attached result cache, if any.
-    pub fn cache(&self) -> Option<&ResultCache> {
-        self.cache.as_ref()
-    }
-
-    /// The environment override, if any: `SF_WORKERS` if set, else
-    /// `RAYON_NUM_THREADS` (the knob the sweep loops honoured before
-    /// the scheduler existed).
-    fn env_workers() -> Option<usize> {
-        for var in ["SF_WORKERS", "RAYON_NUM_THREADS"] {
-            if let Some(n) = std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-            {
-                return Some(n);
-            }
-        }
-        None
-    }
-
-    /// The environment-driven default worker count: `SF_WORKERS` if
-    /// set, else `RAYON_NUM_THREADS`, else the machine's available
-    /// parallelism.
+    /// The default worker count: the machine's available parallelism.
     pub fn default_workers() -> usize {
-        Self::env_workers().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
 
     /// The configured worker count (before the per-run job-count cap).
@@ -138,17 +120,21 @@ impl Scheduler {
 
     /// Runs every job of `set`, streaming records to `sink` in job-id
     /// order (see the [module docs](self)). Prepares the set if the
-    /// caller has not. On a job failure, workers skip every job at or
-    /// above the lowest failing id but still run the jobs below it, the
-    /// lowest failing job's error is returned once in-flight jobs
-    /// drain, and the records of every job *preceding* that id stream —
-    /// the completed prefix survives in every sink, whatever the timing.
+    /// caller has not. On a job failure, workers claim nothing more but
+    /// every job below the lowest failing id has already been claimed
+    /// and still runs; the lowest failing job's error is returned once
+    /// in-flight jobs drain, and the records of every job *preceding*
+    /// that id stream — the completed prefix survives in every sink,
+    /// whatever the timing. A sink error ends the stream and is
+    /// returned once in-flight jobs drain. On either error the sink is
+    /// still finished (best effort), so the prefix reaches disk.
     pub fn run(
         &self,
         set: &mut JobSet,
         sink: &mut dyn RecordSink,
     ) -> Result<ScheduleReport, SfError> {
         set.prepare()?;
+        let set: &JobSet = set;
         #[expect(
             clippy::disallowed_methods,
             reason = "operator-facing elapsed-time meter; never feeds records"
@@ -158,218 +144,108 @@ impl Scheduler {
         // Cache prepass: resolve every job's content address before
         // any worker claims anything. Hits park in the reorder
         // frontier up front (they stream in job-id order exactly like
-        // simulated results); only misses are dealt to workers — so
-        // the worker count, the steal pattern, and the wall-clock all
-        // scale with the *delta*, not the plan size.
-        let mut hits: BTreeMap<usize, Vec<Record>> = BTreeMap::new();
+        // simulated results); only misses are claimed by workers — so
+        // the worker count and the wall-clock scale with the *delta*,
+        // not the plan size.
+        let mut pending: BTreeMap<usize, Vec<Record>> = BTreeMap::new();
         if let Some(cache) = &self.cache {
             for job in jobs {
                 if let Some(records) = cache.lookup(&set.job_key(job)) {
                     // Belt and braces: an entry that does not carry
                     // one record per load cannot be this job's.
                     if records.len() == job.loads.len() {
-                        hits.insert(job.id, records);
+                        pending.insert(job.id, records);
                     }
                 }
             }
         }
-        let cache_hits = hits.len();
+        let cache_hits = pending.len();
         let cache_misses = if self.cache.is_some() {
             jobs.len() - cache_hits
         } else {
             0
         };
-        let miss_ids: Vec<usize> = jobs
+        let misses: Vec<usize> = jobs
             .iter()
             .map(|j| j.id)
-            .filter(|id| !hits.contains_key(id))
+            .filter(|id| !pending.contains_key(id))
             .collect();
-        let workers = self.workers.min(miss_ids.len()).max(1);
+        let workers = self.workers.min(misses.len());
         sink.begin()?;
+        // The next miss to claim; storing `misses.len()` stops claims.
+        // `Relaxed` suffices: results travel over the channel, and each
+        // `fetch_add` reads the latest value, so no miss is claimed twice.
+        let cursor = AtomicUsize::new(0);
         let mut emitted = 0usize;
-        let mut steals = 0usize;
         let mut cache_store_errors = 0usize;
-        // First error of the run; the completed record prefix reaches
-        // the sink (and gets flushed) even on the error path.
+        // The run's error, and the job id the stream stops at: the
+        // lowest failing job, or the job whose record the sink refused.
         let mut run_err: Option<SfError> = None;
-        if workers == 1 || miss_ids.is_empty() {
-            'seq: for job in jobs {
-                let records = match hits.remove(&job.id) {
-                    Some(cached) => cached,
-                    None => match set.run_job(job) {
-                        Ok(records) => {
-                            if let Some(cache) = &self.cache {
-                                if cache.store(&set.job_key(job), &records).is_err() {
-                                    cache_store_errors += 1;
-                                }
-                            }
-                            records
+        let mut stop = jobs.len();
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (cursor, misses) = (&cursor, &misses);
+                scope.spawn(move || {
+                    while let Some(&id) = misses.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let result = set.run_job(&jobs[id]);
+                        if result.is_err() {
+                            // Every miss below `id` is already claimed.
+                            cursor.store(misses.len(), Ordering::Relaxed);
                         }
-                        Err(e) => {
-                            run_err = Some(e);
-                            break;
-                        }
-                    },
-                };
-                for r in &records {
-                    if let Err(e) = sink.record(r) {
-                        run_err = Some(e);
-                        break 'seq;
-                    }
-                    emitted += 1;
-                }
-            }
-        } else {
-            // Seed the worker deques round-robin over the *misses* so
-            // consecutive (often similarly heavy) jobs land on
-            // different workers.
-            let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-                .map(|w| {
-                    Mutex::new(
-                        miss_ids
-                            .iter()
-                            .copied()
-                            .skip(w)
-                            .step_by(workers)
-                            .collect::<VecDeque<usize>>(),
-                    )
-                })
-                .collect();
-            let steal_count = AtomicUsize::new(0);
-            // The lowest failing job id (0 after a sink failure):
-            // workers skip every job at or above it, so a failing sweep
-            // does not burn hours on doomed work, but still run every
-            // job below it, whose records the completed prefix needs.
-            let skip_from = AtomicUsize::new(usize::MAX);
-            let (tx, rx) = mpsc::channel();
-            // Lowest failing job id and its error; records of complete
-            // jobs *below* that id still stream (the completed prefix
-            // survives in every sink). A sink failure stops emission
-            // outright.
-            let mut job_err: Option<(usize, SfError)> = None;
-            let mut sink_err: Option<SfError> = None;
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let queues = &queues;
-                    let steal_count = &steal_count;
-                    let skip_from = &skip_from;
-                    let set: &JobSet = set;
-                    scope.spawn(move || loop {
-                        // Own deque first (front), then steal from the
-                        // back of the first non-empty sibling.
-                        let mut claimed = queues[w].lock().expect("queue poisoned").pop_front();
-                        if claimed.is_none() {
-                            for v in 1..workers {
-                                let victim = (w + v) % workers;
-                                claimed = queues[victim].lock().expect("queue poisoned").pop_back();
-                                if claimed.is_some() {
-                                    steal_count.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(id) = claimed else { break };
-                        if id >= skip_from.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let result = set.run_job(&set.jobs()[id]);
                         if tx.send((id, result)).is_err() {
                             break;
                         }
-                    });
-                }
-                drop(tx);
-                /// Streams every frontier job whose turn has come:
-                /// records reach the sink strictly in job-id order, up
-                /// to (never past) the lowest failing id.
-                fn drain(
-                    pending: &mut BTreeMap<usize, Vec<Record>>,
-                    next: &mut usize,
-                    sink: &mut dyn RecordSink,
-                    emitted: &mut usize,
-                    job_err: &Option<(usize, SfError)>,
-                    sink_err: &mut Option<SfError>,
-                    skip_from: &AtomicUsize,
-                ) {
-                    'emit: while sink_err.is_none()
-                        && job_err.as_ref().is_none_or(|(eid, _)| *next < *eid)
-                    {
-                        let Some(records) = pending.remove(next) else {
-                            break;
-                        };
-                        for r in &records {
-                            if let Err(e) = sink.record(r) {
-                                *sink_err = Some(e);
-                                skip_from.store(0, Ordering::Relaxed);
-                                break 'emit;
-                            }
-                            *emitted += 1;
-                        }
-                        *next += 1;
                     }
-                }
-                // Reorder frontier: stream each completed job the
-                // moment every lower job id has been emitted. Cache
-                // hits are parked here up front; drain once before
-                // listening so an all-hit prefix streams immediately.
-                let mut pending = hits;
-                let mut next = 0usize;
-                drain(
-                    &mut pending,
-                    &mut next,
-                    &mut *sink,
-                    &mut emitted,
-                    &job_err,
-                    &mut sink_err,
-                    &skip_from,
-                );
-                for (id, result) in rx {
-                    match result {
-                        Ok(records) => {
-                            // Write-through on the emitter thread (the
-                            // workers stay pure simulation); a store
-                            // failure downgrades to a counter.
-                            if let Some(cache) = &self.cache {
-                                if cache.store(&set.job_key(&jobs[id]), &records).is_err() {
-                                    cache_store_errors += 1;
-                                }
-                            }
-                            pending.insert(id, records);
-                            drain(
-                                &mut pending,
-                                &mut next,
-                                &mut *sink,
-                                &mut emitted,
-                                &job_err,
-                                &mut sink_err,
-                                &skip_from,
-                            );
+                });
+            }
+            drop(tx);
+            // Reorder frontier: stream every job whose turn has come,
+            // then wait for the next result; the loop ends once every
+            // worker has finished.
+            let mut results = rx.iter();
+            let mut next = 0usize;
+            loop {
+                'emit: while next < stop {
+                    let Some(records) = pending.remove(&next) else {
+                        break;
+                    };
+                    for r in &records {
+                        if let Err(e) = sink.record(r) {
+                            run_err = Some(e);
+                            stop = next;
+                            cursor.store(misses.len(), Ordering::Relaxed);
+                            break 'emit;
                         }
-                        Err(e) => {
-                            skip_from.fetch_min(id, Ordering::Relaxed);
-                            if job_err.as_ref().is_none_or(|(eid, _)| id < *eid) {
-                                job_err = Some((id, e));
-                            }
-                        }
+                        emitted += 1;
                     }
+                    next += 1;
                 }
-                // Workers are done; a failing run may still have
-                // cache hits parked below the failing id — the
-                // completed-prefix contract covers them too.
-                drain(
-                    &mut pending,
-                    &mut next,
-                    &mut *sink,
-                    &mut emitted,
-                    &job_err,
-                    &mut sink_err,
-                    &skip_from,
-                );
-            });
-            steals = steal_count.load(Ordering::Relaxed);
-            run_err = sink_err.or(job_err.map(|(_, e)| e));
-        }
+                let Some((id, result)) = results.next() else {
+                    break;
+                };
+                match result {
+                    Ok(records) => {
+                        // Write-through on the calling thread (the
+                        // workers stay pure simulation); a store failure
+                        // downgrades to a counter.
+                        if let Some(cache) = &self.cache {
+                            if cache.store(&set.job_key(&jobs[id]), &records).is_err() {
+                                cache_store_errors += 1;
+                            }
+                        }
+                        pending.insert(id, records);
+                    }
+                    // Only the lowest failing id counts.
+                    Err(e) if id < stop => {
+                        run_err = Some(e);
+                        stop = id;
+                    }
+                    Err(_) => {}
+                }
+            }
+        });
         if let Some(e) = run_err {
             // Best-effort flush so the completed prefix reaches disk
             // before the error surfaces (a finish failure here cannot
@@ -381,8 +257,8 @@ impl Scheduler {
         Ok(ScheduleReport {
             jobs: jobs.len(),
             records: emitted,
-            workers,
-            steals,
+            workers: workers.max(1),
+            steals: 0,
             cache_hits,
             cache_misses,
             cache_store_errors,
@@ -401,7 +277,9 @@ pub struct ScheduleReport {
     /// Worker threads actually used: capped at the jobs left to
     /// simulate after cache hits (at least 1).
     pub workers: usize,
-    /// Successful steals between worker deques (0 on sequential runs).
+    /// Always 0: workers claim jobs from one cursor and never steal.
+    /// Kept while the benchmark's traced replica
+    /// (`examples/sf_benchmark`) still reads it.
     pub steals: usize,
     /// Jobs served from the attached [`ResultCache`] (0 when no cache
     /// is attached). `cache_hits + cache_misses = jobs` exactly when a

@@ -31,8 +31,8 @@ fn quick_sim() -> SimConfig {
     }
 }
 
-/// Runs a plan through the work-stealing scheduler with several
-/// workers, records in deterministic job order.
+/// Runs a plan through the scheduler with several workers, records
+/// in deterministic job order.
 fn run_plan(plan: &ExperimentPlan, workers: usize) -> Vec<Record> {
     let mut set = plan.expand().unwrap();
     let mut sink = MemorySink::new();
