@@ -461,17 +461,20 @@ mod tests {
         assert!(Scheduler::default().workers() >= 1);
     }
 
-    /// A sink that rejects its `fail_at`-th record (counting from 1)
-    /// and counts the records it accepted and its `finish` calls.
+    /// A sink that rejects its `fail_at`-th `record` call (counting
+    /// from 1), accepts every other, and counts the records it accepted
+    /// and its `finish` calls.
     struct FailingSink {
         fail_at: usize,
+        calls: usize,
         accepted: usize,
         finished: usize,
     }
 
     impl RecordSink for FailingSink {
         fn record(&mut self, _: &Record) -> Result<(), SfError> {
-            if self.accepted + 1 == self.fail_at {
+            self.calls += 1;
+            if self.calls == self.fail_at {
                 return Err(SfError::Experiment("sink full".into()));
             }
             self.accepted += 1;
@@ -492,6 +495,7 @@ mod tests {
                 let mut set = plan.expand().unwrap();
                 let mut sink = FailingSink {
                     fail_at,
+                    calls: 0,
                     accepted: 0,
                     finished: 0,
                 };
