@@ -18,14 +18,6 @@
 //! `workers = 16` produce the same file — while each record is still
 //! written as soon as its turn arrives (no whole-sweep buffering).
 //!
-//! # Errors
-//!
-//! Because claims ascend, every job below a failing one has already
-//! been claimed when it fails. The run then claims nothing more, lets
-//! the jobs in flight finish, and streams every job below the lowest
-//! failing id before it returns that job's error. A sink error stops
-//! the stream at once.
-//!
 //! # Thread budget
 //!
 //! `workers` bounds the jobs in flight, not the threads of a run. Every
@@ -120,14 +112,14 @@ impl Scheduler {
 
     /// Runs every job of `set`, streaming records to `sink` in job-id
     /// order (see the [module docs](self)). Prepares the set if the
-    /// caller has not. On a job failure, workers claim nothing more but
-    /// every job below the lowest failing id has already been claimed
-    /// and still runs; the lowest failing job's error is returned once
-    /// in-flight jobs drain, and the records of every job *preceding*
-    /// that id stream — the completed prefix survives in every sink,
-    /// whatever the timing. A sink error ends the stream and is
-    /// returned once in-flight jobs drain. On either error the sink is
-    /// still finished (best effort), so the prefix reaches disk.
+    /// caller has not. On a job failure, workers claim nothing more;
+    /// claims ascend, so every job below the lowest failing id is
+    /// already claimed and still runs. That job's error is returned
+    /// once in-flight jobs drain, and the records of every job
+    /// *preceding* its id stream — the completed prefix survives in
+    /// every sink, whatever the timing. A sink error ends the stream
+    /// and is returned once in-flight jobs drain. On either error the
+    /// sink is still finished (best effort), so the prefix reaches disk.
     pub fn run(
         &self,
         set: &mut JobSet,
@@ -414,10 +406,10 @@ mod tests {
 
     #[test]
     fn a_failing_run_still_runs_every_job_below_the_failing_id() {
-        // Worker 0 is dealt jobs 0, 2 and 4, worker 1 jobs 1 and 3.
-        // Worker 1 reaches the failing job 3 while worker 0 is still
-        // in the slow job 0; job 2 has not been claimed yet but
-        // precedes the failure, so it must still run and stream.
+        // One worker claims the slow job 0; the other claims jobs 1, 2
+        // and the failing job 3 while job 0 is still running. Every
+        // job below 3 is claimed by then, and all of them must still
+        // finish and stream, job 0 included.
         let plan = ExperimentPlan::from_toml_str(
             r#"
             [figure]
