@@ -33,7 +33,7 @@
 //! `--no-cache` disables caching even when the variable is set. Each
 //! job is keyed by a stable hash of everything its records depend on —
 //! the cache's own canonical key material for the job (topology + fault
-//! plan, routing, traffic, backend, loads, warm-start, sim config)
+//! plan, routing, traffic, backend, load, sim config)
 //! plus the seed and the engine epoch — so hits replay stored records
 //! byte-identically to a cold run, while misses simulate and write
 //! through. Re-submitting a figure with one new load point simulates

@@ -18,7 +18,9 @@
 //!   (kill fractions bit-exactly, sampler seed, mode; `None` for
 //!   intact — expansion already folds no-op plans to `None`),
 //! - the routing spec, traffic spec, and backend,
-//! - the warm-start flag and the load list (bit-exact `f64`),
+//! - a constant `warm_start false` line (every load runs cold; the
+//!   line keeps every key where it was until the next
+//!   `KEY_SCHEMA_VERSION` bump), then the load list (bit-exact `f64`),
 //! - every [`SimConfig`](sf_sim::SimConfig) field (scheduler
 //!   `--workers` never enters the key material, so runs at any worker
 //!   count share one entry),
@@ -182,7 +184,8 @@ pub fn job_key_at_epoch(
     let _ = writeln!(m, "routing {}", job.routing);
     let _ = writeln!(m, "traffic {}", job.traffic);
     let _ = writeln!(m, "backend {}", job.backend);
-    let _ = writeln!(m, "warm_start {}", job.warm_start);
+    // Constant: every load runs cold (see the module docs).
+    m.push_str("warm_start false\n");
     m.push_str("loads");
     for l in &job.loads {
         let _ = write!(m, " {:016x}", l.to_bits());

@@ -252,8 +252,8 @@ enum RoutingChoice {
 pub struct Experiment {
     spec: SpecSource,
     routings: Vec<RoutingChoice>,
-    /// Traffic, loads, simulator, backend and warm start; its topologies
-    /// and routings are filled in by [`Experiment::to_plan`].
+    /// Traffic, loads, simulator and backend; its topologies and
+    /// routings are filled in by [`Experiment::to_plan`].
     sweep: SweepPlan,
 }
 
@@ -347,16 +347,6 @@ impl Experiment {
     /// [`Experiment::run`].
     pub fn packet_size(mut self, flits: usize) -> Self {
         self.sweep.sim.packet_size = flits;
-        self
-    }
-
-    /// Chains the loads of each routing through one warm simulator
-    /// (instead of cold per-load runs): consecutive loads reuse the
-    /// warmed queue state, skipping the cold ramp. Off by default
-    /// because the non-first loads of a chain are then near-identical,
-    /// not bit-identical, to their cold equivalents.
-    pub fn warm_start(mut self, warm: bool) -> Self {
-        self.sweep.warm_start = warm;
         self
     }
 

@@ -23,7 +23,6 @@
 //! routing = ["min", "ugal-l:c=4"]
 //! traffic = "uniform"
 //! backend = "cycle"                 # or "flow"
-//! warm_start = false
 //!
 //! [defaults.sim]                    # any SimConfig field
 //! warmup = 1000
@@ -51,13 +50,13 @@
 //! ```
 //!
 //! **Defaults**: `[defaults]` takes the keys it shares with a sweep
-//! (`routing`, `traffic`, `loads`, `sim`, `backend`, `warm_start`) and
-//! is applied once, onto the built-in defaults of [`SweepPlan::default`]
-//! (MIN, uniform, loads 0.1–0.9, [`SimConfig::default`], the cycle
-//! backend, cold runs). A sweep's own key replaces the default, except
-//! `sim`, whose keys merge one by one over `[defaults.sim]`. Every
-//! `[defaults]` value must parse even when every sweep overrides it,
-//! and the engine bounds apply to each sweep's merged `sim`.
+//! (`routing`, `traffic`, `loads`, `sim`, `backend`) and is applied
+//! once, onto the built-in defaults of [`SweepPlan::default`] (MIN,
+//! uniform, loads 0.1–0.9, [`SimConfig::default`], the cycle backend).
+//! A sweep's own key replaces the default, except `sim`, whose keys
+//! merge one by one over `[defaults.sim]`. Every `[defaults]` value
+//! must parse even when every sweep overrides it, and the engine
+//! bounds apply to each sweep's merged `sim`.
 //!
 //! **Matrix sugar**: `backends = [...]`, `fault_fractions = [...]`
 //! and/or `packet_sizes = [...]` expand one `[[sweep]]` template into
@@ -110,11 +109,8 @@
 //! nesting the fluent builder executes — assigning consecutive job
 //! ids. Record order is **defined by job id**, never by completion
 //! order, so a parallel run's output is byte-identical to a sequential
-//! one. With `warm_start = false` (the default) every load is its own
-//! [`Job`] and runs cold, bit-identical to the builder path; with
-//! `warm_start = true` the loads of one (topology, routing) chain into
-//! a single job that reuses the warmed simulator state between loads
-//! (see [`sf_sim::LoadSweep::run_warm`]).
+//! one. Every load is its own [`Job`] and runs cold on a fresh
+//! simulator, bit-identical to the builder path.
 
 use crate::error::SfError;
 use crate::experiment::Record;
@@ -290,10 +286,6 @@ pub struct SweepPlan {
     pub sim: SimConfig,
     /// Simulation tier (cycle engine or flow-level model).
     pub backend: Backend,
-    /// Chain the loads of each (topology, routing) through one warm
-    /// simulator instead of cold per-load runs (off by default; results
-    /// for non-first loads are then near-identical, not bit-identical).
-    pub warm_start: bool,
     /// Boot-time fault injection applied to every topology of this
     /// sweep (`None`: intact network).
     pub faults: Option<FaultPlan>,
@@ -308,7 +300,6 @@ impl Default for SweepPlan {
             loads: (1..10).map(|i| i as f64 / 10.0).collect(),
             sim: SimConfig::default(),
             backend: Backend::Cycle,
-            warm_start: false,
             faults: None,
         }
     }
@@ -518,22 +509,17 @@ impl ExperimentPlan {
                         // runs in [`JobSet::verify`].
                         sf_verify::spec_screen(routing, sweep.sim.num_vcs)?;
                     }
-                    let chains: Vec<Vec<f64>> = if sweep.warm_start {
-                        vec![sweep.loads.clone()]
-                    } else {
-                        sweep.loads.iter().map(|&l| vec![l]).collect()
-                    };
-                    for loads in chains {
+                    for &load in &sweep.loads {
                         jobs.push(Job {
                             id: jobs.len(),
                             sweep: si,
                             topo: ti,
                             routing: *routing,
                             traffic: sweep.traffic,
-                            loads,
+                            loads: vec![load],
                             sim: sweep.sim,
                             backend: sweep.backend,
-                            warm_start: sweep.warm_start,
+                            warm_start: false,
                         });
                     }
                 }
@@ -583,14 +569,7 @@ fn plan_err(msg: &str) -> SfError {
 
 /// The keys [`SweepPlan::apply`] reads: all `[defaults]` takes, and
 /// what a sweep shares with it.
-const TEMPLATE_KEYS: [&str; 6] = [
-    "routing",
-    "traffic",
-    "loads",
-    "sim",
-    "backend",
-    "warm_start",
-];
+const TEMPLATE_KEYS: [&str; 5] = ["routing", "traffic", "loads", "sim", "backend"];
 
 /// The first key of `t` that is neither a template key nor in `extra`.
 fn unknown_key<'a>(t: &'a toml::Map, extra: &[&str]) -> Option<&'a String> {
@@ -601,7 +580,7 @@ fn unknown_key<'a>(t: &'a toml::Map, extra: &[&str]) -> Option<&'a String> {
 impl SweepPlan {
     /// Sets the fields a `[defaults]` or `[[sweep]]` table names, in
     /// this order: routing, traffic, loads, sim (key by key onto the
-    /// current configuration), warm_start, backend.
+    /// current configuration), backend.
     fn apply(&mut self, v: &Value) -> Result<(), SfError> {
         if let Some(r) = v.get("routing") {
             self.routings = parse_routings(r)?;
@@ -614,11 +593,6 @@ impl SweepPlan {
         }
         if let Some(s) = v.get("sim") {
             apply_sim(&mut self.sim, s)?;
-        }
-        if let Some(b) = v.get("warm_start") {
-            self.warm_start = b
-                .as_bool()
-                .ok_or_else(|| plan_err("warm_start must be a boolean"))?;
         }
         if let Some(b) = v.get("backend") {
             self.backend = parse_backend(b)?;
@@ -934,9 +908,8 @@ fn check_sim_bounds(cfg: &SimConfig) -> Result<(), SfError> {
     Ok(())
 }
 
-/// One schedulable unit: a chain of offered loads on a fixed
-/// (topology, routing, traffic, simulator) configuration. With
-/// `warm_start = false` the chain has exactly one load.
+/// One schedulable unit: one offered load on a fixed (topology,
+/// routing, traffic, simulator) configuration, run cold.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Job {
     /// Position in the deterministic output order.
@@ -950,13 +923,14 @@ pub struct Job {
     pub routing: RoutingSpec,
     /// Traffic pattern.
     pub traffic: TrafficSpec,
-    /// Offered loads, run in order (one per job unless warm-started).
+    /// The job's offered load: always exactly one.
     pub loads: Vec<f64>,
     /// Simulator configuration.
     pub sim: SimConfig,
     /// Which evaluation tier runs this job.
     pub backend: Backend,
-    /// Whether the loads chain through one warm simulator.
+    /// Always `false`: every load runs cold. Kept while the benchmark's
+    /// traced replica (`examples/sf_benchmark`) still reads it.
     pub warm_start: bool,
 }
 
@@ -1085,7 +1059,7 @@ impl JobSet {
     /// The content-address of `job`'s records in a [`ResultCache`]
     /// (see [`crate::cache::job_key`]): a stable hash over the job's
     /// topology instance (spec + fault plan), routing, traffic,
-    /// backend, loads, warm-start flag, and every `sim` field — plus
+    /// backend, load, and every `sim` field — plus
     /// the engine epoch. Identical across worker counts, and across
     /// plans that merely reposition the job.
     ///
@@ -1225,22 +1199,16 @@ impl JobSet {
             .map_err(Clone::clone)?
             .as_ref();
         let pattern = self.pattern(job)?;
-        let results = if job.warm_start {
-            LoadSweep::run_warm(&ctx.net, ctx.tables(), router, pattern, &job.loads, job.sim)
-        } else {
-            // Cold per-load runs, bit-identical to the sequential
-            // builder path (same per-load seed derivation).
-            job.loads
-                .iter()
-                .map(|&load| {
-                    let mut c = job.sim;
-                    c.seed = LoadSweep::seed_for_load(&job.sim, load);
-                    Simulator::new(&ctx.net, ctx.tables(), router, pattern, load, c).run()
-                })
-                .collect()
-        };
-        Ok(results
-            .into_iter()
+        // A cold run per load, bit-identical to the sequential builder
+        // path (same per-load seed derivation).
+        Ok(job
+            .loads
+            .iter()
+            .map(|&load| {
+                let mut c = job.sim;
+                c.seed = LoadSweep::seed_for_load(&job.sim, load);
+                Simulator::new(&ctx.net, ctx.tables(), router, pattern, load, c).run()
+            })
             .map(|r| Record {
                 topology: ctx.net.name.clone(),
                 spec: spec_str.clone(),
@@ -1399,7 +1367,6 @@ mod tests {
         routing = "ecmp"
         traffic = "shift"
         loads = [0.3]
-        warm_start = true
 
         [sweep.sim]
         num_vcs = 6
@@ -1421,7 +1388,7 @@ mod tests {
         assert_eq!(s0.loads, vec![0.1, 0.2]);
         assert_eq!(s0.sim.warmup, 150);
         assert_eq!(s0.sim.num_vcs, SimConfig::default().num_vcs);
-        assert!(!s0.warm_start);
+        assert_eq!(s0.backend, Backend::Cycle);
         let s1 = &plan.sweeps[1];
         assert_eq!(s1.topos.len(), 2);
         assert_eq!(s1.routings, vec![RoutingSpec::Ecmp]);
@@ -1432,25 +1399,24 @@ mod tests {
             s1.sim.warmup, 150,
             "defaults.sim survives a sweep.sim override"
         );
-        assert!(s1.warm_start);
         // A sweep's own key replaces the default, even when it restores
         // the built-in value.
         let plan = ExperimentPlan::from_toml_str(
-            "[figure]\nname = \"x\"\n[defaults]\nwarm_start = true\n\
-             [[sweep]]\ntopo = \"sf:q=5\"\nwarm_start = false\n\
+            "[figure]\nname = \"x\"\n[defaults]\nbackend = \"flow\"\n\
+             [[sweep]]\ntopo = \"sf:q=5\"\nbackend = \"cycle\"\n\
              [[sweep]]\ntopo = \"sf:q=5\"",
         )
         .unwrap();
-        assert!(!plan.sweeps[0].warm_start);
-        assert!(plan.sweeps[1].warm_start);
+        assert_eq!(plan.sweeps[0].backend, Backend::Cycle);
+        assert_eq!(plan.sweeps[1].backend, Backend::Flow);
     }
 
     #[test]
     fn expansion_is_flat_and_deterministic() {
         let plan = ExperimentPlan::from_toml_str(FIG).unwrap();
         let set = plan.expand().unwrap();
-        // Sweep 0: 1 topo × 2 routings × 2 loads (cold: 1 job each) = 4.
-        // Sweep 1: 2 topos × 1 routing, warm: 1 chained job each = 2.
+        // Sweep 0: 1 topo × 2 routings × 2 loads = 4 jobs.
+        // Sweep 1: 2 topos × 1 routing × 1 load = 2 jobs.
         assert_eq!(set.jobs().len(), 6);
         assert_eq!(set.num_records(), 6);
         assert_eq!(set.topos().len(), 2, "sf:q=5 deduplicated across sweeps");
@@ -1460,7 +1426,10 @@ mod tests {
         assert_eq!(set.jobs()[0].loads, vec![0.1]);
         assert_eq!(set.jobs()[1].loads, vec![0.2]);
         assert_eq!(set.jobs()[4].loads, vec![0.3]);
-        assert!(set.jobs()[4].warm_start);
+        assert!(set
+            .jobs()
+            .iter()
+            .all(|j| j.loads.len() == 1 && !j.warm_start));
         assert_eq!(set.jobs()[5].topo, 1);
     }
 
@@ -1824,6 +1793,23 @@ mod tests {
                 .contains("unknown sweep key \"concentrations\""),
             "{err}"
         );
+        // Nor a warm-start key: every load runs cold.
+        for (plan, want) in [
+            (
+                format!("{base}warm_start = true"),
+                "unknown sweep key \"warm_start\"",
+            ),
+            (
+                "[figure]\nname = \"x\"\n[defaults]\nwarm_start = true\n\
+                 [[sweep]]\ntopo = \"sf:q=5\""
+                    .to_string(),
+                "unknown [defaults] key \"warm_start\"",
+            ),
+        ] {
+            let err = ExperimentPlan::from_toml_str(&plan).unwrap_err();
+            assert!(matches!(err, SfError::Plan(_)), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]

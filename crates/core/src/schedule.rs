@@ -296,8 +296,8 @@ mod tests {
     use crate::sink::MemorySink;
     use proptest::prelude::*;
 
-    fn tiny_plan(warm: bool) -> ExperimentPlan {
-        ExperimentPlan::from_toml_str(&format!(
+    fn tiny_plan() -> ExperimentPlan {
+        ExperimentPlan::from_toml_str(
             r#"
             [figure]
             name = "sched-test"
@@ -305,13 +305,12 @@ mod tests {
             topo = "sf:q=5"
             routing = ["min", "val"]
             loads = [0.1, 0.2, 0.3]
-            warm_start = {warm}
             [sweep.sim]
             warmup = 120
             measure = 240
             drain = 800
-            "#
-        ))
+            "#,
+        )
         .unwrap()
     }
 
@@ -329,17 +328,13 @@ mod tests {
 
     #[test]
     fn parallel_stream_is_byte_identical_to_sequential() {
-        for warm in [false, true] {
-            let plan = tiny_plan(warm);
-            let seq = csv_of(&plan, 1);
-            let par = csv_of(&plan, 4);
-            assert_eq!(seq, par, "warm={warm}");
-        }
+        let plan = tiny_plan();
+        assert_eq!(csv_of(&plan, 1), csv_of(&plan, 4));
     }
 
     #[test]
     fn report_counts_jobs_and_workers() {
-        let plan = tiny_plan(false);
+        let plan = tiny_plan();
         let mut set = plan.expand().unwrap();
         let mut sink = MemorySink::new();
         let report = Scheduler::new(3).run(&mut set, &mut sink).unwrap();
@@ -481,7 +476,7 @@ mod tests {
 
     #[test]
     fn a_failing_sink_ends_the_run_with_its_error_and_still_flushes() {
-        let plan = tiny_plan(false);
+        let plan = tiny_plan();
         for workers in [1, 2] {
             for fail_at in [1, 4, 6] {
                 let mut set = plan.expand().unwrap();

@@ -94,11 +94,10 @@ fn any_sweep() -> impl Strategy<Value = SweepPlan> {
         prop::collection::vec(0u32..41, 1..6),
         any_sim(),
         any::<bool>(),
-        any::<bool>(),
         any_faults(),
     )
         .prop_map(
-            |(topos, mut routings, mut traffic, loads, sim, flow, warm_start, faults)| {
+            |(topos, mut routings, mut traffic, loads, sim, flow, faults)| {
                 // Worst-case traffic composed with (non-noop) fault
                 // injection is rejected at expand() by design — a
                 // dedicated test pins that; keep generated plans
@@ -148,7 +147,6 @@ fn any_sweep() -> impl Strategy<Value = SweepPlan> {
                     loads,
                     sim,
                     backend,
-                    warm_start,
                     faults,
                 }
             },
@@ -188,10 +186,10 @@ fn write_plan(plan: &ExperimentPlan) -> String {
         let topos = quoted(s.topos.iter().map(|t| t.to_string()).collect());
         let routings = quoted(s.routings.iter().map(|r| r.to_string()).collect());
         let loads: Vec<String> = s.loads.iter().map(|l| format!("{l:?}")).collect();
-        let (traffic, backend, warm_start) = (s.traffic, s.backend, s.warm_start);
+        let (traffic, backend) = (s.traffic, s.backend);
         out += &format!(
             "\n[[sweep]]\ntopos = {topos}\nrouting = {routings}\ntraffic = \"{traffic}\"\n\
-             backend = \"{backend}\"\nloads = [{}]\nwarm_start = {warm_start}\n",
+             backend = \"{backend}\"\nloads = [{}]\n",
             loads.join(", ")
         );
         if let Some(FaultPlan {
@@ -296,16 +294,14 @@ proptest! {
         let a = plan.expand().unwrap();
         let b = plan.expand().unwrap();
         prop_assert_eq!(a.jobs(), b.jobs());
-        // Ids are the positions; chained jobs appear iff warm-started;
+        // Ids are the positions; every job runs exactly one load, cold;
         // every topo index is in range.
         let mut records = 0;
         for (i, job) in a.jobs().iter().enumerate() {
             prop_assert_eq!(job.id, i);
             prop_assert!(job.topo < a.topos().len());
-            prop_assert!(!job.loads.is_empty());
-            if !job.warm_start {
-                prop_assert_eq!(job.loads.len(), 1);
-            }
+            prop_assert_eq!(job.loads.len(), 1);
+            prop_assert!(!job.warm_start);
             records += job.loads.len();
         }
         prop_assert_eq!(records, a.num_records());

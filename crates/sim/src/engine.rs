@@ -3,8 +3,8 @@
 //! One [`Simulator`] instance owns the full router state for a network ×
 //! routing-algorithm × traffic-pattern configuration at one offered load
 //! and steps it on the calling thread. Latency-vs-load curves (Fig 6 /
-//! Fig 8) are many such runs, one per load point ([`LoadSweep`] holds
-//! the per-load seeding and the warm-start chain); running them in
+//! Fig 8) are many such runs, one cold simulator per load point
+//! ([`LoadSweep`] holds the per-load seeding); running them in
 //! parallel is the job scheduler's business (`slimfly::schedule`).
 //!
 //! # Engine internals: state layout and the hot path
@@ -911,7 +911,7 @@ fn mask_get(mask: &[u64], i: usize) -> bool {
     mask[i / 64] >> (i % 64) & 1 == 1
 }
 
-/// Measurement accumulators of the current phase.
+/// Measurement accumulators of the run.
 struct Meters {
     stats: LatencyStats,
     hops_sum: u64,
@@ -1081,16 +1081,9 @@ pub struct Simulator<'a> {
 
     /// The one RNG stream (see "Randomness" in the module docs).
     rng: StdRng,
-    /// Measurement accumulators of the current phase.
+    /// Measurement accumulators of the run.
     m: Meters,
     now: u32,
-
-    /// First cycle of the current measurement window (warm-up ends
-    /// here). Instance state, not derived from `cfg`, so a warm-start
-    /// chain can re-arm a fresh window mid-run ([`Simulator::rearm`]).
-    win_start: u32,
-    /// One past the last cycle of the current measurement window.
-    win_end: u32,
 }
 
 impl<'a> Simulator<'a> {
@@ -1236,8 +1229,6 @@ impl<'a> Simulator<'a> {
             rng: StdRng::seed_from_u64(cfg.seed),
             m: Meters::new(),
             now: 0,
-            win_start: cfg.warmup,
-            win_end: cfg.warmup + cfg.measure,
         }
     }
 }
@@ -1248,9 +1239,16 @@ impl Simulator<'_> {
         slot_port_of(self.cfg.num_vcs, self.nvc_magic, slot)
     }
 
+    /// One past the last cycle of the measurement window, which
+    /// starts when warm-up ends.
+    #[inline]
+    fn measure_end(&self) -> u32 {
+        self.cfg.warmup + self.cfg.measure
+    }
+
     #[inline]
     fn in_window(&self, t: u32) -> bool {
-        t >= self.win_start && t < self.win_end
+        t >= self.cfg.warmup && t < self.measure_end()
     }
 
     /// Asks the routing policy for an injection-time decision.
@@ -1762,7 +1760,9 @@ impl Simulator<'_> {
             self.eject_and_allocate(t);
             self.transmission(t);
             self.now += 1;
-            if early && self.now >= self.win_end && self.m.sample_ejected >= self.m.sample_generated
+            if early
+                && self.now >= self.measure_end()
+                && self.m.sample_ejected >= self.m.sample_generated
             {
                 break;
             }
@@ -2021,45 +2021,26 @@ impl<'a> Simulator<'a> {
         self.run_phase()
     }
 
-    /// Re-arms the simulator for another offered load **without
-    /// clearing the warmed queue state**: buffers, credits, staged and
-    /// in-flight flits all carry over from the previous phase, while
-    /// every measurement counter resets and a fresh
-    /// warm-up + measurement window is scheduled starting at the
-    /// current cycle. The RNG stream reseeds from `seed`, mirroring
-    /// construction.
-    ///
-    /// This is the warm-start fast path for load sweeps
-    /// ([`LoadSweep::run_warm`]): consecutive loads on the same
-    /// (network, routing, traffic) configuration skip the cold ramp
-    /// from empty queues. Results are *not* bit-identical to cold
-    /// per-load runs (the queue history differs by construction), which
-    /// is why sweep drivers only take this path behind an explicit
-    /// opt-in flag.
-    pub fn rearm(&mut self, load: f64, seed: u64) {
-        assert!((0.0..=1.0).contains(&load));
-        self.load = load;
-        self.rng = StdRng::seed_from_u64(seed);
-        self.win_start = self.now + self.cfg.warmup;
-        self.win_end = self.win_start + self.cfg.measure;
-        self.m = Meters::new();
-        for c in &mut self.link_flits {
-            *c = 0;
-        }
+    /// Stops packet generation: the offered load drops to 0, while
+    /// queued and in-flight packets keep moving, so further
+    /// [`Simulator::step`]s drain the network to the reset state that
+    /// [`Simulator::verify_quiescent`] checks.
+    pub fn stop_sources(&mut self) {
+        self.load = 0.0;
     }
 
-    /// Drives the current warm-up + measurement (+ drain) phase to
-    /// completion and returns its aggregate results. Equivalent to
-    /// [`Simulator::run`] on a fresh simulator; after
-    /// [`Simulator::rearm`] it measures the re-armed window instead.
+    /// Drives the configured warm-up + measurement (+ drain) schedule
+    /// to completion from the current cycle and returns its aggregate
+    /// results. Equivalent to [`Simulator::run`] on a fresh simulator;
+    /// after some [`Simulator::step`]s it finishes the schedule they
+    /// started.
     pub fn run_phase(&mut self) -> SimResult {
-        let phase_start = self.win_start - self.cfg.warmup;
-        let horizon = self.win_end + self.cfg.drain;
+        let horizon = self.measure_end() + self.cfg.drain;
         self.advance(horizon, true);
-        // Every debug-build simulation checks conservation once per
-        // phase: the credit loop and the incremental counters against
-        // from-scratch recomputations (O(state), so release builds skip
-        // it).
+        // Every debug-build simulation checks conservation once, at
+        // the end of its run: the credit loop and the incremental
+        // counters against from-scratch recomputations (O(state), so
+        // release builds skip it).
         #[cfg(debug_assertions)]
         if let Err(e) = self
             .verify_credit_round_trip()
@@ -2104,60 +2085,25 @@ impl<'a> Simulator<'a> {
             } else {
                 sum_util / nlinks as f64
             },
-            cycles: self.now - phase_start,
+            cycles: self.now,
         }
     }
 }
 
-/// Load-sweep helpers: per-load seeding and the warm-start chain.
-/// Parallelism across load points belongs to the job scheduler
-/// (`slimfly::schedule`), not to this crate.
+/// Load-sweep helper: per-load seeding. Every load point runs on its
+/// own cold [`Simulator`]; parallelism across load points belongs to
+/// the job scheduler (`slimfly::schedule`), not to this crate.
 pub struct LoadSweep;
 
 impl LoadSweep {
-    /// Per-load seed used by every sweep driver (cold and warm): the
-    /// base seed perturbed by the offered load, so each load point
-    /// draws an independent, reproducible stream.
+    /// Per-load seed used by every sweep driver: the base seed
+    /// perturbed by the offered load, so each load point draws an
+    /// independent, reproducible stream.
     pub fn seed_for_load(cfg: &SimConfig, load: f64) -> u64 {
         cfg.seed.wrapping_add((load * 1e4) as u64)
     }
-
-    /// Runs `loads` **sequentially on one warm simulator**: the first
-    /// load starts cold (bit-identical to a fresh [`Simulator`] seeded
-    /// with [`LoadSweep::seed_for_load`]), every later load re-arms the same simulator
-    /// ([`Simulator::rearm`]), reusing the warmed queue state instead
-    /// of re-warming from empty. Results for the later loads are close
-    /// to, but not bit-identical with, their cold equivalents — sweep
-    /// drivers expose this behind an explicit `warm_start` opt-in.
-    pub fn run_warm(
-        net: &Network,
-        tables: &RoutingTables,
-        router: &dyn Router,
-        pattern: &TrafficPattern,
-        loads: &[f64],
-        cfg: SimConfig,
-    ) -> Vec<SimResult> {
-        let mut out = Vec::with_capacity(loads.len());
-        let mut sim: Option<Simulator> = None;
-        for &load in loads {
-            let seed = Self::seed_for_load(&cfg, load);
-            match sim.as_mut() {
-                None => {
-                    let mut c = cfg;
-                    c.seed = seed;
-                    sim = Some(Simulator::new(net, tables, router, pattern, load, c));
-                }
-                Some(s) => s.rearm(load, seed),
-            }
-            out.push(
-                sim.as_mut()
-                    .expect("sim is constructed on the first iteration")
-                    .run_phase(),
-            );
-        }
-        out
-    }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2509,7 +2455,7 @@ mod tests {
         sim.verify_credit_round_trip().unwrap();
         sim.verify_occupancy_counters().unwrap();
         // Quiet the sources: the wormhole state must fully unwind.
-        sim.rearm(0.0, 99);
+        sim.stop_sources();
         for _ in 0..5_000 {
             sim.step();
             if sim.verify_quiescent().is_ok() {
@@ -2661,64 +2607,6 @@ mod tests {
             sim.step();
         }
         sim.verify_occupancy_counters().unwrap();
-    }
-
-    #[test]
-    fn warm_chain_first_load_matches_cold_run() {
-        // The first load of a warm chain starts cold, so it must be
-        // bit-identical to the plain per-load path; later loads reuse
-        // warmed queues and must still produce sane, drained results.
-        let (net, tables) = small_sf();
-        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
-        let loads = [0.1, 0.2, 0.3];
-        let cfg = quick_cfg(7);
-        let cold: Vec<SimResult> = loads
-            .iter()
-            .map(|&load| {
-                let c = SimConfig {
-                    seed: LoadSweep::seed_for_load(&cfg, load),
-                    ..cfg
-                };
-                Simulator::new(&net, &tables, &MinRouter, &pat, load, c).run()
-            })
-            .collect();
-        let warm = LoadSweep::run_warm(&net, &tables, &MinRouter, &pat, &loads, cfg);
-        assert_eq!(warm.len(), 3);
-        assert_eq!(cold[0].avg_latency, warm[0].avg_latency);
-        assert_eq!(cold[0].ejected, warm[0].ejected);
-        assert_eq!(cold[0].cycles, warm[0].cycles);
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.offered_load, w.offered_load);
-            assert!(!w.saturated, "warm chain must drain at low loads");
-            assert!(w.ejected > 0);
-            // Warm steady-state latency stays in the same regime as the
-            // cold measurement (loose envelope: it skips the cold ramp,
-            // not the physics).
-            assert!(
-                (w.avg_latency - c.avg_latency).abs() < 0.2 * c.avg_latency,
-                "load {}: warm {} vs cold {}",
-                c.offered_load,
-                w.avg_latency,
-                c.avg_latency
-            );
-        }
-    }
-
-    #[test]
-    fn rearm_resets_measurement_but_keeps_queues() {
-        let (net, tables) = small_sf();
-        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
-        let mut sim = Simulator::new(&net, &tables, &MinRouter, &pat, 0.4, quick_cfg(8));
-        let first = sim.run_phase();
-        assert!(first.ejected > 0);
-        let cycles_so_far = sim.now();
-        sim.rearm(0.1, 42);
-        assert_eq!(sim.now(), cycles_so_far, "rearm must not advance time");
-        sim.verify_occupancy_counters().unwrap();
-        let second = sim.run_phase();
-        assert_eq!(second.offered_load, 0.1);
-        assert!(second.ejected > 0);
-        assert!(!second.saturated);
     }
 
     #[test]

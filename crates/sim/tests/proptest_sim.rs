@@ -164,7 +164,7 @@ proptest! {
         }
         // Quiet the sources and drain: every credit must come home and
         // every tail must have released its reservation.
-        sim.rearm(0.0, seed);
+        sim.stop_sources();
         for _ in 0..20_000 {
             sim.step();
             if sim.verify_quiescent().is_ok() {
@@ -270,7 +270,7 @@ proptest! {
         if let Err(e) = sim.verify_occupancy_counters() {
             prop_assert!(false, "{} frac {frac}: {e}", router.label());
         }
-        sim.rearm(0.0, seed ^ 0xDEAD);
+        sim.stop_sources();
         for _ in 0..20_000 {
             sim.step();
             if sim.verify_quiescent().is_ok() {
@@ -287,18 +287,18 @@ proptest! {
     }
 
     #[test]
-    fn step_batches_rearm_and_phase_conserve_credits(
+    fn step_batches_then_run_phase_conserve_credits(
         load in 0.05f64..0.4,
         seed in 0u64..200,
         algo_idx in 0usize..6,
         size_idx in 0usize..2,
         batches in proptest::collection::vec(1usize..40, 1..5),
     ) {
-        // Random step batches, then a rearm and a full measurement
-        // phase: the occupancy counters and the credit round trip must
-        // hold at every batch boundary and after the phase, for every
-        // routing scheme (including the per-hop adaptive one) and for
-        // wormhole packets.
+        // Random step batches, then run_phase for the rest of the
+        // schedule: the occupancy counters and the credit round trip
+        // must hold at every batch boundary and after the run, for
+        // every routing scheme (including the per-hop adaptive one) and
+        // for wormhole packets.
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();
         let tables = RoutingTables::new(&net.graph);
@@ -328,7 +328,6 @@ proptest! {
                 prop_assert!(false, "{} after {} cycles: {e}", router.label(), sim.now());
             }
         }
-        sim.rearm(load, seed ^ 0x5EED);
         sim.run_phase();
         if let Err(e) = sim.verify_credit_round_trip() {
             prop_assert!(false, "{} after phase: {e}", router.label());

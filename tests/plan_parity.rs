@@ -242,49 +242,3 @@ fn paper_size_figure_files_are_the_quick_files_upsized() {
         );
     }
 }
-
-#[test]
-fn warm_start_flag_changes_only_non_first_chain_loads() {
-    // Parity pin for the warm-start default: the flag off must leave
-    // records exactly as the cold path produces them, and on it must
-    // keep the first load of each chain bit-identical.
-    let base = ExperimentPlan::from_toml_str(
-        r#"
-        [figure]
-        name = "warm"
-        [[sweep]]
-        topo = "sf:q=5"
-        routing = ["min"]
-        loads = [0.1, 0.3]
-        [sweep.sim]
-        warmup = 150
-        measure = 300
-        drain = 1000
-        "#,
-    )
-    .unwrap();
-    let mut warm = base.clone();
-    warm.sweeps[0].warm_start = true;
-
-    let cold_records = run_plan(&base, 2);
-    let builder_records = Experiment::on("sf:q=5")
-        .routing(RoutingSpec::Min)
-        .loads(&[0.1, 0.3])
-        .sim(quick_sim())
-        .run()
-        .unwrap();
-    assert_eq!(
-        csv_stream(&cold_records),
-        csv_stream(&builder_records),
-        "warm_start = false (the default) must stay bit-identical to the builder path"
-    );
-
-    let warm_records = run_plan(&warm, 2);
-    assert_eq!(warm_records.len(), 2);
-    assert_eq!(
-        warm_records[0].to_csv(),
-        cold_records[0].to_csv(),
-        "first load of a warm chain starts cold"
-    );
-    assert!(warm_records[1].accepted > 0.0);
-}
