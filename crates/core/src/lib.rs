@@ -81,8 +81,7 @@
 //! * [`sink`] — streaming [`RecordSink`]s (CSV/JSON-lines/memory/tee);
 //! * [`report`] — markdown report generation for EXPERIMENTS.md;
 //! * [`error`] — the workspace-wide [`SfError`];
-//! * [`zoo`] — the paper's "library of practical topologies" (§VII-A);
-//! * [`expansion`] — incremental endpoint growth (§VII-C).
+//! * [`zoo`] — the paper's "library of practical topologies" (§VII-A).
 
 #![deny(clippy::unwrap_used, clippy::allow_attributes_without_reason)]
 
@@ -98,7 +97,6 @@ pub use sf_verify as verify;
 
 pub mod cache;
 pub mod error;
-pub mod expansion;
 pub mod experiment;
 pub mod plan;
 pub mod report;
