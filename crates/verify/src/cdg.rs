@@ -91,6 +91,12 @@ impl ChannelDependencyGraph {
         self.chans[id as usize]
     }
 
+    /// The sorted successor ids of channel `id`.
+    #[cfg(test)]
+    pub(crate) fn successors(&self, id: u32) -> &[u32] {
+        &self.succ[id as usize]
+    }
+
     /// Attempts to add `path` (all hops on VC `vc`); if the addition
     /// would create a cycle the graph is rolled back and `false` is
     /// returned. Used by the incremental layered assignment.

@@ -321,6 +321,7 @@ fn add_min_dag_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdg::render_witness;
 
     fn ring(n: u32) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -422,5 +423,98 @@ mod tests {
         assert_eq!(size(&df, RoutingSpec::Min, 3), (540, 1008));
         let hc = sf_topo::hypercube::Hypercube::new(6).router_graph();
         assert_eq!(size(&hc, RoutingSpec::Min, 7), (2688, 11520));
+    }
+
+    /// FNV-1a over every channel triple in id order, then every
+    /// successor list: equal hashes mean the same first-seen ids and
+    /// the same sorted edges.
+    fn cdg_hash(cdg: &ChannelDependencyGraph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u32| {
+            for byte in x.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let n = cdg.num_channels() as u32;
+        for id in 0..n {
+            let (from, to, vc) = cdg.channel(id);
+            eat(from);
+            eat(to);
+            eat(vc as u32);
+        }
+        for id in 0..n {
+            let succ = cdg.successors(id);
+            eat(succ.len() as u32);
+            succ.iter().for_each(|&c| eat(c));
+        }
+        h
+    }
+
+    /// The CDG bit for bit — sizes, `clamped`, `max_hops`, a hash of
+    /// the channel list and successor lists, and the rendered cycle
+    /// witness — over six graphs × six routings × 1–4 VCs. The pins
+    /// live in `tests/golden/cdg_pins.txt`, one line per cell; a
+    /// mismatch prints the whole rendered table.
+    #[test]
+    fn cdg_bits_are_pinned() {
+        let graphs: [(&str, Graph); 6] = [
+            ("sf:q=5", sf_topo::SlimFly::new(5).unwrap().router_graph()),
+            (
+                "df:p=2",
+                sf_topo::dragonfly::Dragonfly::balanced(2).router_graph(),
+            ),
+            (
+                "ft3:p=4",
+                sf_topo::fattree::FatTree3 { p: 4, full: false }.router_graph(),
+            ),
+            (
+                "torus2:k=4",
+                sf_topo::torus::Torus::new(vec![4, 4]).router_graph(),
+            ),
+            (
+                "hc:d=4",
+                sf_topo::hypercube::Hypercube::new(4).router_graph(),
+            ),
+            (
+                "dln:nr=32,y=3",
+                sf_topo::random_dln::RandomDln::new(32, 3, 0x5F1A_2014).router_graph(),
+            ),
+        ];
+        let routings = [
+            RoutingSpec::Min,
+            RoutingSpec::Valiant { cap3: false },
+            RoutingSpec::Valiant { cap3: true },
+            RoutingSpec::UgalL { candidates: 4 },
+            RoutingSpec::Ecmp,
+            RoutingSpec::FatPaths { layers: 2 },
+        ];
+        let mut rendered = String::new();
+        for (name, g) in &graphs {
+            let t = RoutingTables::new(g);
+            for spec in &routings {
+                for vcs in 1..=4 {
+                    let cell = match wormhole_cdg(g, &t, spec, vcs) {
+                        Ok(w) => format!(
+                            "{} ch, {} edges, clamped={}, hops={}, fnv={:016x}, {}",
+                            w.cdg.num_channels(),
+                            w.cdg.num_edges(),
+                            w.clamped,
+                            w.max_hops,
+                            cdg_hash(&w.cdg),
+                            w.cdg
+                                .find_cycle()
+                                .map_or("acyclic".into(), |c| render_witness(&c))
+                        ),
+                        Err(e) => format!("error: {e}"),
+                    };
+                    rendered += &format!("{name} {} vcs={vcs}: {cell}\n", spec.label());
+                }
+            }
+        }
+        let pinned = include_str!("../tests/golden/cdg_pins.txt");
+        assert!(
+            rendered == pinned,
+            "CDG pins moved; the rendered table is:\n{rendered}"
+        );
     }
 }

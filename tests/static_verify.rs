@@ -4,8 +4,8 @@
 //! cycle witness — the same pass `sf-bench verify figures/*.toml` and
 //! `sf-bench run` execute before any cycle is simulated.
 
-use slimfly::plan::ExperimentPlan;
-use slimfly::verify::{DeadlockStatus, VerifyError};
+use slimfly::plan::{Backend, ExperimentPlan};
+use slimfly::verify::{verify_combo, DeadlockStatus, VerifyError};
 use slimfly::SfError;
 
 #[test]
@@ -177,4 +177,75 @@ fn routes_longer_than_the_engine_carries_are_typed_errors() {
         slimfly::verify::check_path_capacity("torus3:k=8", &ecmp, 12),
         Ok(())
     );
+}
+
+/// Concentration variants and packet sizes share a router graph; a
+/// fault-degraded instance does not. However `JobSet::verify` gets its
+/// certificates, each must equal what `verify_combo` proves for its own
+/// combination, in job order, label and packet size included.
+#[test]
+fn every_certificate_equals_its_own_combination_proof() {
+    let plan = ExperimentPlan::from_toml_str(
+        "[figure]\nname = \"verify-share\"\n\
+         [[sweep]]\ntopos = [\"sf:q=5\", \"sf:q=5,p=2\"]\n\
+         routing = [\"min\", \"ugal-l:c=4\"]\npacket_sizes = [1, 4]\nloads = [0.1]\n\
+         [[sweep]]\ntopo = \"sf:q=5\"\nrouting = [\"min\"]\nloads = [0.1]\n\
+         fault_fractions = [0.0, 0.05]\n\
+         [sweep.faults]\nseed = 7\nmode = \"random\"\n",
+    )
+    .unwrap();
+    let mut set = plan.expand().unwrap();
+    let certs = set.verify().unwrap();
+    assert_eq!(set.topos().len(), 3);
+
+    let mut seen = Vec::new();
+    let mut direct = Vec::new();
+    for job in set.jobs() {
+        let key = (job.topo, job.routing, job.sim.num_vcs, job.sim.packet_size);
+        if job.backend != Backend::Cycle || seen.contains(&key) {
+            continue;
+        }
+        seen.push(key);
+        let label = match &set.topo_faults()[job.topo] {
+            None => set.topos()[job.topo].to_string(),
+            Some(f) => format!("{}{}", set.topos()[job.topo], f.suffix()),
+        };
+        let ctx = set.ctx(job);
+        direct.push(
+            verify_combo(
+                &label,
+                &ctx.net.graph,
+                ctx.tables(),
+                &job.routing,
+                job.sim.num_vcs,
+                job.sim.packet_size,
+            )
+            .unwrap(),
+        );
+    }
+    assert_eq!(certs.len(), 9);
+    assert_eq!(certs, direct);
+
+    let degraded = "sf:q=5 [faults l=0.05 r=0 s=7 random]";
+    for c in &certs {
+        assert!(
+            ["sf:q=5", "sf:q=5,p=2", degraded].contains(&c.topo.as_str()),
+            "{c}"
+        );
+        if c.routing == "MIN" {
+            let (channels, edges) = if c.topo == degraded {
+                (1328, 5676)
+            } else {
+                (1400, 6300)
+            };
+            assert!(
+                matches!(
+                    c.status,
+                    DeadlockStatus::CdgAcyclic { channels: ch, edges: e, .. }
+                        if (ch, e) == (channels, edges)
+                ),
+                "{c}"
+            );
+        }
+    }
 }
