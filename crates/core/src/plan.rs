@@ -1128,10 +1128,17 @@ impl JobSet {
     /// cycle witness for proven deadlocks — before any cycle is
     /// simulated. Flow-backend jobs are skipped: they have no VC or
     /// wormhole semantics (and flow-only plans never build tables).
+    ///
+    /// A proof depends only on the router graph, the routing and the
+    /// VC budget, so one is built per distinct triple. A later
+    /// combination over an equal graph — a concentration variant, or
+    /// another packet size, since the dependency edges do not depend
+    /// on it — gets a copy of that certificate with its own label and
+    /// packet size.
     pub fn verify(&mut self) -> Result<Vec<sf_verify::ComboCertificate>, SfError> {
         self.prepare()?;
         let mut seen: Vec<(usize, RoutingSpec, usize, usize)> = Vec::new();
-        let mut certs = Vec::new();
+        let mut certs: Vec<sf_verify::ComboCertificate> = Vec::new();
         for job in &self.jobs {
             if job.backend != Backend::Cycle {
                 continue;
@@ -1140,16 +1147,28 @@ impl JobSet {
             if seen.contains(&key) {
                 continue;
             }
+            let graph = &self.ctxs[job.topo].net.graph;
+            let proven = seen.iter().position(|&(topo, routing, num_vcs, _)| {
+                (routing, num_vcs) == (job.routing, job.sim.num_vcs)
+                    && (topo == job.topo || self.ctxs[topo].net.graph == *graph)
+            });
+            let topo = self.instance_label(job.topo);
+            let cert = match proven {
+                Some(i) => sf_verify::ComboCertificate {
+                    topo,
+                    packet_size: job.sim.packet_size,
+                    ..certs[i].clone()
+                },
+                None => sf_verify::verify_combo(
+                    &topo,
+                    graph,
+                    self.ctxs[job.topo].tables(),
+                    &job.routing,
+                    job.sim.num_vcs,
+                    job.sim.packet_size,
+                )?,
+            };
             seen.push(key);
-            let ctx = &self.ctxs[job.topo];
-            let cert = sf_verify::verify_combo(
-                &self.instance_label(job.topo),
-                &ctx.net.graph,
-                ctx.tables(),
-                &job.routing,
-                job.sim.num_vcs,
-                job.sim.packet_size,
-            )?;
             certs.push(cert);
         }
         Ok(certs)

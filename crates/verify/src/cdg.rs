@@ -1,23 +1,35 @@
 //! The channel dependency graph (Dally & Seitz): nodes are directed
-//! channels `(from → to, vc)`, edges connect consecutive channels some
+//! channels `(from, to, vc)`, edges connect consecutive channels some
 //! packet may hold simultaneously. Routing is deadlock-free iff the
 //! CDG is acyclic.
 //!
 //! The representation is fully deterministic: channels get dense ids in
-//! first-seen order out of a `BTreeMap` key index (no unordered hash
-//! iteration anywhere — `clippy.toml` bans `HashMap`/`HashSet`), the
-//! reverse map [`ChannelDependencyGraph::channel`] renders ids back to
+//! first-seen order (no unordered hash iteration anywhere —
+//! `clippy.toml` bans `HashMap`/`HashSet`), the reverse map
+//! [`ChannelDependencyGraph::channel`] renders ids back to
 //! `(from, to, vc)` triples for cycle witnesses, and successor lists
 //! are kept sorted so edges deduplicate in `O(log deg)` and every
 //! traversal — including [`ChannelDependencyGraph::find_cycle`] — visits
 //! them in one canonical order regardless of insertion history.
+//!
+//! Two builders resolve a channel to its id. The wormhole builder
+//! ([`crate::wormhole`]) indexes a flat table by (CSR link id, VC) and
+//! hands each unseen channel to the crate-private `push_channel`.
+//! The public [`add_edge`](ChannelDependencyGraph::add_edge),
+//! [`add_path`](ChannelDependencyGraph::add_path) and
+//! [`try_add_path_acyclic`](ChannelDependencyGraph::try_add_path_acyclic)
+//! take arbitrary router ids, so they go through a `BTreeMap` key
+//! index; on a graph the wormhole builder made, the first of them
+//! fills that index once from the channel list.
 
 use std::collections::BTreeMap;
 
 /// A channel dependency graph over directed channels tagged with VCs.
 #[derive(Default)]
 pub struct ChannelDependencyGraph {
-    /// Key index: (from, to, vc) → dense id, first-seen order.
+    /// Key index of the public builders: (from, to, vc) → dense id.
+    /// Empty on a graph [`Self::push_channel`] built until one of them
+    /// runs (see [`Self::channel_id`]).
     ids: BTreeMap<(u32, u32, u8), u32>,
     /// Reverse map: dense id → (from, to, vc), for witness rendering.
     chans: Vec<(u32, u32, u8)>,
@@ -33,6 +45,10 @@ impl ChannelDependencyGraph {
 
     /// Dense id of channel `(from, to, vc)`, allocating on first use.
     fn channel_id(&mut self, from: u32, to: u32, vc: u8) -> u32 {
+        if self.ids.len() < self.chans.len() {
+            // Channels pushed without the key index: index them once.
+            self.ids = (0..).zip(&self.chans).map(|(id, &ch)| (ch, id)).collect();
+        }
         let next = self.chans.len() as u32;
         let id = *self.ids.entry((from, to, vc)).or_insert(next);
         if id == next {
@@ -42,9 +58,18 @@ impl ChannelDependencyGraph {
         id
     }
 
+    /// Appends a channel the caller's own index has not seen and
+    /// returns its id, the next in first-seen order. The caller must
+    /// never push one channel twice.
+    pub(crate) fn push_channel(&mut self, ch: (u32, u32, u8)) -> u32 {
+        self.chans.push(ch);
+        self.succ.push(Vec::new());
+        self.chans.len() as u32 - 1
+    }
+
     /// Inserts edge `p → c` into the sorted successor list; returns the
     /// insertion position, or `None` if the edge already existed.
-    fn insert_succ(&mut self, p: u32, c: u32) -> Option<usize> {
+    pub(crate) fn insert_succ(&mut self, p: u32, c: u32) -> Option<usize> {
         match self.succ[p as usize].binary_search(&c) {
             Ok(_) => None,
             Err(pos) => {

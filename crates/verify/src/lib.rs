@@ -23,7 +23,7 @@
 //! expansion, so statically-deadlockable configurations are rejected
 //! with a typed diagnostic before any cycle is simulated.
 //!
-//! Everything here is deterministic by construction (`BTreeMap` keyed
+//! Everything here is deterministic by construction (first-seen
 //! channel ids, sorted successor lists); clippy enforces the same
 //! contract — no unordered hash containers, no wall-clock reads
 //! (`clippy.toml`), no bare `unwrap()` (this crate's `deny` line) —

@@ -35,6 +35,18 @@
 //! interesting case: a detour `s → … → x → m → x → … → d` legally
 //! reverses a link at its intermediate, which is exactly what makes an
 //! under-budgeted VC config cyclic.
+//!
+//! The enumeration does no work twice. Channels resolve through a flat
+//! table indexed by (CSR link id, VC) rather than the
+//! [`ChannelDependencyGraph`]'s `BTreeMap`, and ids stay first-seen, so
+//! the graph is the same id for id. `vc_base_slack` falls as hops
+//! grow, so the shortest partner leg gives a Valiant leg 1 or junction
+//! turn the widest VC-base range; both sit at hop offsets that do not
+//! depend on the partner, so each is enumerated once, at that range,
+//! which contains every longer partner's edges. Leg 2 starts at the
+//! partner's length and is enumerated per partner. A distance-2 pair's
+//! DAG interior is looked up among the source's neighbours instead of
+//! every router.
 
 use crate::cdg::ChannelDependencyGraph;
 use sf_graph::Graph;
@@ -70,10 +82,10 @@ pub fn wormhole_cdg(
 ) -> Result<WormholeCdg, RoutingError> {
     assert!(num_vcs >= 1, "the engine needs at least one VC");
     let diam = tables.max_distance() as usize;
-    let mut cdg = ChannelDependencyGraph::new();
+    let mut b = Builder::new(g, num_vcs);
     let (max_hops, clamped) = match spec {
         RoutingSpec::Min => {
-            let c = add_min_family(&mut cdg, g, tables, num_vcs, None);
+            let c = add_min_family(&mut b, g, tables, None);
             (diam, c)
         }
         RoutingSpec::Ecmp => {
@@ -81,17 +93,17 @@ pub fn wormhole_cdg(
             // declares at most ADAPTIVE_HOP_BUDGET hops for VC-base
             // slack purposes (engine injection).
             let cap = ADAPTIVE_HOP_BUDGET as usize;
-            let c = add_min_family(&mut cdg, g, tables, num_vcs, Some(cap));
+            let c = add_min_family(&mut b, g, tables, Some(cap));
             (diam, c)
         }
         RoutingSpec::Valiant { cap3 } => {
             let cap = if *cap3 { Some(3) } else { None };
-            let mut c = add_valiant_family(&mut cdg, g, tables, num_vcs, cap);
+            let mut c = add_valiant_family(&mut b, g, tables, cap);
             let bound = if *cap3 {
                 // cap3 redraws intermediates until the detour fits in 3
                 // hops and falls back to a plain minimal path after 64
                 // attempts — minimal paths are realizable too.
-                c |= add_min_family(&mut cdg, g, tables, num_vcs, None);
+                c |= add_min_family(&mut b, g, tables, None);
                 3.max(diam)
             } else {
                 2 * diam
@@ -101,27 +113,21 @@ pub fn wormhole_cdg(
         RoutingSpec::UgalL { .. } | RoutingSpec::UgalG { .. } => {
             // UGAL picks per packet between the minimal path and a
             // Valiant candidate: both families are realizable.
-            let mut c = add_min_family(&mut cdg, g, tables, num_vcs, None);
-            c |= add_valiant_family(&mut cdg, g, tables, num_vcs, None);
+            let mut c = add_min_family(&mut b, g, tables, None);
+            c |= add_valiant_family(&mut b, g, tables, None);
             (2 * diam, c)
         }
         RoutingSpec::FatPaths { layers } => {
             let fp = FatPathsRouter::build(g, tables, *layers, FATPATHS_SEED)?;
             let mut c = false;
             for l in 0..fp.num_layers() {
-                c |= add_min_family(
-                    &mut cdg,
-                    fp.layer_graph(l),
-                    fp.layer_tables(l),
-                    num_vcs,
-                    None,
-                );
+                c |= add_min_family(&mut b, fp.layer_graph(l), fp.layer_tables(l), None);
             }
             (fp.max_path_hops(), c)
         }
     };
     Ok(WormholeCdg {
-        cdg,
+        cdg: b.cdg,
         max_hops,
         clamped,
     })
@@ -143,12 +149,99 @@ pub fn scheme_hop_bound(spec: &RoutingSpec, diameter: usize) -> Option<usize> {
     }
 }
 
+/// A CDG under construction. Channel `(u → v, vc)` resolves through
+/// slot `link · num_vcs + vc` of a flat table, where `link` is the CSR
+/// id of `u → v` in the base router graph: `u`'s row offset plus `v`'s
+/// rank among `u`'s sorted neighbours. FatPaths layers are subgraphs
+/// of the base graph, so their links index the same table. Ids are
+/// handed out in first-seen order, as the public map-keyed builders
+/// of [`ChannelDependencyGraph`] hand them out.
+struct Builder<'g> {
+    cdg: ChannelDependencyGraph,
+    base: &'g Graph,
+    /// CSR row offsets of `base`.
+    row: Vec<usize>,
+    num_vcs: usize,
+    /// Channel id per `(link, vc)` slot; `u32::MAX` until first seen.
+    slot: Vec<u32>,
+}
+
+impl<'g> Builder<'g> {
+    fn new(base: &'g Graph, num_vcs: usize) -> Self {
+        let mut row = Vec::with_capacity(base.num_vertices());
+        let mut links = 0;
+        for v in 0..base.num_vertices() as u32 {
+            row.push(links);
+            links += base.degree(v);
+        }
+        Builder {
+            cdg: ChannelDependencyGraph::new(),
+            base,
+            row,
+            num_vcs,
+            slot: vec![u32::MAX; links * num_vcs],
+        }
+    }
+
+    /// CSR id of the directed link `u → v` of the base graph.
+    fn link(&self, u: u32, v: u32) -> usize {
+        let rank = self.base.neighbors(u).binary_search(&v);
+        self.row[u as usize] + rank.expect("routes only use links of the base graph")
+    }
+
+    /// Id of channel `(u → v, vc)`, where `link` is the id of `u → v`;
+    /// allocated on first use.
+    fn channel(&mut self, link: usize, (u, v): (u32, u32), vc: usize) -> u32 {
+        let slot = &mut self.slot[link * self.num_vcs + vc];
+        if *slot == u32::MAX {
+            *slot = self.cdg.push_channel((u, v, vc as u8));
+        }
+        *slot
+    }
+
+    /// Adds the turn `u → v → w` at hop `hop` of a path (channel `u → v`
+    /// at hop `hop − 1`, `v → w` at hop `hop`) for every VC base in
+    /// `0..=max_base`. `links` are the ids of `u → v` and `v → w`.
+    fn add_turn(
+        &mut self,
+        (u, v, w): (u32, u32, u32),
+        links: (usize, usize),
+        hop: usize,
+        max_base: usize,
+    ) {
+        for b in 0..=max_base {
+            let b = b as u8;
+            let p = self.channel(links.0, (u, v), hop_vc(self.num_vcs, b, hop - 1));
+            let c = self.channel(links.1, (v, w), hop_vc(self.num_vcs, b, hop));
+            self.cdg.insert_succ(p, c);
+        }
+    }
+}
+
 /// The largest VC base the engine draws for a packet declaring
 /// `declared` hops, and whether a `hops`-hop path from that base clamps
 /// at the top VC (`num_vcs − 1`).
 fn vc_bases(num_vcs: usize, declared: usize, hops: usize) -> (usize, bool) {
     let max_base = vc_base_slack(num_vcs, declared);
     (max_base, max_base + hops - 1 > num_vcs - 1)
+}
+
+/// The VC-base range a Valiant leg of `leg` hops needs over every
+/// partner leg length in `partners` (ascending) that keeps the detour
+/// within `cap`, and whether any of those detours clamps; `None` when
+/// no partner fits. The range is the shortest partner's:
+/// `vc_base_slack` falls as hops grow, so every longer partner's bases,
+/// and with them its dependencies, are a subset of it.
+fn widest_bases(
+    num_vcs: usize,
+    leg: usize,
+    partners: &[usize],
+    cap: usize,
+) -> Option<(usize, bool)> {
+    let mut hops = partners.iter().map(|&p| leg + p).filter(|&h| h <= cap);
+    let shortest = hops.next()?;
+    let (max_base, clamped) = vc_bases(num_vcs, shortest, shortest);
+    Some((max_base, clamped || hops.any(|h| vc_bases(num_vcs, h, h).1)))
 }
 
 /// Adds the consecutive-channel dependencies of **every** minimal path
@@ -158,10 +251,9 @@ fn vc_bases(num_vcs: usize, declared: usize, hops: usize) -> (usize, bool) {
 /// itself runs the full distance. Returns whether any realizable
 /// (base, hop) pair clamps at `num_vcs − 1`.
 fn add_min_family(
-    cdg: &mut ChannelDependencyGraph,
+    b: &mut Builder,
     g: &Graph,
     t: &RoutingTables,
-    num_vcs: usize,
     declared_cap: Option<usize>,
 ) -> bool {
     let n = t.num_routers() as u32;
@@ -176,9 +268,9 @@ fn add_min_family(
             }
             let dd = dist as usize;
             let declared = declared_cap.map_or(dd, |c| dd.min(c));
-            let (max_base, c) = vc_bases(num_vcs, declared, dd);
+            let (max_base, c) = vc_bases(b.num_vcs, declared, dd);
             clamped |= c;
-            add_min_dag_pairs(cdg, g, t, s, d, num_vcs, max_base, 0);
+            add_min_dag_pairs(b, g, t, s, d, max_base, 0);
         }
     }
     clamped
@@ -191,19 +283,25 @@ fn add_min_family(
 /// over-approximates slightly (a superset of realizable dependencies —
 /// sound for acyclicity certification). `leg_cap` restricts detours to
 /// `d1 + d2 ≤ cap` (the `val:cap3` ablation).
+///
+/// Leg 1 and the junction sit at the same hop offsets whatever the
+/// partner leg's length, so each is enumerated once, at the VC-base
+/// range of the shortest partner ([`widest_bases`]), which contains
+/// every other partner's. Leg 2's offset is the partner's length, so
+/// it is enumerated per partner.
 fn add_valiant_family(
-    cdg: &mut ChannelDependencyGraph,
+    b: &mut Builder,
     g: &Graph,
     t: &RoutingTables,
-    num_vcs: usize,
     leg_cap: Option<usize>,
 ) -> bool {
     let n = t.num_routers() as u32;
     if n <= 2 {
         // The path generator falls back to minimal paths when there is
         // no eligible intermediate.
-        return add_min_family(cdg, g, t, num_vcs, None);
+        return add_min_family(b, g, t, None);
     }
+    let num_vcs = b.num_vcs;
     let mut clamped = false;
     let cap = leg_cap.unwrap_or(usize::MAX);
     for m in 0..n {
@@ -218,17 +316,15 @@ fn add_valiant_family(
             }
         }
         lens.sort_unstable();
-        // Leg 1: minimal DAG of (s, m) at offset 0, for every
-        // realizable total length d1 + d2.
+        // Leg 1: minimal DAG of (s, m) at offset 0.
         for s in 0..n {
             let d1 = rm[s as usize] as usize;
             if s == m || rm[s as usize] == UNREACHABLE || d1 < 2 {
                 continue;
             }
-            for &d2 in lens.iter().filter(|&&d2| d1 + d2 <= cap) {
-                let (max_base, c) = vc_bases(num_vcs, d1 + d2, d1 + d2);
+            if let Some((max_base, c)) = widest_bases(num_vcs, d1, &lens, cap) {
                 clamped |= c;
-                add_min_dag_pairs(cdg, g, t, s, m, num_vcs, max_base, 0);
+                add_min_dag_pairs(b, g, t, s, m, max_base, 0);
             }
         }
         // Leg 2: minimal DAG of (m, d) at offset d1.
@@ -240,7 +336,7 @@ fn add_valiant_family(
             for &d1 in lens.iter().filter(|&&d1| d1 + d2 <= cap) {
                 let (max_base, c) = vc_bases(num_vcs, d1 + d2, d1 + d2);
                 clamped |= c;
-                add_min_dag_pairs(cdg, g, t, m, d, num_vcs, max_base, d1);
+                add_min_dag_pairs(b, g, t, m, d, max_base, d1);
             }
         }
         // Junction turn at m: the last channel of any leg 1 (x → m at
@@ -248,19 +344,15 @@ fn add_valiant_family(
         // hop d1). Includes the link-reversal x → m → x, which is a
         // legal Valiant detour and the canonical deadlock seed.
         for &d1 in &lens {
-            for &d2 in lens.iter().filter(|&&d2| d1 + d2 <= cap) {
-                let (max_base, c) = vc_bases(num_vcs, d1 + d2, d1 + d2);
-                clamped |= c;
-                for &x in g.neighbors(m) {
-                    for &y in g.neighbors(m) {
-                        for b in 0..=max_base {
-                            let b = b as u8;
-                            cdg.add_edge(
-                                (x, m, hop_vc(num_vcs, b, d1 - 1) as u8),
-                                (m, y, hop_vc(num_vcs, b, d1) as u8),
-                            );
-                        }
-                    }
+            let Some((max_base, c)) = widest_bases(num_vcs, d1, &lens, cap) else {
+                continue;
+            };
+            clamped |= c;
+            for &x in g.neighbors(m) {
+                let into = b.link(x, m);
+                for &y in g.neighbors(m) {
+                    let out = b.link(m, y);
+                    b.add_turn((x, m, y), (into, out), d1, max_base);
                 }
             }
         }
@@ -274,17 +366,12 @@ fn add_valiant_family(
 /// `v` at hop layer `i` pairs every DAG predecessor `u` with every DAG
 /// successor `w` (channels `u→v` at hop `offset + i − 1` and `v→w` at
 /// hop `offset + i`), scanning `v`'s neighbours in place.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the pair and its hop placement vary per call; the rest is shared CDG state"
-)]
 fn add_min_dag_pairs(
-    cdg: &mut ChannelDependencyGraph,
+    b: &mut Builder,
     g: &Graph,
     t: &RoutingTables,
     s: u32,
     d: u32,
-    num_vcs: usize,
     max_base: usize,
     offset: usize,
 ) {
@@ -298,21 +385,25 @@ fn add_min_dag_pairs(
             && rd[x as usize] != UNREACHABLE
             && layer + rd[x as usize] as u16 == dist
     };
-    for v in 0..t.num_routers() as u32 {
+    // The interior of a distance-2 DAG lies among the neighbours of
+    // `s`; both candidate lists are ascending, so the visiting order is
+    // the same.
+    let (scan, nbrs) = if dist == 2 {
+        (0..0, g.neighbors(s))
+    } else {
+        (0..t.num_routers() as u32, &[][..])
+    };
+    for v in scan.chain(nbrs.iter().copied()) {
         let i = rs[v as usize] as u16;
         if i == 0 || i >= dist || !on_dag(v, i) {
             continue;
         }
         let hop = offset + i as usize;
         for &u in g.neighbors(v).iter().filter(|&&u| on_dag(u, i - 1)) {
+            let into = b.link(u, v);
             for &w in g.neighbors(v).iter().filter(|&&w| on_dag(w, i + 1)) {
-                for b in 0..=max_base {
-                    let b = b as u8;
-                    cdg.add_edge(
-                        (u, v, hop_vc(num_vcs, b, hop - 1) as u8),
-                        (v, w, hop_vc(num_vcs, b, hop) as u8),
-                    );
-                }
+                let out = b.link(v, w);
+                b.add_turn((u, v, w), (into, out), hop, max_base);
             }
         }
     }
