@@ -157,7 +157,7 @@ fn cmd_run(args: &SweepArgs) -> Result<(), SfError> {
         let warn = certs.iter().filter(|c| !c.certified()).count();
         eprintln!(
             "sf-bench: verified {} routing/VC combination(s) deadlock-free{}",
-            certs.len(),
+            certs.len() - warn,
             if warn > 0 {
                 format!(" ({warn} unchecked — see `sf-bench verify {file}`)")
             } else {
@@ -396,14 +396,16 @@ fn cmd_verify(args: &SweepArgs) -> Result<(), SfError> {
     args.check_unknown_flags()?;
     let mut idx = 1;
     let mut seen = 0;
-    let mut combos = 0;
+    let mut certified = 0;
     let mut unchecked = 0;
     while let Some(file) = args.positional(idx) {
         let plan = ExperimentPlan::from_path(Path::new(file))?;
         let mut set = plan.expand()?;
         let certs = set.verify()?;
         for c in &certs {
-            if !c.certified() {
+            if c.certified() {
+                certified += 1;
+            } else {
                 unchecked += 1;
             }
             if !quiet {
@@ -416,7 +418,6 @@ fn cmd_verify(args: &SweepArgs) -> Result<(), SfError> {
             set.topos().len(),
             set.jobs().len()
         ));
-        combos += certs.len();
         idx += 1;
         seen += 1;
     }
@@ -424,7 +425,7 @@ fn cmd_verify(args: &SweepArgs) -> Result<(), SfError> {
         return Err(SfError::Cli("verify: no experiment files given".into()));
     }
     eprintln!(
-        "sf-bench verify: {seen} file(s), {combos} combination(s) certified{}",
+        "sf-bench verify: {seen} file(s), {certified} combination(s) certified{}",
         if unchecked > 0 {
             format!(", {unchecked} unchecked (too large for CDG construction)")
         } else {
