@@ -149,8 +149,9 @@ pub enum DeadlockStatus {
         /// monotone argument cannot cover).
         clamped: bool,
     },
-    /// Neither proof applies (clamping reachable on a network above
-    /// [`CDG_MAX_ROUTERS`]): nothing proven either way.
+    /// Neither proof applies (clamping reachable, or the hop bound
+    /// unknown, on a network above [`CDG_MAX_ROUTERS`]): nothing proven
+    /// either way.
     Unchecked {
         /// Why the combination stayed unverified.
         reason: String,
@@ -175,8 +176,9 @@ pub struct ComboCertificate {
     /// Network diameter.
     pub diameter: usize,
     /// Per-family path-length certificate: no realizable path exceeds
-    /// this many hops.
-    pub max_hops: usize,
+    /// this many hops. `None` when the bound is not known: FatPaths
+    /// above [`CDG_MAX_ROUTERS`], whose bound needs the built layers.
+    pub max_hops: Option<usize>,
     /// How deadlock freedom was certified.
     pub status: DeadlockStatus,
 }
@@ -211,11 +213,11 @@ impl fmt::Display for ComboCertificate {
             )?,
             DeadlockStatus::Unchecked { reason } => write!(f, "UNVERIFIED ({reason})")?,
         }
-        write!(
-            f,
-            "; total over {} pairs, ≤{} hops (diameter {})",
-            self.pairs, self.max_hops, self.diameter
-        )
+        write!(f, "; total over {} pairs", self.pairs)?;
+        if let Some(hops) = self.max_hops {
+            write!(f, ", ≤{hops} hops")?;
+        }
+        write!(f, " (diameter {})", self.diameter)
     }
 }
 
@@ -296,20 +298,20 @@ pub fn verify_combo(
     let (max_hops, status) = if n > CDG_MAX_ROUTERS {
         // Fast path for large networks: if the scheme hop bound fits the
         // VC budget, no packet ever clamps and VCs strictly increase hop
-        // over hop — acyclic with no graph construction.
-        match bound {
-            Some(b) if b <= num_vcs => (b, DeadlockStatus::MonotoneVcs { max_hops: b }),
-            _ => (
-                bound.unwrap_or(0),
-                DeadlockStatus::Unchecked {
-                    reason: format!(
-                        "{n} routers exceed the {CDG_MAX_ROUTERS}-router CDG limit and the \
-                         hop bound {} exceeds the {num_vcs}-VC budget",
-                        bound.map_or("?".into(), |b| b.to_string())
-                    ),
-                },
-            ),
-        }
+        // over hop — acyclic with no graph construction. FatPaths has
+        // no bound until its layers are built, which verification does
+        // not do at this size.
+        let limit = format!("{n} routers exceed the {CDG_MAX_ROUTERS}-router CDG limit");
+        let status = match bound {
+            Some(b) if b <= num_vcs => DeadlockStatus::MonotoneVcs { max_hops: b },
+            Some(b) => DeadlockStatus::Unchecked {
+                reason: format!("{limit} and the hop bound {b} exceeds the {num_vcs}-VC budget"),
+            },
+            None => DeadlockStatus::Unchecked {
+                reason: format!("{limit}, above which the layer hop bound is not computed"),
+            },
+        };
+        (bound, status)
     } else {
         // Small enough: always build and check the explicit wormhole CDG
         // (richer certificate, and the only proof when clamping is
@@ -332,7 +334,7 @@ pub fn verify_combo(
             edges: w.cdg.num_edges(),
             clamped: w.clamped,
         };
-        (w.max_hops, status)
+        (Some(w.max_hops), status)
     };
     Ok(ComboCertificate {
         topo: topo.into(),
@@ -477,6 +479,35 @@ mod tests {
         let t = RoutingTables::new(&g);
         let cert = verify_combo("sf-q5", &g, &t, &RoutingSpec::Min, 4, 1).unwrap();
         assert!(cert.certified());
-        assert_eq!(cert.max_hops, 2);
+        assert_eq!(cert.max_hops, Some(2));
+    }
+
+    /// Above the CDG limit FatPaths has no hop bound until its layers
+    /// are built, and verification does not build them: the bound is
+    /// unknown, not zero.
+    #[test]
+    fn large_fatpaths_has_no_hop_bound() {
+        let g = sf_topo::SlimFly::new(17).unwrap().router_graph();
+        assert!(g.num_vertices() > CDG_MAX_ROUTERS);
+        let t = RoutingTables::new(&g);
+        let spec = RoutingSpec::FatPaths { layers: 2 };
+        let cert = verify_combo("sf:q=17", &g, &t, &spec, 4, 1).unwrap();
+        assert_eq!(cert.max_hops, None);
+        assert!(!cert.certified());
+        let DeadlockStatus::Unchecked { reason } = &cert.status else {
+            panic!("expected Unchecked, got {cert}");
+        };
+        assert_eq!(
+            reason,
+            "578 routers exceed the 512-router CDG limit, above which the layer hop bound \
+             is not computed"
+        );
+        assert_eq!(
+            cert.to_string(),
+            format!(
+                "sf:q=17 × FatPaths-2 (vcs=4, pkt=1): UNVERIFIED ({reason}); \
+                 total over 333506 pairs (diameter 2)"
+            )
+        );
     }
 }
