@@ -270,6 +270,18 @@ mod tests {
     }
 
     #[test]
+    fn pushed_channels_keep_their_ids_in_the_public_builders() {
+        let mut cdg = ChannelDependencyGraph::new();
+        let a = cdg.push_channel((0, 1, 0));
+        let b = cdg.push_channel((1, 2, 0));
+        cdg.insert_succ(a, b);
+        assert!(!cdg.add_edge((0, 1, 0), (1, 2, 0)), "known edge");
+        cdg.add_path(&[1, 2, 0], &[0, 0]);
+        assert_eq!((cdg.num_channels(), cdg.num_edges()), (3, 2));
+        assert_eq!(cdg.successors(b), [2]);
+    }
+
+    #[test]
     fn witness_is_a_closed_dependency_chain() {
         // 4 paths chasing each other around a ring on one VC.
         let mut cdg = ChannelDependencyGraph::new();

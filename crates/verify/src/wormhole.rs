@@ -282,13 +282,9 @@ fn add_min_family(
 /// leg lengths factored into distinct distance values, which
 /// over-approximates slightly (a superset of realizable dependencies —
 /// sound for acyclicity certification). `leg_cap` restricts detours to
-/// `d1 + d2 ≤ cap` (the `val:cap3` ablation).
-///
-/// Leg 1 and the junction sit at the same hop offsets whatever the
-/// partner leg's length, so each is enumerated once, at the VC-base
-/// range of the shortest partner ([`widest_bases`]), which contains
-/// every other partner's. Leg 2's offset is the partner's length, so
-/// it is enumerated per partner.
+/// `d1 + d2 ≤ cap` (the `val:cap3` ablation). Leg 1 and the junction
+/// are enumerated once, at [`widest_bases`]; leg 2 starts at the
+/// partner's length, so it is enumerated per partner.
 fn add_valiant_family(
     b: &mut Builder,
     g: &Graph,
